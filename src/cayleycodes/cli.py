@@ -29,7 +29,12 @@ from .criteria import (
     dihedral_construct_sets,
     generic_subgroup_code_decision,
 )
-from .errors import BoundExceededError, CayleyCodesError, GroupSpecError
+from .errors import (
+    BoundExceededError,
+    CayleyCodesError,
+    GroupSpecError,
+    GroupTableError,
+)
 from .groups import all_automorphisms, all_subgroups, is_normal, subgroup_generated
 from .pcp import is_pcp_automorphism, is_tpcp_automorphism
 from .groups import is_power_automorphism, is_subgroup
@@ -41,7 +46,14 @@ ENV_MAX_ORDER = "CAYLEYCODES_MAX_ORDER"
 
 def _max_order(default: int) -> int:
     value = os.environ.get(ENV_MAX_ORDER)
-    return int(value) if value else default
+    if not value:
+        return default
+    try:
+        return int(value)
+    except ValueError:
+        raise GroupSpecError(
+            f"{ENV_MAX_ORDER} must be an integer, got {value!r}"
+        ) from None
 
 
 def _report(command: str, spec: str | None, results, started: float) -> dict:
@@ -319,7 +331,8 @@ def main(argv=None) -> int:
     except BoundExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except GroupSpecError as exc:
+    except (GroupSpecError, GroupTableError) as exc:
+        # a malformed spec, or a table file that is not a group
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CayleyCodesError as exc:

@@ -85,6 +85,22 @@ class FiniteGroup:
     def element_orders(self) -> tuple[int, ...]:
         return tuple(self.element_order(i) for i in range(self.order))
 
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """The greedy generating set of the whole group (`generating_set`)."""
+        return generating_set(self)
+
+    @cached_property
+    def sylow_two(self) -> "Subgroup":
+        """The Sylow 2-subgroup of an abelian group: its elements of 2-power
+        order, with their greedy generating set."""
+        if not self.is_abelian:
+            raise CayleyCodesError("sylow_two_subgroup requires an abelian group")
+        elems = tuple(
+            x for x in range(self.order) if _is_power_of_two(self.element_orders[x])
+        )
+        return Subgroup(elems, generating_set(self, elems))
+
     def elements(self) -> range:
         return range(self.order)
 
@@ -108,11 +124,15 @@ class Subgroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def element_set(self) -> frozenset[int]:
+    @cached_property
+    def _element_set(self) -> frozenset[int]:
         return frozenset(self.elements)
 
+    def element_set(self) -> frozenset[int]:
+        return self._element_set
+
     def __contains__(self, i: int) -> bool:
-        return i in self.element_set()
+        return i in self._element_set
 
 
 @dataclass(frozen=True)
@@ -319,24 +339,28 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
 # subgroups and cosets
 
 
-def closure(g: FiniteGroup, seed) -> frozenset[int]:
-    """Smallest subgroup (as a set) containing the seed elements.
+def closure(g: FiniteGroup, seed, base=None) -> frozenset[int]:
+    """The subgroup K generated by the seed elements, as a set.
 
-    Worklist algorithm: each new element is multiplied (both ways) against
-    everything already present, so every pair is formed exactly once.
+    Search from the identity, multiplying on the right by seed elements
+    only.  In a finite group every inverse is a positive power, so the
+    elements reached are exactly <seed>.  ``base``, when given, is (the
+    set of) a subgroup H already known to lie in K; K is then collected
+    as a union of right cosets Hr, one search step per coset.  Cost
+    O(|K| + |K:H|*|seed|), which is O(|K|*|seed|) without a base.
     """
     mult = g.mult
-    out = {g.identity}
-    queue = [x for x in seed]
-    while queue:
-        z = queue.pop()
-        if z in out:
-            continue
-        out.add(z)
-        for k in list(out):
-            for p in (mult[z][k], mult[k][z]):
-                if p not in out:
-                    queue.append(p)
+    gens = tuple(set(seed))
+    h = tuple(base) if base is not None else (g.identity,)
+    out = set(h)
+    stack = [g.identity]
+    while stack:
+        row = mult[stack.pop()]
+        for s in gens:
+            r = row[s]
+            if r not in out:
+                out.update([mult[y][r] for y in h])
+                stack.append(r)
     return frozenset(out)
 
 
@@ -346,14 +370,19 @@ def subgroup_generated(g: FiniteGroup, gens) -> Subgroup:
 
 
 def generating_set(g: FiniteGroup, elems=None) -> tuple[int, ...]:
-    """A small generating set, chosen greedily by ascending index."""
+    """A small generating set, chosen greedily by ascending index.
+
+    Each element outside the current span is added and the span recomputed
+    from the generators chosen so far, so a call costs at most |gens|
+    closures of O(|K|*|gens|) each.
+    """
     target = frozenset(elems) if elems is not None else frozenset(range(g.order))
     gens = []
     span = frozenset({g.identity})
     for x in sorted(target):
         if x not in span:
             gens.append(x)
-            span = closure(g, span | {x})
+            span = closure(g, gens)
             if span == target:
                 break
     return tuple(gens)
@@ -362,9 +391,13 @@ def generating_set(g: FiniteGroup, elems=None) -> tuple[int, ...]:
 def all_subgroups(g: FiniteGroup, max_order: int = DEFAULT_SUBGROUP_BOUND):
     """Every subgroup exactly once, sorted by (order, elements).
 
-    Breadth-first closure over generator supersets: repeatedly extend each
-    known subgroup by one outside element and close.  Results are memoized
-    per group (the types are immutable).
+    Breadth-first over generator supersets: each known subgroup H (with
+    generators gens(H)) is extended by every element x outside it, in
+    ascending order, and the first x to reach K = <H, x> gives K the
+    generators gens(H) + (x,).  Since <H, y> = <H, x> for y in Hx, only
+    one x per right coset Hx is joined, by `closure` over the base H at
+    a cost of O(|K| + |K:H|*|gens|).  Results are memoized per group
+    (the types are immutable).
     """
     if g.order > max_order:
         raise BoundExceededError(
@@ -375,6 +408,7 @@ def all_subgroups(g: FiniteGroup, max_order: int = DEFAULT_SUBGROUP_BOUND):
 
 @functools.lru_cache(maxsize=64)
 def _all_subgroups_cached(g: FiniteGroup):
+    mult = g.mult
     trivial = frozenset({g.identity})
     found: dict[frozenset[int], tuple[int, ...]] = {trivial: ()}
     frontier = [trivial]
@@ -382,12 +416,16 @@ def _all_subgroups_cached(g: FiniteGroup):
         fresh = []
         for h in frontier:
             base_gens = found[h]
+            base = tuple(h)
+            covered = set(h)
             for x in range(g.order):
-                if x in h:
+                if x in covered:
                     continue
-                k = closure(g, h | {x})
+                covered.update([mult[y][x] for y in base])
+                gens = base_gens + (x,)
+                k = closure(g, gens, base)
                 if k not in found:
-                    found[k] = base_gens + (x,)
+                    found[k] = gens
                     fresh.append(k)
         frontier = fresh
     subs = [
@@ -405,10 +443,17 @@ def is_subgroup(g: FiniteGroup, elems) -> bool:
 
 
 def is_normal(g: FiniteGroup, h: Subgroup) -> bool:
+    """Is H closed under conjugation by G?
+
+    Conjugation by a generating set of G suffices: if xHx^-1 lies in H for
+    each generator x it equals H (same size), and so it does for every
+    product of generators.  True at once for abelian G.  Cost
+    O(|gens|*|H|) per call once the group's generators are cached.
+    """
+    if g.is_abelian:
+        return True
     hs = h.element_set()
-    return all(
-        g.conjugate(x, y) in hs for x in range(g.order) for y in hs
-    )
+    return all(g.conjugate(x, y) in hs for x in g.generators for y in hs)
 
 
 def left_cosets(g: FiniteGroup, h: Subgroup):
@@ -470,12 +515,7 @@ def centre(g: FiniteGroup) -> Subgroup:
 
 def sylow_two_subgroup(g: FiniteGroup) -> Subgroup:
     """The set of elements of 2-power order in an abelian group."""
-    if not g.is_abelian:
-        raise CayleyCodesError("sylow_two_subgroup requires an abelian group")
-    elems = tuple(
-        x for x in range(g.order) if _is_power_of_two(g.element_orders[x])
-    )
-    return Subgroup(elems, generating_set(g, elems))
+    return g.sylow_two
 
 
 def _is_power_of_two(k: int) -> bool:
@@ -552,7 +592,7 @@ def find_isomorphism(g: FiniteGroup, h: FiniteGroup):
         return None
     if sorted(g.element_orders) != sorted(h.element_orders):
         return None
-    gens = generating_set(g)
+    gens = g.generators
     if not gens:
         return Automorphism((h.identity,)) if h.order == 1 else None
     words = _element_words(g, gens)
@@ -579,7 +619,7 @@ def all_automorphisms(
         )
     if g.order == 1:
         return [Automorphism((g.identity,))]
-    gens = generating_set(g)
+    gens = g.generators
     words = _element_words(g, gens)
     candidates = [
         [y for y in range(g.order) if g.element_orders[y] == g.element_orders[x]]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import GroupSpecError, GroupTableError
+from .errors import CayleyCodesError, GroupSpecError, GroupTableError
 from .groups import FiniteGroup, from_table, make_abelian, make_cyclic, make_dihedral
 
 
@@ -25,14 +25,14 @@ def parse_group_spec(spec: str) -> FiniteGroup:
     text = spec.strip()
     low = text.lower()
     if low.startswith("cyclic:"):
-        return make_cyclic(_int(text[7:]))
+        return _construct(make_cyclic, _int(text[7:]))
     if low.startswith("dihedral:"):
-        return make_dihedral(_int(text[9:]))
+        return _construct(make_dihedral, _int(text[9:]))
     if low.startswith("abelian:"):
         parts = [p for p in text[8:].split(",") if p.strip()]
         if not parts:
             raise GroupSpecError(f"empty abelian factor list in {spec!r}")
-        return make_abelian(tuple(_int(p) for p in parts))
+        return _construct(make_abelian, tuple(_int(p) for p in parts))
     if low.startswith("product:"):
         left, right = _split_product(text[8:], spec)
         from .groups import direct_product
@@ -41,6 +41,14 @@ def parse_group_spec(spec: str) -> FiniteGroup:
     if low.startswith("table:"):
         return load_table_file(text[6:])
     raise GroupSpecError(f"unrecognized group spec {spec!r}")
+
+
+def _construct(make, param) -> FiniteGroup:
+    """Call a group constructor; a parameter it rejects is a spec error."""
+    try:
+        return make(param)
+    except CayleyCodesError as exc:
+        raise GroupSpecError(str(exc)) from exc
 
 
 def _int(text: str) -> int:

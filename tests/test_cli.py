@@ -38,6 +38,11 @@ class TestSpecParsing:
         g = parse_group_spec(f"table:{path}")
         assert g.order == 3 and g.identity == 0
 
+    def test_constructor_parameter_errors_are_spec_errors(self):
+        for bad in ("dihedral:2", "cyclic:0", "abelian:1,2"):
+            with pytest.raises(GroupSpecError):
+                parse_group_spec(bad)
+
     def test_table_identity_must_be_zero(self, tmp_path):
         # Z2 written with identity at index 1
         path = tmp_path / "bad.txt"
@@ -124,6 +129,30 @@ class TestClassify:
 
     def test_parse_error(self, capsys):
         assert main(["classify", "cube:4"]) == 2
+
+    @pytest.mark.parametrize(
+        "spec, env",
+        [
+            ("dihedral:2", None),
+            ("cyclic:0", None),
+            ("abelian:1,2", None),
+            ("table:NONASSOC", None),
+            ("cyclic:4", "abc"),
+        ],
+    )
+    def test_usage_errors_exit_2(self, capsys, monkeypatch, tmp_path, spec, env):
+        if spec == "table:NONASSOC":
+            # a Latin square with identity 0: (1*1)*2 = 2 but 1*(1*2) = 4
+            path = tmp_path / "nonassoc.txt"
+            path.write_text(
+                "5\n0 1 2 3 4\n1 0 3 4 2\n2 4 0 1 3\n3 2 4 0 1\n4 3 1 2 0\n"
+            )
+            spec = f"table:{path}"
+        if env is not None:
+            monkeypatch.setenv("CAYLEYCODES_MAX_ORDER", env)
+        assert main(["classify", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestCheck:

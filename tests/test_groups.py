@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cayleycodes import (
     GroupTableError,
@@ -24,13 +25,15 @@ from cayleycodes import (
 )
 from cayleycodes.groups import (
     Automorphism,
+    Subgroup,
+    closure,
     find_isomorphism,
     generating_set,
     is_automorphism,
     is_subgroup,
     right_cosets,
 )
-from cayleycodes.corpus import quaternion_group, symmetric_group
+from cayleycodes.corpus import corpus_groups, quaternion_group, symmetric_group
 
 # S3 element indices under the sorted-permutations convention:
 # 0=e, 1=(23), 2=(12), 3=(012), 4=(021), 5=(13)
@@ -215,6 +218,87 @@ class TestSubgroups:
         g = make_dihedral(5)
         gens = generating_set(g)
         assert subgroup_generated(g, gens).order == g.order
+
+
+def _reference_closure(g, seed):
+    """Pairwise worklist closure: every new element is multiplied both ways
+    by everything already present."""
+    out = {g.identity}
+    queue = list(seed)
+    while queue:
+        z = queue.pop()
+        if z in out:
+            continue
+        out.add(z)
+        for k in list(out):
+            for p in (g.mult[z][k], g.mult[k][z]):
+                if p not in out:
+                    queue.append(p)
+    return frozenset(out)
+
+
+def _reference_lattice(g):
+    """Breadth-first lattice: close H | {x} for every known H and every x
+    outside it, in ascending order; the first x to reach K names it."""
+    trivial = frozenset({g.identity})
+    found = {trivial: ()}
+    frontier = [trivial]
+    while frontier:
+        fresh = []
+        for h in frontier:
+            for x in range(g.order):
+                if x not in h:
+                    k = _reference_closure(g, h | {x})
+                    if k not in found:
+                        found[k] = found[h] + (x,)
+                        fresh.append(k)
+        frontier = fresh
+    subs = [Subgroup(tuple(sorted(k)), gens) for k, gens in found.items()]
+    return sorted(subs, key=lambda s: (s.order, s.elements))
+
+
+ORACLE_GROUPS = corpus_groups(32)
+
+
+class TestLatticeOracle:
+    """The coset-join lattice against the pairwise-worklist reference."""
+
+    @pytest.mark.parametrize("spec, g", ORACLE_GROUPS, ids=[s for s, _ in ORACLE_GROUPS])
+    def test_all_subgroups_match_reference(self, spec, g):
+        got = all_subgroups(g, max_order=g.order)
+        want = _reference_lattice(g)
+        assert [(s.elements, s.generators) for s in got] == [
+            (s.elements, s.generators) for s in want
+        ]
+
+    @pytest.mark.parametrize(
+        "spec, g",
+        [(s, g) for s, g in ORACLE_GROUPS if not g.is_abelian],
+        ids=[s for s, g in ORACLE_GROUPS if not g.is_abelian],
+    )
+    def test_is_normal_matches_all_conjugates(self, spec, g):
+        for h in all_subgroups(g, max_order=g.order):
+            hs = h.element_set()
+            definitional = all(
+                g.conjugate(x, y) in hs for x in range(g.order) for y in hs
+            )
+            assert is_normal(g, h) == definitional, h.elements
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_closure_matches_reference(self, data):
+        spec, g = data.draw(st.sampled_from(ORACLE_GROUPS))
+        seed = data.draw(st.lists(st.integers(0, g.order - 1), max_size=4))
+        assert closure(g, seed) == _reference_closure(g, seed)
+
+    def test_generating_set_is_greedy(self):
+        for spec, g in ORACLE_GROUPS:
+            span, want = frozenset({g.identity}), []
+            for x in range(g.order):
+                if x not in span:
+                    want.append(x)
+                    span = _reference_closure(g, span | {x})
+            assert generating_set(g) == tuple(want) == g.generators, spec
 
 
 class TestAutomorphisms:
