@@ -38,7 +38,7 @@ from .errors import (
 from .groups import all_automorphisms, all_subgroups, is_normal, subgroup_generated
 from .pcp import is_pcp_automorphism, is_tpcp_automorphism
 from .groups import is_power_automorphism, is_subgroup
-from .specparse import parse_element_list, parse_group_spec
+from .specparse import parse_element_list, parse_group_spec, spec_order
 from .verify import SUITES, run_suite
 
 ENV_MAX_ORDER = "CAYLEYCODES_MAX_ORDER"
@@ -54,6 +54,24 @@ def _max_order(default: int) -> int:
         raise GroupSpecError(
             f"{ENV_MAX_ORDER} must be an integer, got {value!r}"
         ) from None
+
+
+def _bounded_group(spec: str, default: int, message: str):
+    """The spec's group and the command's order bound.
+
+    Raises BoundExceededError(message.format(order, bound)) when |G| is
+    over the bound, before the table is built whenever `spec_order` can
+    read |G| off the spec, so no n^2 table over the bound is allocated.
+    """
+    order = spec_order(spec)
+    g = None
+    if order is None:
+        g = parse_group_spec(spec)
+        order = g.order
+    bound = _max_order(default)
+    if order > bound:
+        raise BoundExceededError(message.format(order, bound))
+    return (parse_group_spec(spec) if g is None else g), bound
 
 
 def _report(command: str, spec: str | None, results, started: float) -> dict:
@@ -76,10 +94,7 @@ def _emit(report: dict, fmt: str, text_lines):
 
 def cmd_classify(args) -> int:
     started = time.perf_counter()
-    g = parse_group_spec(args.spec)
-    bound = _max_order(64)
-    if g.order > bound:
-        raise BoundExceededError(f"|G|={g.order} exceeds bound {bound}")
+    g, bound = _bounded_group(args.spec, 64, "|G|={} exceeds bound {}")
     if args.subgroup:
         gens = parse_element_list(g, args.subgroup)
         subs = [subgroup_generated(g, gens)]
@@ -231,8 +246,9 @@ def cmd_verify(args) -> int:
 
 def cmd_automorphisms(args) -> int:
     started = time.perf_counter()
-    g = parse_group_spec(args.spec)
-    bound = _max_order(24)
+    g, bound = _bounded_group(
+        args.spec, 24, "all_automorphisms bound exceeded: |G|={} > {}"
+    )
     sigmas = all_automorphisms(g, max_order=bound)
     rows = []
     for sigma in sigmas:

@@ -18,9 +18,7 @@ def symmetric_group(n: int) -> FiniteGroup:
     table = [
         [pos[tuple(p[q[x]] for x in range(n))] for q in perms] for p in perms
     ]
-    g = from_table(table)
-    labels = tuple(str(p) for p in perms)
-    return FiniteGroup(g.order, g.mult, g.identity, g.inv, labels, "table")
+    return from_table(table, tuple(str(p) for p in perms))
 
 
 def quaternion_group() -> FiniteGroup:
@@ -45,9 +43,7 @@ def quaternion_group() -> FiniteGroup:
     elems = [(s, u) for u in units for s in (1, -1)]
     pos = {e: i for i, e in enumerate(elems)}
     table = [[pos[mul(a, b)] for b in elems] for a in elems]
-    g = from_table(table)
-    labels = tuple(("" if s == 1 else "-") + u for s, u in elems)
-    return FiniteGroup(g.order, g.mult, g.identity, g.inv, labels, "table")
+    return from_table(table, tuple(("" if s == 1 else "-") + u for s, u in elems))
 
 
 def abelian_types(order: int):
@@ -103,5 +99,6 @@ def corpus_groups(max_order: int = 24, include_specials: bool = True):
     if include_specials:
         out.append(("table:S3", symmetric_group(3)))
         out.append(("table:Q8", quaternion_group()))
-        out.append(("abelian:2,4,4", make_abelian((2, 4, 4))))
+        if max_order < 32:  # from order 32 on, abelian_types lists it
+            out.append(("abelian:2,4,4", make_abelian((2, 4, 4))))
     return out

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -167,23 +168,51 @@ class Automorphism:
 
 
 def _inverses_from_table(mult, identity):
-    n = len(mult)
-    inv = [None] * n
-    for i in range(n):
-        for j in range(n):
-            if mult[i][j] == identity and mult[j][i] == identity:
-                inv[i] = j
-                break
-        if inv[i] is None:
+    """Two-sided inverses of a table whose rows are permutations.
+
+    Row i holds the identity once, at j = row.index(identity); j is i's
+    inverse when mult[j][i] is the identity too, and otherwise i has no
+    two-sided inverse ("missing-inverse", witness (i,)).  O(n^2), with one
+    C-level `index` scan per row.
+    """
+    inv = []
+    for i, row in enumerate(mult):
+        j = row.index(identity)
+        if mult[j][i] != identity:
             raise GroupTableError("missing-inverse", (i,))
+        inv.append(j)
     return tuple(inv)
 
 
+def constructed_order(kind: str, param) -> int:
+    """|G| of the group ``make_<kind>(param)`` builds, without building it.
+
+    ``kind`` is "cyclic", "dihedral" or "abelian".  A parameter the
+    constructor rejects raises its CayleyCodesError here.
+    """
+    if kind == "cyclic":
+        if param < 1:
+            raise CayleyCodesError("cyclic order must be >= 1")
+        return param
+    if kind == "dihedral":
+        if param < 3:
+            raise CayleyCodesError("dihedral parameter must be >= 3")
+        return 2 * param
+    if not param:
+        raise CayleyCodesError("abelian product needs at least one factor")
+    if any(m < 2 for m in param):
+        raise CayleyCodesError("abelian factor orders must be >= 2")
+    return math.prod(param)
+
+
 def make_cyclic(n: int) -> FiniteGroup:
-    """Cyclic group of order n with mult(i, j) = (i + j) mod n."""
-    if n < 1:
-        raise CayleyCodesError("cyclic order must be >= 1")
-    mult = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+    """Cyclic group of order n with mult(i, j) = (i + j) mod n.
+
+    Row i is the rotation of row 0 by i places.
+    """
+    constructed_order("cyclic", n)
+    base = tuple(range(n))
+    mult = tuple(base[i:] + base[:i] for i in range(n))
     inv = tuple((-i) % n for i in range(n))
     labels = tuple("e" if i == 0 else "a" if i == 1 else f"a^{i}" for i in range(n))
     return FiniteGroup(n, mult, 0, inv, labels, "cyclic", (n,))
@@ -194,21 +223,17 @@ def make_dihedral(n: int) -> FiniteGroup:
 
     Indexing: rotations a^i at 0..n-1, then reflections a^i b at n..2n-1.
     """
-    if n < 3:
-        raise CayleyCodesError("dihedral parameter must be >= 3")
-    size = 2 * n
-
-    def prod(x, y):
-        xi, xr = x % n, x >= n
-        yi, yr = y % n, y >= n
+    size = constructed_order("dihedral", n)
+    rows = []
+    for i in range(n):
+        # a^i . a^j = a^(i+j) ; a^i . a^j b = a^(i+j) b
+        r = [(i + j) % n for j in range(n)]
+        rows.append(tuple(r + [k + n for k in r]))
+    for i in range(n):
         # a^i b . a^j = a^(i-j) b ; a^i b . a^j b = a^(i-j)
-        if xr:
-            k = (xi - yi) % n
-        else:
-            k = (xi + yi) % n
-        return k + (n if xr != yr else 0)
-
-    mult = tuple(tuple(prod(x, y) for y in range(size)) for x in range(size))
+        r = [(i - j) % n for j in range(n)]
+        rows.append(tuple([k + n for k in r] + r))
+    mult = tuple(rows)
     inv = _inverses_from_table(mult, 0)
     labels = []
     for i in range(n):
@@ -222,48 +247,31 @@ def make_abelian(orders) -> FiniteGroup:
     """Direct product of cyclic groups of the given orders (each >= 2).
 
     Element indices are mixed-radix over the orders, the first factor most
-    significant; the decomposition is stored for the character machinery.
+    significant, which is the indexing of the `direct_product` of the
+    cyclic factors taken left to right; the table is built that way, row
+    by row, in O(n^2).  The decomposition is stored for the character
+    machinery.
     """
     orders = tuple(int(m) for m in orders)
-    if not orders:
-        raise CayleyCodesError("abelian product needs at least one factor")
-    if any(m < 2 for m in orders):
-        raise CayleyCodesError("abelian factor orders must be >= 2")
-    n = 1
-    for m in orders:
-        n *= m
-    strides = []
-    acc = n
-    for m in orders:
-        acc //= m
-        strides.append(acc)
-
-    def decode(i):
-        return tuple((i // s) % m for s, m in zip(strides, orders))
-
-    def encode(t):
-        return sum((x % m) * s for x, s, m in zip(t, strides, orders))
-
-    mult = tuple(
-        tuple(
-            encode(tuple(x + y for x, y in zip(decode(i), decode(j))))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    inv = tuple(encode(tuple(-x for x in decode(i))) for i in range(n))
+    n = constructed_order("abelian", orders)
+    product = functools.reduce(direct_product, map(make_cyclic, orders))
 
     def lab(i):
-        t = decode(i)
+        digits = []
+        for m in reversed(orders):
+            i, x = divmod(i, m)
+            digits.append(x)
         parts = [
             f"a{k + 1}" if x == 1 else f"a{k + 1}^{x}"
-            for k, x in enumerate(t)
+            for k, x in enumerate(reversed(digits))
             if x != 0
         ]
         return "*".join(parts) if parts else "e"
 
     labels = tuple(lab(i) for i in range(n))
-    return FiniteGroup(n, mult, 0, inv, labels, "abelian-product", orders)
+    return FiniteGroup(
+        n, product.mult, 0, product.inv, labels, "abelian-product", orders
+    )
 
 
 def from_table(table, labels=None) -> FiniteGroup:
@@ -272,6 +280,17 @@ def from_table(table, labels=None) -> FiniteGroup:
     Rejections report the first failing witness under a lexicographic scan,
     with distinct reasons for shape, identity, Latin-square, inverse and
     associativity failures.
+
+    The shape, identity, Latin-square and inverse checks are O(n^2)
+    passes over whole rows and columns.  Associativity is Light's test in
+    O(n^2*|gens|): the set T of z with (xy)z = x(yz) for
+    all x, y holds the identity and is closed under products, so the
+    table is associative once T holds a set of generators, here the
+    greedy `generating_set` (its right-multiplication closure from the
+    identity reaches every element of any Latin square with an identity).
+    Each (row x, generator s) is one comparison of (xy)s with x(ys) over
+    all y.  Only a table that fails it pays the O(n^3) lexicographic scan
+    for the (x, y, z) witness.
     """
     n = len(table)
     if n == 0:
@@ -279,36 +298,49 @@ def from_table(table, labels=None) -> FiniteGroup:
     for i, row in enumerate(table):
         if len(row) != n:
             raise GroupTableError("not-square", (i,))
+        if set(map(type, row)) == {int} and min(row) >= 0 and max(row) < n:
+            continue
         for j, v in enumerate(row):
             if not isinstance(v, int) or not 0 <= v < n:
                 raise GroupTableError("bad-index", (i, j))
     mult = tuple(tuple(row) for row in table)
+    columns = list(zip(*mult))
 
-    identity = None
-    for e in range(n):
-        if all(mult[e][x] == x and mult[x][e] == x for x in range(n)):
-            identity = e
-            break
+    base = tuple(range(n))
+    identity = next(
+        (e for e in range(n) if mult[e] == base and columns[e] == base), None
+    )
     if identity is None:
         raise GroupTableError("no-identity")
 
-    full = set(range(n))
-    for i in range(n):
-        if set(mult[i]) != full:
+    for i, row in enumerate(mult):
+        if len(set(row)) != n:
             raise GroupTableError("not-latin-square", ("row", i))
-    for j in range(n):
-        if {mult[i][j] for i in range(n)} != full:
+    for j, column in enumerate(columns):
+        if len(set(column)) != n:
             raise GroupTableError("not-latin-square", ("column", j))
 
     inv = _inverses_from_table(mult, identity)
+    g = FiniteGroup(n, mult, identity, inv, labels, "table")
 
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if mult[mult[x][y]][z] != mult[x][mult[y][z]]:
-                    raise GroupTableError("non-associative", (x, y, z))
+    for s in g.generators:
+        col = columns[s]
+        for row in mult:
+            if [col[v] for v in row] != [row[v] for v in col]:
+                raise GroupTableError("non-associative", _first_non_associative(mult))
+    return g
 
-    return FiniteGroup(n, mult, identity, inv, labels, "table")
+
+def _first_non_associative(mult):
+    """The first (x, y, z) with (xy)z != x(yz), by a lexicographic scan."""
+    n = len(mult)
+    return next(
+        (x, y, z)
+        for x in range(n)
+        for y in range(n)
+        for z in range(n)
+        if mult[mult[x][y]][z] != mult[x][mult[y][z]]
+    )
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
@@ -316,14 +348,12 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     n, m = g.order, h.order
     size = n * m
     mult = tuple(
-        tuple(
-            g.mult[i // m][j // m] * m + h.mult[i % m][j % m]
-            for j in range(size)
-        )
-        for i in range(size)
+        tuple([x + y for x in scaled for y in hrow])
+        for scaled in ([v * m for v in grow] for grow in g.mult)
+        for hrow in h.mult
     )
     identity = g.identity * m + h.identity
-    inv = tuple(g.inv[i // m] * m + h.inv[i % m] for i in range(size))
+    inv = tuple(x * m + y for x in g.inv for y in h.inv)
     labels = None
     if g.labels is not None and h.labels is not None:
         labels = tuple(

@@ -18,28 +18,65 @@ from __future__ import annotations
 import re
 
 from .errors import CayleyCodesError, GroupSpecError, GroupTableError
-from .groups import FiniteGroup, from_table, make_abelian, make_cyclic, make_dihedral
+from .groups import (
+    FiniteGroup,
+    constructed_order,
+    direct_product,
+    from_table,
+    make_abelian,
+    make_cyclic,
+    make_dihedral,
+)
 
 
 def parse_group_spec(spec: str) -> FiniteGroup:
+    kind, *args = _parse(spec)
+    if kind == "cyclic":
+        return _construct(make_cyclic, args[0])
+    if kind == "dihedral":
+        return _construct(make_dihedral, args[0])
+    if kind == "abelian":
+        return _construct(make_abelian, args[0])
+    if kind == "product":
+        left, right = args
+        return direct_product(parse_group_spec(left), parse_group_spec(right))
+    return load_table_file(args[0])
+
+
+def spec_order(spec: str) -> int | None:
+    """|G| of a cyclic, dihedral, abelian or product spec, without building
+    its table.
+
+    None for a "table:" spec and for any spec `parse_group_spec` rejects,
+    so that its error still comes from parsing it.
+    """
+    try:
+        kind, *args = _parse(spec)
+        if kind == "product":
+            left, right = map(spec_order, args)
+            return None if left is None or right is None else left * right
+        return None if kind == "table" else constructed_order(kind, args[0])
+    except CayleyCodesError:
+        return None
+
+
+def _parse(spec: str):
+    """The spec's grammar: (kind, parameter), or ("product", left, right)."""
     text = spec.strip()
     low = text.lower()
     if low.startswith("cyclic:"):
-        return _construct(make_cyclic, _int(text[7:]))
+        return "cyclic", _int(text[7:])
     if low.startswith("dihedral:"):
-        return _construct(make_dihedral, _int(text[9:]))
+        return "dihedral", _int(text[9:])
     if low.startswith("abelian:"):
         parts = [p for p in text[8:].split(",") if p.strip()]
         if not parts:
             raise GroupSpecError(f"empty abelian factor list in {spec!r}")
-        return _construct(make_abelian, tuple(_int(p) for p in parts))
+        return "abelian", tuple(_int(p) for p in parts)
     if low.startswith("product:"):
-        left, right = _split_product(text[8:], spec)
-        from .groups import direct_product
-
-        return direct_product(parse_group_spec(left), parse_group_spec(right))
+        return ("product", *_split_product(text[8:], spec))
     if low.startswith("table:"):
-        return load_table_file(text[6:])
+        return "table", text[6:]
     raise GroupSpecError(f"unrecognized group spec {spec!r}")
 
 
@@ -81,6 +118,11 @@ def _split_product(body: str, spec: str):
 
 
 def load_table_file(path: str) -> FiniteGroup:
+    """Read a Cayley-table file and validate it with `from_table`.
+
+    The entries are parsed in one pass, O(n^2); on a bad token they are
+    parsed again one by one, so the error names the first bad token.
+    """
     with open(path) as fh:
         tokens = fh.read().split()
     if not tokens:
@@ -91,7 +133,11 @@ def load_table_file(path: str) -> FiniteGroup:
         raise GroupSpecError(
             f"table file {path!r}: expected {n * n} entries, got {len(body)}"
         )
-    table = [[_int(body[i * n + j]) for j in range(n)] for i in range(n)]
+    try:
+        cells = list(map(int, body))
+    except ValueError:
+        cells = [_int(token) for token in body]
+    table = [cells[i * n : (i + 1) * n] for i in range(n)]
     g = from_table(table)
     if g.identity != 0:
         raise GroupTableError("no-identity", ("identity must be index 0", g.identity))

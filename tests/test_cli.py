@@ -6,12 +6,14 @@ import json
 
 import pytest
 
+from cayleycodes import groups, specparse
 from cayleycodes.cli import main
 from cayleycodes.errors import GroupSpecError, GroupTableError
 from cayleycodes.specparse import (
     parse_element_expr,
     parse_element_list,
     parse_group_spec,
+    spec_order,
 )
 
 
@@ -75,6 +77,51 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+class TestSpecOrder:
+    @pytest.mark.parametrize(
+        "spec",
+        ["cyclic:12", "dihedral:6", "abelian:2,4,4", "CYCLIC:3", " abelian: 3 , 3 ",
+         "product:(cyclic:2)x(dihedral:3)",
+         "product:(product:(cyclic:2)x(cyclic:2))x(abelian:2,3)"],
+    )
+    def test_matches_built_group(self, spec):
+        assert spec_order(spec) == parse_group_spec(spec).order
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["table:whatever.txt", "cube:4", "cyclic:x", "cyclic:0", "dihedral:2",
+         "abelian:", "abelian:1,2", "product:cyclic:2", "product:(cyclic:2)x(cyclic:0)",
+         "product:(cyclic:2)x(table:z3.txt)"],
+    )
+    def test_none_when_not_read_off_the_spec(self, spec):
+        assert spec_order(spec) is None
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["classify", "abelian:2,2,2,2,2,2,2"], "|G|=128 exceeds bound 64"),
+            (["classify", "cyclic:100000"], "|G|=100000 exceeds bound 64"),
+            (["classify", "product:(cyclic:300)x(dihedral:300)"],
+             "|G|=180000 exceeds bound 64"),
+            (["automorphisms", "cyclic:100000"],
+             "all_automorphisms bound exceeded: |G|=100000 > 24"),
+            (["automorphisms", "abelian:2,2,2,2,2", "--pcp"],
+             "all_automorphisms bound exceeded: |G|=32 > 24"),
+        ],
+    )
+    def test_bound_checked_before_the_table_is_built(
+        self, capsys, monkeypatch, argv, message
+    ):
+        def refuse(*args):
+            raise AssertionError("a group table was built")
+
+        for module in (groups, specparse):
+            for name in ("make_cyclic", "make_dihedral", "make_abelian", "direct_product"):
+                monkeypatch.setattr(module, name, refuse)
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestClassify:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import collections
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -33,7 +36,14 @@ from cayleycodes.groups import (
     is_subgroup,
     right_cosets,
 )
-from cayleycodes.corpus import corpus_groups, quaternion_group, symmetric_group
+from cayleycodes.corpus import (
+    abelian_types,
+    corpus_groups,
+    quaternion_group,
+    symmetric_group,
+)
+from cayleycodes.errors import GroupSpecError
+from cayleycodes.specparse import load_table_file
 
 # S3 element indices under the sorted-permutations convention:
 # 0=e, 1=(23), 2=(12), 3=(012), 4=(021), 5=(13)
@@ -299,6 +309,251 @@ class TestLatticeOracle:
                     want.append(x)
                     span = _reference_closure(g, span | {x})
             assert generating_set(g) == tuple(want) == g.generators, spec
+
+
+def _reference_from_table(table):
+    """Per-cell validation with the O(n^3) associativity scan."""
+    n = len(table)
+    if n == 0:
+        raise GroupTableError("not-square")
+    for i, row in enumerate(table):
+        if len(row) != n:
+            raise GroupTableError("not-square", (i,))
+        for j, v in enumerate(row):
+            if not isinstance(v, int) or not 0 <= v < n:
+                raise GroupTableError("bad-index", (i, j))
+    mult = tuple(tuple(row) for row in table)
+    identity = None
+    for e in range(n):
+        if all(mult[e][x] == x and mult[x][e] == x for x in range(n)):
+            identity = e
+            break
+    if identity is None:
+        raise GroupTableError("no-identity")
+    full = set(range(n))
+    for i in range(n):
+        if set(mult[i]) != full:
+            raise GroupTableError("not-latin-square", ("row", i))
+    for j in range(n):
+        if {mult[i][j] for i in range(n)} != full:
+            raise GroupTableError("not-latin-square", ("column", j))
+    inv = [None] * n
+    for i in range(n):
+        for j in range(n):
+            if mult[i][j] == identity and mult[j][i] == identity:
+                inv[i] = j
+                break
+        if inv[i] is None:
+            raise GroupTableError("missing-inverse", (i,))
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if mult[mult[x][y]][z] != mult[x][mult[y][z]]:
+                    raise GroupTableError("non-associative", (x, y, z))
+    return mult, tuple(inv), identity
+
+
+def _outcome(validate, table):
+    try:
+        result = validate(table)
+    except GroupTableError as err:
+        return ("rejected", err.reason, err.witness)
+    if isinstance(result, tuple):
+        return ("accepted",) + result
+    return ("accepted", result.mult, result.inv, result.identity)
+
+
+def _assert_same_outcome(table):
+    want = _outcome(_reference_from_table, table)
+    assert _outcome(from_table, table) == want
+    return want
+
+
+def _relabel(mult, perm):
+    """The table of the same operation with element x renamed perm[x]."""
+    out = [[0] * len(mult) for _ in mult]
+    for i, row in enumerate(mult):
+        for j, v in enumerate(row):
+            out[perm[i]][perm[j]] = perm[v]
+    return out
+
+
+def _table_product(a, b):
+    m = len(b)
+    size = len(a) * m
+    return [
+        [a[i // m][j // m] * m + b[i % m][j % m] for j in range(size)]
+        for i in range(size)
+    ]
+
+
+def _intercalates(mult):
+    """2x2 subsquares [[a, b], [b, a]] at rows and columns other than 0."""
+    n = len(mult)
+    pos = [{v: j for j, v in enumerate(row)} for row in mult]
+    for r1 in range(1, n):
+        for r2 in range(r1 + 1, n):
+            for c1 in range(1, n):
+                c2 = pos[r2][mult[r1][c1]]
+                if c2 > c1 and mult[r1][c2] == mult[r2][c1]:
+                    yield r1, r2, c1, c2
+
+
+# an order-5 loop with identity 0 and two-sided inverses: (1*1)*2 != 1*(1*2)
+LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
+class TestTableOracle:
+    """`from_table` (Light's test) against the per-cell O(n^3) reference."""
+
+    @pytest.mark.parametrize("spec, g", ORACLE_GROUPS, ids=[s for s, _ in ORACLE_GROUPS])
+    def test_corpus_tables_and_relabelings(self, spec, g):
+        assert _assert_same_outcome([list(row) for row in g.mult])[0] == "accepted"
+        rng = random.Random(spec)
+        for _ in range(2):
+            perm = [0] + rng.sample(range(1, g.order), g.order - 1)
+            assert _assert_same_outcome(_relabel(g.mult, perm))[0] == "accepted"
+
+    def test_loops_and_their_products(self):
+        tables = [LOOP5]
+        for h in (make_cyclic(2), make_cyclic(3), symmetric_group(3), make_abelian((2, 2))):
+            tables += [_table_product(LOOP5, h.mult), _table_product(h.mult, LOOP5)]
+        rng = random.Random(5)
+        for table in list(tables):
+            n = len(table)
+            tables.append(_relabel(table, [0] + rng.sample(range(1, n), n - 1)))
+        outcomes = [_assert_same_outcome(table) for table in tables]
+        assert all(o[:2] == ("rejected", "non-associative") for o in outcomes)
+        assert outcomes[0][2] == (1, 1, 2)
+
+    def test_intercalate_swaps(self):
+        rng = random.Random(7)
+        reasons = collections.Counter()
+        for spec, g in corpus_groups(16):
+            squares = list(_intercalates(g.mult))
+            for r1, r2, c1, c2 in rng.sample(squares, min(3, len(squares))):
+                table = [list(row) for row in g.mult]
+                a, b = table[r1][c1], table[r1][c2]
+                table[r1][c1] = table[r2][c2] = b
+                table[r1][c2] = table[r2][c1] = a
+                reasons[_assert_same_outcome(table)[1]] += 1
+        assert reasons["non-associative"] > 40 and reasons["missing-inverse"] > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_tables(self, data):
+        spec, g = data.draw(st.sampled_from(corpus_groups(12)))
+        n = g.order
+        perm = data.draw(st.permutations(range(n)))
+        table = _relabel(g.mult, perm)
+        cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        value = st.one_of(st.integers(-1, n), st.sampled_from(["0", 1.0, True, None]))
+        for i, j in data.draw(st.lists(cell, max_size=3)):
+            table[i][j] = data.draw(value)
+        if data.draw(st.booleans()):
+            table[data.draw(st.integers(0, n - 1))].pop()
+        _assert_same_outcome(table)
+
+    def test_rejection_reasons(self):
+        assert _assert_same_outcome([]) == ("rejected", "not-square", None)
+        assert _assert_same_outcome([[0, 1], [1, 7]]) == ("rejected", "bad-index", (1, 1))
+        assert _assert_same_outcome([[0, 1], [1]]) == ("rejected", "not-square", (1,))
+        assert _assert_same_outcome([[0, "1"], [1]])[1] == "bad-index"
+        sub = [[(i - j) % 3 for j in range(3)] for i in range(3)]
+        assert _assert_same_outcome(sub)[1] == "no-identity"
+        assert _assert_same_outcome([[0, 1], [1, 1]])[1:] == (
+            "not-latin-square", ("row", 1))
+        # a Latin square with identity 0 where 1*2 = 0 but 2*1 = 3
+        no_inverse = [[0, 1, 2, 3, 4], [1, 2, 0, 4, 3], [2, 3, 4, 0, 1],
+                      [3, 4, 1, 2, 0], [4, 0, 3, 1, 2]]
+        assert _assert_same_outcome(no_inverse) == ("rejected", "missing-inverse", (1,))
+
+
+def _reference_abelian(orders):
+    """The abelian product built cell by cell from mixed-radix digits."""
+    n = 1
+    for m in orders:
+        n *= m
+    strides, acc = [], n
+    for m in orders:
+        acc //= m
+        strides.append(acc)
+
+    def decode(i):
+        return tuple((i // s) % m for s, m in zip(strides, orders))
+
+    def encode(t):
+        return sum((x % m) * s for x, s, m in zip(t, strides, orders))
+
+    mult = tuple(
+        tuple(encode(tuple(x + y for x, y in zip(decode(i), decode(j)))) for j in range(n))
+        for i in range(n)
+    )
+    inv = tuple(encode(tuple(-x for x in decode(i))) for i in range(n))
+    labels = []
+    for i in range(n):
+        parts = [
+            f"a{k + 1}" if x == 1 else f"a{k + 1}^{x}"
+            for k, x in enumerate(decode(i))
+            if x != 0
+        ]
+        labels.append("*".join(parts) if parts else "e")
+    return mult, inv, tuple(labels)
+
+
+class TestTableConstruction:
+    @pytest.mark.parametrize(
+        "orders",
+        [t for n in range(4, 65) for t in abelian_types(n)]
+        + [(2,), (5,), (3, 2), (2, 6, 4), (4, 2, 2, 3)],
+        ids=str,
+    )
+    def test_make_abelian_matches_reference(self, orders):
+        g = make_abelian(orders)
+        assert (g.mult, g.inv, g.labels) == _reference_abelian(orders)
+        assert (g.identity, g.kind, g.decomposition) == (0, "abelian-product", orders)
+
+    def test_make_cyclic_and_dihedral_match_formulas(self):
+        for n in (1, 2, 7, 12):
+            g = make_cyclic(n)
+            assert g.mult == tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+        for n in (3, 4, 9):
+            # a^i b . a^j = a^(i-j) b, so a reflection subtracts exponents
+            def prod(x, y):
+                k = (x - y) % n if x >= n else (x + y) % n
+                return k + (n if (x >= n) != (y >= n) else 0)
+
+            d = make_dihedral(n)
+            size = 2 * n
+            assert d.mult == tuple(
+                tuple(prod(x, y) for y in range(size)) for x in range(size)
+            )
+            assert _assert_same_outcome([list(row) for row in d.mult])[0] == "accepted"
+
+    def test_load_table_file_round_trips(self, tmp_path):
+        for k, (spec, g) in enumerate(ORACLE_GROUPS):
+            path = tmp_path / f"g{k}.txt"
+            rows = "\n".join(" ".join(map(str, row)) for row in g.mult)
+            path.write_text(f"{g.order}\n{rows}\n")
+            h = load_table_file(str(path))
+            assert (h.mult, h.inv, h.identity) == (g.mult, g.inv, 0), spec
+
+    def test_load_table_file_names_first_bad_token(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("3\n0 1 2\n1 y 0\n2 0 z\n")
+        with pytest.raises(GroupSpecError, match="expected an integer, got 'y'"):
+            load_table_file(str(path))
+
+    def test_corpus_spec_names_unique(self):
+        specs = [spec for spec, _ in corpus_groups(64)]
+        assert len(specs) == len(set(specs))
+        assert "abelian:2,4,4" in specs
 
 
 class TestAutomorphisms:
