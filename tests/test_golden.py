@@ -1,12 +1,19 @@
-"""Golden `classify` and `automorphisms` output over the corpus.
+"""Golden `classify`, `automorphisms`, `construct` and `enumerate` output
+over the corpus.
 
 Each digest is the SHA-256 of the key-sorted JSON report with
 `elapsed_seconds` removed, so any change to a verdict, witness, row order,
-subgroup or automorphism listing shows up here without running the
-benchmark.  A command that exits non-zero (`automorphisms` on the order-32
-corpus group is over its default bound) is digested as its exit code and
-stderr instead.  The corpus's `table:S3` and `table:Q8` are resolved to
-the corpus groups rather than read from files.
+subgroup, automorphism listing, constructed set or code listing shows up
+here without running the benchmark.  A command that exits non-zero
+(`automorphisms` on the order-32 corpus group is over its default bound;
+`construct` has no construction for some subgroups) is digested as its
+exit code and stderr instead.  The corpus's `table:S3` and `table:Q8` are
+resolved to the corpus groups rather than read from files.
+
+`construct` runs for every subgroup of every `corpus_groups(12)` group,
+given by its generator indices, in both modes.  `enumerate` runs for every
+connection set of every group of order <= 8 in `corpus_groups(8)` (which
+leaves out the order-32 special), in both modes.
 
 Re-record (only when the output is meant to change):
     PYTHONPATH=src python tests/test_golden.py
@@ -25,6 +32,8 @@ import pytest
 
 from cayleycodes import cli
 from cayleycodes.corpus import corpus_groups
+from cayleycodes.groups import all_subgroups
+from cayleycodes.pcp import all_connection_sets
 from cayleycodes.specparse import parse_group_spec
 
 GOLDEN_FILE = Path(__file__).with_name("golden_classify.json")
@@ -32,6 +41,11 @@ AUTOMORPHISMS_GOLDEN_FILE = Path(__file__).with_name("golden_automorphisms.json"
 CORPUS = dict(corpus_groups(24))
 SPECS = list(CORPUS) + ["abelian:2,2,2,2,2"]
 AUTOMORPHISMS_SPECS = [spec for spec, _ in corpus_groups(12)]
+CONSTRUCT_GOLDEN_FILE = Path(__file__).with_name("golden_construct.json")
+ENUMERATE_GOLDEN_FILE = Path(__file__).with_name("golden_enumerate.json")
+CONSTRUCT_GROUPS = corpus_groups(12)
+ENUMERATE_GROUPS = [(spec, g) for spec, g in corpus_groups(8) if g.order <= 8]
+MODES = ([], ["--total"])
 
 
 def _resolve(spec: str):
@@ -60,6 +74,35 @@ def automorphisms_digest(spec: str) -> str:
     return command_digest(["automorphisms", spec, "--format", "json"])
 
 
+def _indices(elements) -> str:
+    return ",".join(map(str, elements))
+
+
+def construct_digests(g, spec: str) -> dict[str, str]:
+    """Digest of `construct` for every subgroup of g, keyed by arguments."""
+    out = {}
+    for h in all_subgroups(g, max_order=g.order):
+        for mode in MODES:
+            args = [f"--subgroup={_indices(h.generators)}", *mode]
+            out[" ".join(args)] = command_digest(
+                ["construct", spec, *args, "--format", "json"]
+            )
+    return out
+
+
+def enumerate_digests(g, spec: str) -> dict[str, str]:
+    """Digest of `enumerate` for every connection set of g, keyed by
+    arguments."""
+    out = {}
+    for s in all_connection_sets(g):
+        for mode in MODES:
+            args = [f"--conn={_indices(s)}", *mode]
+            out[" ".join(args)] = command_digest(
+                ["enumerate", spec, *args, "--format", "json"]
+            )
+    return out
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN_FILE.read_text())
@@ -80,6 +123,18 @@ def test_automorphisms_matches_golden(automorphisms_golden, spec):
     assert automorphisms_digest(spec) == automorphisms_golden[spec]
 
 
+@pytest.mark.parametrize("spec, g", CONSTRUCT_GROUPS, ids=[s for s, _ in CONSTRUCT_GROUPS])
+def test_construct_matches_golden(spec, g):
+    golden = json.loads(CONSTRUCT_GOLDEN_FILE.read_text())
+    assert construct_digests(g, spec) == golden[spec]
+
+
+@pytest.mark.parametrize("spec, g", ENUMERATE_GROUPS, ids=[s for s, _ in ENUMERATE_GROUPS])
+def test_enumerate_matches_golden(spec, g):
+    golden = json.loads(ENUMERATE_GOLDEN_FILE.read_text())
+    assert enumerate_digests(g, spec) == golden[spec]
+
+
 if __name__ == "__main__":
     for path, digest, specs in (
         (GOLDEN_FILE, classify_digest, SPECS),
@@ -88,3 +143,11 @@ if __name__ == "__main__":
         digests = {spec: digest(spec) for spec in specs}
         path.write_text(json.dumps(digests, indent=2) + "\n")
         print(f"recorded {len(digests)} digests to {path}")
+    for path, digests_of, groups in (
+        (CONSTRUCT_GOLDEN_FILE, construct_digests, CONSTRUCT_GROUPS),
+        (ENUMERATE_GOLDEN_FILE, enumerate_digests, ENUMERATE_GROUPS),
+    ):
+        digests = {spec: digests_of(g, spec) for spec, g in groups}
+        path.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+        count = sum(map(len, digests.values()))
+        print(f"recorded {count} digests to {path}")
