@@ -28,10 +28,7 @@ from .groups import (
     make_abelian,
     make_cyclic,
     make_dihedral,
-    right_cosets,
-    subgroup_as_group,
     subgroup_generated,
-    sylow_two_subgroup,
 )
 from .cayley import (
     CayleyGraph,
@@ -52,6 +49,7 @@ from .criteria import (
     CriterionVerdict,
     abelian_criterion,
     abelian_sylow_reduction,
+    construct_connection_set,
     construct_connection_set_normal,
     cyclic_criterion,
     decide_subgroup_code,

@@ -4,6 +4,14 @@ x and y are adjacent in Cay(G, S) iff y x^-1 in S, so the neighbourhood of
 a vertex x is S x.  The module provides the definitional ball check, the
 group-ring product check, the transversal check for subgroups, and a
 brute-force exact-cover enumeration of all (total) perfect codes.
+
+Each check has one body for both modes.  C is a perfect code when the
+closed balls (S u {e}) c partition G, and a total perfect code when the
+open balls S c do; so with T = S u {e} or T = S, the ball check counts
+either kind of ball in one loop, the group-ring check is the tiling
+equation indicator(T) * indicator(C) = all-ones, and the transversal
+check asks T to be a left transversal of H.  The ball check shares no
+code with the group-ring form, so each stays an oracle for the other.
 """
 
 from __future__ import annotations
@@ -69,24 +77,23 @@ def build_cayley(g: FiniteGroup, s) -> CayleyGraph:
     return CayleyGraph(g, s)
 
 
-def is_perfect_code(graph: CayleyGraph, code) -> bool:
-    """Do the closed balls around the code vertices partition the graph?"""
-    n = graph.group.order
+def _covered_once(n: int, balls) -> bool:
+    """Do the balls cover each of the vertices 0..n-1 exactly once?"""
     count = [0] * n
-    for c in code:
-        for v in graph.closed_ball(c):
+    for ball in balls:
+        for v in ball:
             count[v] += 1
     return all(k == 1 for k in count)
+
+
+def is_perfect_code(graph: CayleyGraph, code) -> bool:
+    """Do the closed balls around the code vertices partition the graph?"""
+    return _covered_once(graph.group.order, map(graph.closed_ball, code))
 
 
 def is_total_perfect_code(graph: CayleyGraph, code) -> bool:
     """Does every vertex have exactly one neighbour in the code?"""
-    n = graph.group.order
-    count = [0] * n
-    for c in code:
-        for v in graph.neighbours(c):
-            count[v] += 1
-    return all(k == 1 for k in count)
+    return _covered_once(graph.group.order, map(graph.neighbours, code))
 
 
 # ---------------------------------------------------------------------------
@@ -114,22 +121,24 @@ def group_ring_product(g: FiniteGroup, u, v) -> list[int]:
     return out
 
 
-def group_ring_check_perfect(g: FiniteGroup, s, code) -> bool:
-    """True iff indicator(S u {e}) * indicator(C) is the all-ones vector."""
-    if isinstance(s, ConnectionSet):
-        s = s.elements
-    u = group_ring_indicator(g, set(s) | {g.identity})
-    v = group_ring_indicator(g, code)
-    return group_ring_product(g, u, v) == [1] * g.order
-
-
 def group_ring_check_total(g: FiniteGroup, s, code) -> bool:
-    """True iff indicator(S) * indicator(C) is the all-ones vector."""
+    """True iff indicator(S) * indicator(C) is the all-ones vector.
+
+    This is the tiling equation S C = G with every product distinct; it
+    is also `spectral.group_ring_tiling_check` for any two subsets.
+    """
     if isinstance(s, ConnectionSet):
         s = s.elements
     u = group_ring_indicator(g, s)
     v = group_ring_indicator(g, code)
     return group_ring_product(g, u, v) == [1] * g.order
+
+
+def group_ring_check_perfect(g: FiniteGroup, s, code) -> bool:
+    """True iff indicator(S u {e}) * indicator(C) is the all-ones vector."""
+    if isinstance(s, ConnectionSet):
+        s = s.elements
+    return group_ring_check_total(g, set(s) | {g.identity}, code)
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +237,9 @@ def code_report(
     code = sorted(set(code))
     definition_perfect = is_perfect_code(graph, code)
     definition_total = is_total_perfect_code(graph, code)
-    if total:
-        definition = definition_total
-        ring = group_ring_check_total(g, conn, code)
-    else:
-        definition = definition_perfect
-        ring = group_ring_check_perfect(g, conn, code)
+    definition = definition_total if total else definition_perfect
+    ring_check = group_ring_check_total if total else group_ring_check_perfect
+    ring = ring_check(g, conn, code)
     transversal = None
     if subgroup is not None:
         transversal = subgroup_code_transversal_check(g, subgroup, conn, total)

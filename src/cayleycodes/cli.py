@@ -23,21 +23,22 @@ from .cayley import (
     is_perfect_code,
     is_total_perfect_code,
 )
-from .criteria import (
-    construct_connection_set_normal,
-    decide_subgroup_code,
-    dihedral_construct_sets,
-    generic_subgroup_code_decision,
-)
+from .criteria import construct_connection_set, decide_subgroup_code
 from .errors import (
     BoundExceededError,
     CayleyCodesError,
     GroupSpecError,
     GroupTableError,
 )
-from .groups import all_automorphisms, all_subgroups, is_normal, subgroup_generated
+from .groups import (
+    all_automorphisms,
+    all_subgroups,
+    is_normal,
+    is_power_automorphism,
+    is_subgroup,
+    subgroup_generated,
+)
 from .pcp import is_pcp_automorphism, is_tpcp_automorphism
-from .groups import is_power_automorphism, is_subgroup
 from .specparse import parse_element_list, parse_group_spec, spec_order
 from .verify import SUITES, run_suite
 
@@ -159,8 +160,9 @@ def cmd_check(args) -> int:
 
 def cmd_enumerate(args) -> int:
     started = time.perf_counter()
-    g = parse_group_spec(args.spec)
-    bound = _max_order(24)
+    g, bound = _bounded_group(
+        args.spec, 24, "enumerate_perfect_codes bound exceeded: |G|={} > {}"
+    )
     s = parse_element_list(g, args.conn)
     try:
         conn = connection_set(g, s)
@@ -182,30 +184,7 @@ def cmd_construct(args) -> int:
     g = parse_group_spec(args.spec)
     gens = parse_element_list(g, args.subgroup)
     h = subgroup_generated(g, gens)
-    conn = None
-    if (
-        g.kind == "dihedral"
-        and h.order < g.order
-        and any(x >= g.order // 2 for x in h.elements)
-    ):
-        # H = <a^t, a^s b>: the explicit reflection sets apply
-        n = g.order // 2
-        rotations = [x for x in h.elements if x < n and x != g.identity]
-        t = min(rotations) if rotations else n
-        s = min(x - n for x in h.elements if x >= n)
-        r_conn, s_conn = dihedral_construct_sets(n, t, s)
-        conn = r_conn if args.total else s_conn
-    elif is_normal(g, h):
-        conn = construct_connection_set_normal(g, h, total=args.total)
-    else:
-        verdict = generic_subgroup_code_decision(g, h, total=args.total)
-        witness = verdict.witness or {}
-        wanted = verdict.total if args.total else verdict.perfect
-        if not wanted or witness.get("type") != "connection_set":
-            raise CayleyCodesError(
-                "no construction available for this subgroup"
-            )
-        conn = connection_set(g, witness["value"])
+    conn = construct_connection_set(g, h, total=args.total)
     graph = build_cayley(g, conn)
     verified = (
         is_total_perfect_code(graph, h.elements)

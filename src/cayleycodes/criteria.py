@@ -22,7 +22,6 @@ from .groups import (
     left_cosets,
     make_dihedral,
     subgroup_generated,
-    sylow_two_subgroup,
 )
 
 DEFAULT_GENERIC_INDEX_BOUND = 16
@@ -76,19 +75,23 @@ class AbelianTwoGroupBasis:
 # the key property and normal-subgroup criterion
 
 
+def _involution_fixers(g: FiniteGroup, h: Subgroup):
+    """(x, k) for every x with x^2 in H, ascending, where k is the least
+    element of H with (xk)^2 = e, or None when there is none."""
+    mult, e, hs = g.mult, g.identity, h.element_set()
+    for x in range(g.order):
+        row = mult[x]
+        if row[x] in hs:
+            yield x, next((k for k in h.elements if mult[row[k]][row[k]] == e), None)
+
+
 def property_one_holds(g: FiniteGroup, h: Subgroup):
     """For every x with x^2 in H, is there k in H with (xk)^2 = e?
 
     Returns (True, None) or (False, least failing x).
     """
-    hs = h.element_set()
-    e = g.identity
-    for x in range(g.order):
-        if g.mult[x][x] not in hs:
-            continue
-        if not any(g.mult[g.mult[x][k]][g.mult[x][k]] == e for k in hs):
-            return False, x
-    return True, None
+    bad = next((x for x, k in _involution_fixers(g, h) if k is None), None)
+    return bad is None, bad
 
 
 def normal_subgroup_code(g: FiniteGroup, h: Subgroup) -> CriterionVerdict:
@@ -139,8 +142,7 @@ def construct_connection_set_normal(
     ok, bad = property_one_holds(g, h)
     if not ok:
         raise CayleyCodesError(f"key property fails at g={bad}; no construction")
-    hs = sorted(h.element_set())
-    hset = h.element_set()
+    fixers = dict(_involution_fixers(g, h))
     blocks = left_cosets(g, h)
     block_of = {}
     for bi, block in enumerate(blocks):
@@ -154,12 +156,9 @@ def construct_connection_set_normal(
         if bi in done:
             continue
         rep = block[0]
-        if g.mult[rep][rep] in hset:
+        if rep in fixers:
             # involution in G/H: replace the representative by x_i h_i
-            fixer = next(
-                k for k in hs if g.mult[g.mult[rep][k]][g.mult[rep][k]] == e
-            )
-            out.append(g.mult[rep][fixer])
+            out.append(g.mult[rep][fixers[rep]])
             done.add(bi)
         else:
             rinv = g.inv[rep]
@@ -167,7 +166,7 @@ def construct_connection_set_normal(
             done.add(bi)
             done.add(block_of[rinv])
     if total:
-        involutions = [k for k in hs if k != e and g.mult[k][k] == e]
+        involutions = [k for k in h.elements if k != e and g.mult[k][k] == e]
         if not involutions:
             raise CayleyCodesError("total construction requires |H| even")
         out.append(involutions[0])
@@ -178,13 +177,15 @@ def construct_connection_set_normal(
 # cyclic, abelian and dihedral specializations
 
 
-def _is_cyclic(g: FiniteGroup) -> bool:
-    return g.order in g.element_orders
+def _is_cyclic(g: FiniteGroup, elements) -> bool:
+    """Is the subgroup K with these elements cyclic, i.e. does one of them
+    have order |K|?"""
+    return len(elements) in map(g.element_orders.__getitem__, elements)
 
 
 def cyclic_criterion(g: FiniteGroup, h: Subgroup) -> CriterionVerdict:
     """Pure arithmetic on |H| and [G:H] for cyclic G."""
-    if not _is_cyclic(g):
+    if not _is_cyclic(g, g.elements()):
         raise CayleyCodesError("cyclic_criterion requires a cyclic group")
     index = g.order // h.order
     perfect = h.order % 2 == 1 or index % 2 == 1
@@ -196,7 +197,7 @@ def abelian_sylow_reduction(g: FiniteGroup, h: Subgroup):
     """Return (P, H n P): criteria may run inside the Sylow 2-subgroup."""
     if not g.is_abelian:
         raise CayleyCodesError("Sylow reduction requires an abelian group")
-    p = sylow_two_subgroup(g)
+    p = g.sylow_two
     inter = tuple(sorted(h.element_set() & p.element_set()))
     return p, subgroup_generated(g, inter)
 
@@ -222,8 +223,7 @@ def abelian_criterion(
     total iff the projection condition holds (it forces |H| even).
     """
     p, hp = abelian_sylow_reduction(g, h)
-    span = g.cyclic_span(min(hp.elements, key=lambda x: -g.element_orders[x]))
-    if frozenset(hp.elements) != span:
+    if not _is_cyclic(g, hp.elements):
         raise CayleyCodesError(
             "abelian_criterion requires H n P cyclic; use normal_subgroup_code"
         )
@@ -312,34 +312,22 @@ def _search_inverse_closed_transversal(g: FiniteGroup, h: Subgroup, total: bool)
         if bi is None:
             return True
         for x in blocks[bi]:
-            if not total and x == g.identity:
-                continue  # e already represents its own coset
-            if total and x == g.identity:
-                continue
+            if x == g.identity:
+                continue  # e represents its coset (perfect) or is excluded (total)
             xi = g.inv[x]
             bj = block_of[xi]
-            if bj == bi:
-                if xi != x:
-                    continue
-                chosen[bi] = x
-                if backtrack():
-                    return True
-                chosen[bi] = None
-            else:
-                if chosen[bj] is not None:
-                    if chosen[bj] != xi:
-                        continue
-                    chosen[bi] = x
-                    if backtrack():
-                        return True
-                    chosen[bi] = None
-                else:
-                    chosen[bi] = x
-                    chosen[bj] = xi
-                    if backtrack():
-                        return True
-                    chosen[bi] = None
-                    chosen[bj] = None
+            if chosen[bj] is not None and chosen[bj] != xi:
+                continue
+            if bj == bi and xi != x:
+                continue
+            fresh = chosen[bj] is None
+            chosen[bi] = x
+            chosen[bj] = xi
+            if backtrack():
+                return True
+            chosen[bi] = None
+            if fresh:
+                chosen[bj] = None
         return False
 
     if backtrack():
@@ -385,7 +373,7 @@ def decide_subgroup_code(g: FiniteGroup, h: Subgroup) -> CriterionVerdict:
     """Fastest-first dispatch: parity shortcut, then the specialized
     criterion for cyclic/abelian/dihedral groups, then the normal-subgroup
     criterion, then generic search."""
-    if _is_cyclic(g):
+    if _is_cyclic(g, g.elements()):
         return cyclic_criterion(g, h)
     normal = is_normal(g, h)
     if normal:
@@ -393,9 +381,8 @@ def decide_subgroup_code(g: FiniteGroup, h: Subgroup) -> CriterionVerdict:
         if verdict is not None:
             return verdict
     if g.is_abelian:
-        p, hp = abelian_sylow_reduction(g, h)
-        span = g.cyclic_span(max(hp.elements, key=lambda x: g.element_orders[x]))
-        if frozenset(hp.elements) == span:
+        _, hp = abelian_sylow_reduction(g, h)
+        if _is_cyclic(g, hp.elements):
             return abelian_criterion(g, h)
         return normal_subgroup_code(g, h)
     if g.kind == "dihedral" and h.order < g.order:
@@ -403,3 +390,35 @@ def decide_subgroup_code(g: FiniteGroup, h: Subgroup) -> CriterionVerdict:
     if normal:
         return normal_subgroup_code(g, h)
     return generic_subgroup_code_decision(g, h)
+
+
+def construct_connection_set(
+    g: FiniteGroup, h: Subgroup, total: bool = False
+) -> ConnectionSet:
+    """A connection set realizing H as a (total) perfect code.
+
+    Dihedral subgroups <a^t, a^s b> get the explicit reflection sets,
+    normal subgroups the key-property construction, and any other
+    subgroup the witness of the generic transversal search.  Raises
+    CayleyCodesError when the search finds no such set.
+    """
+    if (
+        g.kind == "dihedral"
+        and h.order < g.order
+        and any(x >= g.order // 2 for x in h.elements)
+    ):
+        # H = <a^t, a^s b>: the explicit reflection sets apply
+        n = g.order // 2
+        rotations = [x for x in h.elements if x < n and x != g.identity]
+        t = min(rotations) if rotations else n
+        s = min(x - n for x in h.elements if x >= n)
+        r_conn, s_conn = dihedral_construct_sets(n, t, s)
+        return r_conn if total else s_conn
+    if is_normal(g, h):
+        return construct_connection_set_normal(g, h, total=total)
+    verdict = generic_subgroup_code_decision(g, h, total=total)
+    witness = verdict.witness or {}
+    wanted = verdict.total if total else verdict.perfect
+    if not wanted or witness.get("type") != "connection_set":
+        raise CayleyCodesError("no construction available for this subgroup")
+    return connection_set(g, witness["value"])

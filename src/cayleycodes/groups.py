@@ -96,11 +96,24 @@ class FiniteGroup:
         """The Sylow 2-subgroup of an abelian group: its elements of 2-power
         order, with their greedy generating set."""
         if not self.is_abelian:
-            raise CayleyCodesError("sylow_two_subgroup requires an abelian group")
+            raise CayleyCodesError("the Sylow 2-subgroup requires an abelian group")
         elems = tuple(
             x for x in range(self.order) if _is_power_of_two(self.element_orders[x])
         )
         return Subgroup(elems, generating_set(self, elems))
+
+    @cached_property
+    def strides(self) -> tuple[int, ...]:
+        """Mixed-radix place values of the ``decomposition`` factors, the
+        first factor most significant: element x has i-th digit
+        (x // strides[i]) % decomposition[i].  In an abelian-product group
+        strides[i] is also the index of the i-th canonical generator."""
+        out = []
+        acc = self.order
+        for m in self.decomposition:
+            acc //= m
+            out.append(acc)
+        return tuple(out)
 
     def elements(self) -> range:
         return range(self.order)
@@ -116,7 +129,9 @@ class FiniteGroup:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A closed subset of a parent group, with generator witnesses."""
+    """A closed subset of a parent group, with generator witnesses.
+
+    ``elements`` is in ascending order."""
 
     elements: tuple[int, ...]
     generators: tuple[int, ...]
@@ -501,39 +516,6 @@ def left_cosets(g: FiniteGroup, h: Subgroup):
     return blocks
 
 
-def right_cosets(g: FiniteGroup, h: Subgroup):
-    hs = sorted(h.element_set())
-    seen = [False] * g.order
-    blocks = []
-    for x in range(g.order):
-        if seen[x]:
-            continue
-        block = tuple(sorted(g.mult[y][x] for y in hs))
-        for z in block:
-            seen[z] = True
-        blocks.append(block)
-    return blocks
-
-
-def subgroup_as_group(g: FiniteGroup, h: Subgroup):
-    """Reindex a subgroup as a standalone FiniteGroup.
-
-    Returns (group, to_parent) where to_parent[i] is the parent index of
-    the i-th subgroup element (elements kept in sorted order).
-    """
-    elems = list(h.elements)
-    pos = {x: i for i, x in enumerate(elems)}
-    mult = tuple(
-        tuple(pos[g.mult[x][y]] for y in elems) for x in elems
-    )
-    identity = pos[g.identity]
-    inv = tuple(pos[g.inv[x]] for x in elems)
-    labels = None
-    if g.labels is not None:
-        labels = tuple(g.labels[x] for x in elems)
-    return FiniteGroup(len(elems), mult, identity, inv, labels, "table"), tuple(elems)
-
-
 def centre(g: FiniteGroup) -> Subgroup:
     elems = tuple(
         x
@@ -541,11 +523,6 @@ def centre(g: FiniteGroup) -> Subgroup:
         if all(g.mult[x][y] == g.mult[y][x] for y in range(g.order))
     )
     return Subgroup(elems, generating_set(g, elems))
-
-
-def sylow_two_subgroup(g: FiniteGroup) -> Subgroup:
-    """The set of elements of 2-power order in an abelian group."""
-    return g.sylow_two
 
 
 def _is_power_of_two(k: int) -> bool:
@@ -595,48 +572,15 @@ def _element_words(g: FiniteGroup, gens):
     return words
 
 
-def _map_from_images(g: FiniteGroup, h: FiniteGroup, words, images):
+def _map_from_images(g: FiniteGroup, words, images):
+    """The map sending each generator to its image, extended along words."""
     out = [None] * g.order
     for x, word in words.items():
-        acc = h.identity
+        acc = g.identity
         for gi in word:
-            acc = h.mult[acc][images[gi]]
+            acc = g.mult[acc][images[gi]]
         out[x] = acc
-    return tuple(out)
-
-
-def _is_isomorphism_map(g: FiniteGroup, h: FiniteGroup, m) -> bool:
-    if sorted(m) != list(range(h.order)):
-        return False
-    return all(
-        m[g.mult[x][y]] == h.mult[m[x]][m[y]]
-        for x in range(g.order)
-        for y in range(g.order)
-    )
-
-
-def find_isomorphism(g: FiniteGroup, h: FiniteGroup):
-    """An isomorphism map from g to h by generator-image backtracking,
-    or None if the groups are not isomorphic."""
-    if g.order != h.order:
-        return None
-    if sorted(g.element_orders) != sorted(h.element_orders):
-        return None
-    gens = g.generators
-    if not gens:
-        return Automorphism((h.identity,)) if h.order == 1 else None
-    words = _element_words(g, gens)
-    if len(words) != g.order:
-        raise CayleyCodesError("generating set does not generate")
-    candidates = [
-        [y for y in range(h.order) if h.element_orders[y] == g.element_orders[x]]
-        for x in gens
-    ]
-    for images in itertools.product(*candidates):
-        m = _map_from_images(g, h, words, images)
-        if _is_isomorphism_map(g, h, m):
-            return Automorphism(m)
-    return None
+    return Automorphism(tuple(out))
 
 
 def all_automorphisms(
@@ -657,8 +601,8 @@ def all_automorphisms(
     ]
     out = []
     for images in itertools.product(*candidates):
-        m = _map_from_images(g, g, words, images)
-        if _is_isomorphism_map(g, g, m):
-            out.append(Automorphism(m))
+        sigma = _map_from_images(g, words, images)
+        if is_automorphism(g, sigma):
+            out.append(sigma)
     out.sort(key=lambda s: s.map)
     return out

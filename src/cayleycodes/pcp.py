@@ -9,6 +9,7 @@ beyond that a seeded random sample is used and the report says so.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -16,7 +17,6 @@ from .cayley import (
     build_cayley,
     connection_set,
     enumerate_perfect_codes,
-    group_ring_check_perfect,
     is_perfect_code,
 )
 from .errors import CayleyCodesError
@@ -28,7 +28,7 @@ from .groups import (
     centre,
     inner_automorphism,
     is_power_automorphism,
-    right_cosets,
+    left_cosets,
 )
 
 EXHAUSTIVE_ORDER_BOUND = 12
@@ -78,17 +78,20 @@ def connection_orbits(g: FiniteGroup):
     return orbits
 
 
+def _orbit_union(orbits, mask) -> tuple[int, ...]:
+    """The union of the orbits picked by the bits of mask, sorted."""
+    elems = []
+    for i, orbit in enumerate(orbits):
+        if mask >> i & 1:
+            elems.extend(orbit)
+    return tuple(sorted(elems))
+
+
 def all_connection_sets(g: FiniteGroup):
     """Every connection set, as sorted element tuples, in a canonical
     deterministic order (by size, then lexicographically)."""
     orbits = connection_orbits(g)
-    sets = []
-    for mask in range(1 << len(orbits)):
-        elems = []
-        for i, orbit in enumerate(orbits):
-            if mask >> i & 1:
-                elems.extend(orbit)
-        sets.append(tuple(sorted(elems)))
+    sets = [_orbit_union(orbits, mask) for mask in range(1 << len(orbits))]
     sets.sort(key=lambda t: (len(t), t))
     return sets
 
@@ -104,14 +107,9 @@ def _preservation_sweep(g, sigma, total, budget, seed):
     else:
         rng = random.Random(seed)
         budget = budget or DEFAULT_SAMPLE_BUDGET
-        candidates = []
-        for _ in range(budget):
-            mask = rng.getrandbits(len(orbits))
-            elems = []
-            for i, orbit in enumerate(orbits):
-                if mask >> i & 1:
-                    elems.extend(orbit)
-            candidates.append(tuple(sorted(elems)))
+        candidates = [
+            _orbit_union(orbits, rng.getrandbits(len(orbits))) for _ in range(budget)
+        ]
         scope, used_seed = "sampled", seed
     for s in candidates:
         graph = build_cayley(g, connection_set(g, s))
@@ -166,7 +164,8 @@ def prop3_witness(g: FiniteGroup, x: int):
     and h in H whose conjugate leaves H.  With S = H \\ {e}, perfect codes
     of Cay(G, S) are exactly the right transversals of H.  The returned C
     is a right transversal containing e and c* = x^-1 h x (so that the
-    sigma-image contains both e and h, two elements of the coset H).
+    sigma-image contains both e and h, two elements of the coset H).  The
+    right cosets are the inverses of the left ones: Hy = (y^-1 H)^-1.
     Returns None when conjugation by x is a power automorphism.
     """
     sigma = inner_automorphism(g, x)
@@ -183,13 +182,14 @@ def prop3_witness(g: FiniteGroup, x: int):
         c_star = g.conjugate(xinv, moved[0])
         s = tuple(sorted(hs - {g.identity}))
         code = []
-        for block in right_cosets(g, h):
-            if g.identity in block:
+        for block in left_cosets(g, h):
+            right = {g.inv[y] for y in block}
+            if g.identity in right:
                 code.append(g.identity)
-            elif c_star in block:
+            elif c_star in right:
                 code.append(c_star)
             else:
-                code.append(block[0])
+                code.append(min(right))
         return connection_set(g, s), tuple(sorted(code))
     raise CayleyCodesError("no subgroup is moved, yet sigma is not a power map")
 
@@ -208,8 +208,6 @@ def verify_cor_thm4(
         )
     sigmas = all_power_automorphisms(g)
     known = {s.map for s in sigmas}
-    import math
-
     for m in range(1, g.order + 1):
         if math.gcd(m, g.order) == 1:
             power_map = tuple(g.power(i, m) for i in range(g.order))

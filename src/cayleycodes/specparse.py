@@ -156,12 +156,7 @@ def canonical_generators(g: FiniteGroup) -> dict[str, int]:
         n = g.order // 2
         return {"a": 1, "b": n}
     if g.kind == "abelian-product":
-        strides = []
-        acc = g.order
-        for m in g.decomposition:
-            acc //= m
-            strides.append(acc)
-        return {f"a{i + 1}": s for i, s in enumerate(strides)}
+        return {f"a{i + 1}": s for i, s in enumerate(g.strides)}
     return {}
 
 _TERM = re.compile(r"^([a-z][a-z0-9]*?|[a-z])(?:\^(-?\d+))?$", re.IGNORECASE)

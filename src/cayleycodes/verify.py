@@ -7,7 +7,6 @@ empty) list of failure descriptions.
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 from dataclasses import dataclass, field
@@ -255,6 +254,14 @@ def suite_lemma_equivalence(max_order: int = 24, seed: int = 0) -> SuiteResult:
     """Spectral tiling check == group-ring check: exhaustive for |G| <= 8,
     500 seeded random pairs per abelian group of order 9..max_order."""
     res = SuiteResult("lemma-equivalence")
+
+    def check(g, a, b):
+        try:
+            verify_lemma_equivalence(g, a, b)
+            res.checks += 1
+        except CayleyCodesError as exc:
+            res.check(False, str(exc))
+
     small = [make_cyclic(n) for n in range(1, 9)]
     small += [make_abelian(t) for n in range(4, 9) for t in abelian_types(n)]
     rng0 = random.Random(seed)
@@ -272,19 +279,11 @@ def suite_lemma_equivalence(max_order: int = 24, seed: int = 0) -> SuiteResult:
                     continue
                 for a in by_size[ka]:
                     for b in by_size[kb]:
-                        try:
-                            verify_lemma_equivalence(g, a, b)
-                            res.checks += 1
-                        except CayleyCodesError as exc:
-                            res.check(False, str(exc))
+                        check(g, a, b)
         for _ in range(50):
             a = [x for x in range(g.order) if rng0.random() < 0.5]
             b = [x for x in range(g.order) if rng0.random() < 0.5]
-            try:
-                verify_lemma_equivalence(g, a, b)
-                res.checks += 1
-            except CayleyCodesError as exc:
-                res.check(False, str(exc))
+            check(g, a, b)
     rng = random.Random(seed)
     larger = [make_cyclic(n) for n in range(9, max_order + 1)]
     larger += [
@@ -294,11 +293,7 @@ def suite_lemma_equivalence(max_order: int = 24, seed: int = 0) -> SuiteResult:
         for _ in range(500):
             a = [x for x in range(g.order) if rng.random() < 0.5]
             b = [x for x in range(g.order) if rng.random() < 0.5]
-            try:
-                verify_lemma_equivalence(g, a, b)
-                res.checks += 1
-            except CayleyCodesError as exc:
-                res.check(False, str(exc))
+            check(g, a, b)
     return res
 
 

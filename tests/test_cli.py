@@ -109,6 +109,8 @@ class TestSpecOrder:
              "all_automorphisms bound exceeded: |G|=100000 > 24"),
             (["automorphisms", "abelian:2,2,2,2,2", "--pcp"],
              "all_automorphisms bound exceeded: |G|=32 > 24"),
+            (["enumerate", "cyclic:100000", "--conn", "1"],
+             "enumerate_perfect_codes bound exceeded: |G|=100000 > 24"),
         ],
     )
     def test_bound_checked_before_the_table_is_built(

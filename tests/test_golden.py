@@ -113,6 +113,16 @@ def automorphisms_golden():
     return json.loads(AUTOMORPHISMS_GOLDEN_FILE.read_text())
 
 
+@pytest.fixture(scope="module")
+def construct_golden():
+    return json.loads(CONSTRUCT_GOLDEN_FILE.read_text())
+
+
+@pytest.fixture(scope="module")
+def enumerate_golden():
+    return json.loads(ENUMERATE_GOLDEN_FILE.read_text())
+
+
 @pytest.mark.parametrize("spec", SPECS)
 def test_classify_matches_golden(golden, spec):
     assert classify_digest(spec) == golden[spec]
@@ -123,16 +133,18 @@ def test_automorphisms_matches_golden(automorphisms_golden, spec):
     assert automorphisms_digest(spec) == automorphisms_golden[spec]
 
 
-@pytest.mark.parametrize("spec, g", CONSTRUCT_GROUPS, ids=[s for s, _ in CONSTRUCT_GROUPS])
-def test_construct_matches_golden(spec, g):
-    golden = json.loads(CONSTRUCT_GOLDEN_FILE.read_text())
-    assert construct_digests(g, spec) == golden[spec]
+@pytest.mark.parametrize(
+    "spec, g", CONSTRUCT_GROUPS, ids=[spec for spec, _ in CONSTRUCT_GROUPS]
+)
+def test_construct_matches_golden(construct_golden, spec, g):
+    assert construct_digests(g, spec) == construct_golden[spec]
 
 
-@pytest.mark.parametrize("spec, g", ENUMERATE_GROUPS, ids=[s for s, _ in ENUMERATE_GROUPS])
-def test_enumerate_matches_golden(spec, g):
-    golden = json.loads(ENUMERATE_GOLDEN_FILE.read_text())
-    assert enumerate_digests(g, spec) == golden[spec]
+@pytest.mark.parametrize(
+    "spec, g", ENUMERATE_GROUPS, ids=[spec for spec, _ in ENUMERATE_GROUPS]
+)
+def test_enumerate_matches_golden(enumerate_golden, spec, g):
+    assert enumerate_digests(g, spec) == enumerate_golden[spec]
 
 
 if __name__ == "__main__":

@@ -22,19 +22,15 @@ from cayleycodes import (
     make_abelian,
     make_cyclic,
     make_dihedral,
-    subgroup_as_group,
     subgroup_generated,
-    sylow_two_subgroup,
 )
 from cayleycodes.groups import (
     Automorphism,
     Subgroup,
     closure,
-    find_isomorphism,
     generating_set,
     is_automorphism,
     is_subgroup,
-    right_cosets,
 )
 from cayleycodes.corpus import (
     abelian_types,
@@ -97,14 +93,14 @@ class TestConstructors:
     def test_abelian_coprime_is_cyclic(self):
         g = make_abelian((2, 3))
         h = make_cyclic(6)
-        # same element-order multiset, and an explicit isomorphism exists
+        # abelian groups with the same element-order multiset are isomorphic
+        assert g.is_abelian and h.is_abelian
         assert sorted(g.element_orders) == sorted(h.element_orders)
-        assert find_isomorphism(g, h) is not None
 
     def test_direct_product_with_trivial(self):
         h = make_cyclic(5)
         g = direct_product(make_cyclic(1), h)
-        assert find_isomorphism(g, h) is not None
+        assert g.mult == h.mult and g.inv == h.inv and g.identity == h.identity
 
     def test_klein_four_involutions(self):
         g = direct_product(make_cyclic(2), make_cyclic(2))
@@ -205,24 +201,19 @@ class TestSubgroups:
         h = subgroup_generated(g, {S3_SWAP01})
         blocks = left_cosets(g, h)
         assert len(blocks) == 3 and all(len(b) == 2 for b in blocks)
-        # for this non-normal H the left and right decompositions differ
-        assert set(blocks) != set(right_cosets(g, h))
-
-    def test_subgroup_as_group(self):
-        g = make_dihedral(6)
-        h = subgroup_generated(g, {2, 6})
-        sub, to_parent = subgroup_as_group(g, h)
-        assert sub.order == 6 and not sub.is_abelian
-        assert find_isomorphism(sub, symmetric_group(3)) is not None
-        for i in range(sub.order):
-            for j in range(sub.order):
-                assert to_parent[sub.mult[i][j]] == g.mult[to_parent[i]][to_parent[j]]
+        # for this non-normal H the left and right decompositions differ;
+        # the right cosets Hx are the inverted left cosets (x^-1 H)^-1
+        right = {tuple(sorted(g.inv[y] for y in b)) for b in blocks}
+        assert right == {
+            tuple(sorted(g.mult[y][x] for y in h.elements)) for x in range(6)
+        }
+        assert set(blocks) != right
 
     def test_sylow_two(self):
-        assert sylow_two_subgroup(make_cyclic(12)).elements == (0, 3, 6, 9)
-        assert sylow_two_subgroup(make_cyclic(9)).elements == (0,)
+        assert make_cyclic(12).sylow_two.elements == (0, 3, 6, 9)
+        assert make_cyclic(9).sylow_two.elements == (0,)
         g = make_abelian((2, 4, 4))
-        assert sylow_two_subgroup(g).order == 32
+        assert g.sylow_two.order == 32
 
     def test_generating_set_spans(self):
         g = make_dihedral(5)
@@ -601,4 +592,4 @@ class TestAutomorphisms:
     def test_counterexample_group_isomorphic_to_product(self):
         g = make_abelian((2, 4, 4))
         h = direct_product(make_cyclic(2), direct_product(make_cyclic(4), make_cyclic(4)))
-        assert find_isomorphism(g, h) is not None
+        assert g.mult == h.mult

@@ -20,8 +20,13 @@ from cayleycodes import (
     verify_cor_thm4,
     verify_trivial_centre_corollary,
 )
-from cayleycodes.corpus import symmetric_group
-from cayleycodes.groups import Automorphism, all_automorphisms
+from cayleycodes.corpus import corpus_groups, symmetric_group
+from cayleycodes.groups import (
+    Automorphism,
+    all_automorphisms,
+    all_subgroups,
+    is_power_automorphism,
+)
 from cayleycodes.pcp import all_connection_sets, connection_orbits
 
 
@@ -127,6 +132,45 @@ class TestWitness:
         image = tuple(sorted(sigma.map[c] for c in code))
         assert is_perfect_code(graph, code)
         assert not is_perfect_code(graph, image)
+
+
+    @pytest.mark.parametrize(
+        "spec, g",
+        [(spec, g) for spec, g in corpus_groups(24) if not g.is_abelian],
+    )
+    def test_witness_matches_right_coset_reference(self, spec, g):
+        for x in range(g.order):
+            expected = _reference_prop3_witness(g, x)
+            witness = prop3_witness(g, x)
+            if expected is None:
+                assert witness is None
+            else:
+                assert (witness[0].sorted(), witness[1]) == expected
+
+
+def _reference_prop3_witness(g, x):
+    """prop3_witness with the right cosets Hy listed directly as products
+    ky, not as inverted left cosets."""
+    if is_power_automorphism(g, inner_automorphism(g, x)):
+        return None
+    xinv = g.inv[x]
+    subs = [s for s in all_subgroups(g, max_order=g.order) if s.order > 1]
+    for h in sorted(subs, key=lambda s: s.elements):
+        moved = [k for k in h.elements if g.conjugate(xinv, k) not in h]
+        if not moved:
+            continue
+        c_star = g.conjugate(xinv, moved[0])
+        cosets = {frozenset(g.mult[k][y] for k in h.elements) for y in range(g.order)}
+        code = []
+        for block in cosets:
+            if g.identity in block:
+                code.append(g.identity)
+            elif c_star in block:
+                code.append(c_star)
+            else:
+                code.append(min(block))
+        return tuple(sorted(set(h.elements) - {g.identity})), tuple(sorted(code))
+    raise AssertionError("no subgroup is moved")
 
 
 class TestCorollaries:
