@@ -1,5 +1,5 @@
-"""Golden `classify`, `automorphisms`, `construct` and `enumerate` output
-over the corpus.
+"""Golden `classify`, `automorphisms`, `automorphisms --pcp`, `construct`
+and `enumerate` output over the corpus.
 
 Each digest is the SHA-256 of the key-sorted JSON report with
 `elapsed_seconds` removed, so any change to a verdict, witness, row order,
@@ -13,7 +13,10 @@ resolved to the corpus groups rather than read from files.
 `construct` runs for every subgroup of every `corpus_groups(12)` group,
 given by its generator indices, in both modes.  `enumerate` runs for every
 connection set of every group of order <= 8 in `corpus_groups(8)` (which
-leaves out the order-32 special), in both modes.
+leaves out the order-32 special), in both modes.  `automorphisms --pcp`
+runs exhaustively for every `corpus_groups(12)` spec, and sampled with
+`--budget 40` at seeds 0 and 7 on four groups of order 16; its digests
+cover the counterexamples, which plain `automorphisms` does not print.
 
 Re-record (only when the output is meant to change):
     PYTHONPATH=src python tests/test_golden.py
@@ -46,6 +49,12 @@ ENUMERATE_GOLDEN_FILE = Path(__file__).with_name("golden_enumerate.json")
 CONSTRUCT_GROUPS = corpus_groups(12)
 ENUMERATE_GROUPS = [(spec, g) for spec, g in corpus_groups(8) if g.order <= 8]
 MODES = ([], ["--total"])
+PCP_GOLDEN_FILE = Path(__file__).with_name("golden_pcp.json")
+PCP_RUNS = [f"{spec} --pcp" for spec in AUTOMORPHISMS_SPECS] + [
+    f"{spec} --pcp --budget 40 --seed {seed}"
+    for spec in ("cyclic:16", "abelian:2,2,4", "dihedral:8", "abelian:4,4")
+    for seed in (0, 7)
+]
 
 
 def _resolve(spec: str):
@@ -72,6 +81,10 @@ def classify_digest(spec: str) -> str:
 
 def automorphisms_digest(spec: str) -> str:
     return command_digest(["automorphisms", spec, "--format", "json"])
+
+
+def pcp_digest(run: str) -> str:
+    return command_digest(["automorphisms", *run.split(), "--format", "json"])
 
 
 def _indices(elements) -> str:
@@ -114,6 +127,11 @@ def automorphisms_golden():
 
 
 @pytest.fixture(scope="module")
+def pcp_golden():
+    return json.loads(PCP_GOLDEN_FILE.read_text())
+
+
+@pytest.fixture(scope="module")
 def construct_golden():
     return json.loads(CONSTRUCT_GOLDEN_FILE.read_text())
 
@@ -131,6 +149,11 @@ def test_classify_matches_golden(golden, spec):
 @pytest.mark.parametrize("spec", AUTOMORPHISMS_SPECS)
 def test_automorphisms_matches_golden(automorphisms_golden, spec):
     assert automorphisms_digest(spec) == automorphisms_golden[spec]
+
+
+@pytest.mark.parametrize("run", PCP_RUNS)
+def test_pcp_matches_golden(pcp_golden, run):
+    assert pcp_digest(run) == pcp_golden[run]
 
 
 @pytest.mark.parametrize(
@@ -151,6 +174,7 @@ if __name__ == "__main__":
     for path, digest, specs in (
         (GOLDEN_FILE, classify_digest, SPECS),
         (AUTOMORPHISMS_GOLDEN_FILE, automorphisms_digest, AUTOMORPHISMS_SPECS),
+        (PCP_GOLDEN_FILE, pcp_digest, PCP_RUNS),
     ):
         digests = {spec: digest(spec) for spec in specs}
         path.write_text(json.dumps(digests, indent=2) + "\n")
