@@ -77,8 +77,8 @@ from .pcp import (
     all_power_automorphisms,
     is_pcp_automorphism,
     is_tpcp_automorphism,
+    preservation_sweep,
     prop3_witness,
-    verify_cor_thm4,
     verify_trivial_centre_corollary,
 )
 

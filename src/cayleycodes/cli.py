@@ -38,7 +38,7 @@ from .groups import (
     is_subgroup,
     subgroup_generated,
 )
-from .pcp import is_pcp_automorphism, is_tpcp_automorphism
+from .pcp import preservation_sweep
 from .specparse import parse_element_list, parse_group_spec, spec_order
 from .verify import SUITES, run_suite
 
@@ -229,19 +229,19 @@ def cmd_automorphisms(args) -> int:
         args.spec, 24, "all_automorphisms bound exceeded: |G|={} > {}"
     )
     sigmas = all_automorphisms(g, max_order=bound)
-    rows = []
-    for sigma in sigmas:
-        row = {
-            "sigma": list(sigma.map),
-            "power": is_power_automorphism(g, sigma),
-        }
-        if args.pcp:
-            pcp = is_pcp_automorphism(g, sigma, budget=args.budget, seed=args.seed)
-            tpcp = is_tpcp_automorphism(g, sigma, budget=args.budget, seed=args.seed)
-            row.update(pcp.to_json(args.spec, g))
-            row["preserving"] = pcp.preserving
-            row["total_preserving"] = tpcp.preserving
-        rows.append(row)
+    if args.pcp:
+        sweep = dict(budget=args.budget, seed=args.seed)
+        pcp = preservation_sweep(g, sigmas, **sweep)
+        tpcp = preservation_sweep(g, sigmas, total=True, **sweep)
+        rows = [
+            {**p.to_json(args.spec, g), "total_preserving": t.preserving}
+            for p, t in zip(pcp, tpcp)
+        ]
+    else:
+        rows = [
+            {"sigma": list(s.map), "power": is_power_automorphism(g, s)}
+            for s in sigmas
+        ]
     report = _report("automorphisms", args.spec, rows, started)
     lines = [f"group {args.spec}  automorphisms: {len(rows)}"]
     for row in rows:
@@ -257,6 +257,12 @@ def cmd_automorphisms(args) -> int:
         lines.append(f"  power={str(row['power']):<5} {row['sigma']}{extra}")
     _emit(report, args.format, lines)
     return 0
+
+
+def positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=sorted(SUITES))
-    p.add_argument("--max-order", type=int, default=None)
+    p.add_argument("--max-order", type=positive_int, default=None)
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(fn=cmd_verify)
@@ -308,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("automorphisms", help="list automorphisms and PCP status")
     p.add_argument("spec")
     p.add_argument("--pcp", action="store_true")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=positive_int, default=None)
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(fn=cmd_automorphisms)

@@ -10,6 +10,7 @@ for arbitrary subgroups.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .basis import abelian_basis
@@ -214,6 +215,12 @@ def two_group_basis(
     return AbelianTwoGroupBasis(gens, orders, exponents)
 
 
+@functools.lru_cache(maxsize=64)
+def _sylow_two_basis(g: FiniteGroup) -> AbelianTwoGroupBasis:
+    """two_group_basis of g's Sylow 2-subgroup, built once per group."""
+    return two_group_basis(g, g.sylow_two)
+
+
 def abelian_criterion(
     g: FiniteGroup, h: Subgroup, basis: AbelianTwoGroupBasis | None = None
 ) -> CriterionVerdict:
@@ -228,7 +235,7 @@ def abelian_criterion(
             "abelian_criterion requires H n P cyclic; use normal_subgroup_code"
         )
     if basis is None:
-        basis = two_group_basis(g, p)
+        basis = _sylow_two_basis(g)
     projects = any(
         basis.projects_onto(hp.elements, i) for i in range(len(basis.generators))
     )

@@ -317,6 +317,11 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         assert main(["verify", "--suite", "nonsense"]) == 2
 
+    @pytest.mark.parametrize("value", ["-3", "0", "x"])
+    def test_max_order_must_be_positive(self, capsys, value):
+        assert main(["verify", "--suite", "thm4a", "--max-order", value]) == 2
+        assert "--max-order" in capsys.readouterr().err
+
 
 class TestAutomorphisms:
     def test_cyclic8(self, capsys):
@@ -346,6 +351,14 @@ class TestAutomorphisms:
         for r in rows:
             if not r["preserving"]:
                 assert r["counterexample"] is not None
+
+
+    @pytest.mark.parametrize("value", ["-1", "0", "x"])
+    def test_budget_must_be_positive(self, capsys, value):
+        argv = ["automorphisms", "abelian:2,2,4", "--pcp", "--budget", value]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "--budget" in captured.err and captured.out == ""
 
 
 class TestDeterminism:

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from cayleycodes import cli, pcp
 from cayleycodes import (
     CayleyCodesError,
     all_power_automorphisms,
     build_cayley,
+    enumerate_perfect_codes,
     group_ring_check_perfect,
     inner_automorphism,
     is_pcp_automorphism,
@@ -16,8 +20,8 @@ from cayleycodes import (
     make_abelian,
     make_cyclic,
     make_dihedral,
+    preservation_sweep,
     prop3_witness,
-    verify_cor_thm4,
     verify_trivial_centre_corollary,
 )
 from cayleycodes.corpus import corpus_groups, symmetric_group
@@ -28,6 +32,7 @@ from cayleycodes.groups import (
     is_power_automorphism,
 )
 from cayleycodes.pcp import all_connection_sets, connection_orbits
+from cayleycodes.specparse import parse_group_spec
 
 
 class TestConnectionSweep:
@@ -95,6 +100,52 @@ class TestPreservation:
         report = is_pcp_automorphism(g, Automorphism(tuple(range(16))), budget=5)
         assert report.scope == "sampled" and report.seed == 0
         assert report.preserving
+
+
+SWEEP_GROUPS = [(spec, g, None) for spec, g in corpus_groups(12) if g.order <= 12]
+SWEEP_GROUPS += [
+    (spec, parse_group_spec(spec), 40)
+    for spec in ("cyclic:16", "dihedral:8", "abelian:2,2,4")
+]
+
+
+class TestGroupSweep:
+    """One sweep for a list of automorphisms against one sweep each."""
+
+    @pytest.mark.parametrize(
+        "spec, g, budget", SWEEP_GROUPS, ids=[spec for spec, _, _ in SWEEP_GROUPS]
+    )
+    @pytest.mark.parametrize("total", [False, True], ids=["perfect", "total"])
+    def test_matches_single_sweeps(self, spec, g, budget, total):
+        sigmas = all_automorphisms(g)
+        random.Random(spec).shuffle(sigmas)
+        reports = preservation_sweep(g, sigmas, total, budget, seed=7)
+        assert reports == [
+            preservation_sweep(g, [sigma], total, budget, seed=7)[0]
+            for sigma in sigmas
+        ]
+
+    def test_empty_list(self):
+        assert preservation_sweep(make_cyclic(16), []) == []
+
+    def test_enumerates_each_connection_set_once_per_mode(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return enumerate_perfect_codes(*args, **kwargs)
+
+        monkeypatch.setattr(pcp, "enumerate_perfect_codes", counting)
+        assert cli.main(["automorphisms", "abelian:2,2,2", "--pcp"]) == 0
+        assert len(calls) <= 2 * 128
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_non_positive_budget_raises(self, budget):
+        g = make_cyclic(16)
+        with pytest.raises(CayleyCodesError):
+            preservation_sweep(g, all_automorphisms(g), budget=budget)
+        with pytest.raises(CayleyCodesError):
+            is_pcp_automorphism(g, Automorphism(tuple(range(16))), budget=budget)
 
 
 class TestPowerAutomorphisms:
@@ -174,15 +225,6 @@ def _reference_prop3_witness(g, x):
 
 
 class TestCorollaries:
-    def test_cor_thm4(self):
-        assert verify_cor_thm4(make_cyclic(6))
-        assert verify_cor_thm4(make_cyclic(8))
-        assert verify_cor_thm4(make_abelian((2, 4)))
-
-    def test_cor_thm4_rejects_nonabelian(self):
-        with pytest.raises(CayleyCodesError):
-            verify_cor_thm4(symmetric_group(3))
-
     def test_trivial_centre(self):
         assert verify_trivial_centre_corollary(symmetric_group(3))
         assert verify_trivial_centre_corollary(make_dihedral(5))
