@@ -45,7 +45,6 @@ from .cayley import (
     subgroup_code_transversal_check,
 )
 from .criteria import (
-    AbelianTwoGroupBasis,
     CriterionVerdict,
     abelian_criterion,
     abelian_sylow_reduction,
@@ -60,7 +59,6 @@ from .criteria import (
     normal_subgroup_code,
     parity_criterion,
     property_one_holds,
-    two_group_basis,
 )
 from .spectral import (
     Character,

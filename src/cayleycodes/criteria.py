@@ -10,10 +10,8 @@ for arbitrary subgroups.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
-from .basis import abelian_basis
 from .cayley import ConnectionSet, connection_set
 from .errors import BoundExceededError, CayleyCodesError
 from .groups import (
@@ -22,7 +20,6 @@ from .groups import (
     is_normal,
     left_cosets,
     make_dihedral,
-    subgroup_generated,
 )
 
 DEFAULT_GENERIC_INDEX_BOUND = 16
@@ -52,24 +49,6 @@ class CriterionVerdict:
             "method": self.method,
             "witness": w,
         }
-
-
-@dataclass(frozen=True)
-class AbelianTwoGroupBasis:
-    """An independent generating family of an abelian 2-group, with the
-    exponent tuple of every element over those generators."""
-
-    generators: tuple[int, ...]
-    orders: tuple[int, ...]
-    exponents: dict
-
-    def projects_onto(self, subset, i: int) -> bool:
-        """Does the subset project onto the full i-th cyclic factor?
-
-        The projection of h is a_i^(e_i); it generates <a_i> iff some
-        element of the subset has an odd i-th exponent.
-        """
-        return any(self.exponents[h][i] % 2 == 1 for h in subset)
 
 
 # ---------------------------------------------------------------------------
@@ -194,52 +173,36 @@ def cyclic_criterion(g: FiniteGroup, h: Subgroup) -> CriterionVerdict:
     return CriterionVerdict(perfect=perfect, total=total, method="cyclic")
 
 
-def abelian_sylow_reduction(g: FiniteGroup, h: Subgroup):
-    """Return (P, H n P): criteria may run inside the Sylow 2-subgroup."""
+def abelian_sylow_reduction(g: FiniteGroup, h: Subgroup) -> tuple[int, ...]:
+    """H n P for the Sylow 2-subgroup P of abelian G, ascending: the
+    elements of H whose order is a power of 2.  In an abelian group these
+    are closed under products, so they form a subgroup as they stand."""
     if not g.is_abelian:
         raise CayleyCodesError("Sylow reduction requires an abelian group")
-    p = g.sylow_two
-    inter = tuple(sorted(h.element_set() & p.element_set()))
-    return p, subgroup_generated(g, inter)
+    orders = g.element_orders
+    return tuple(x for x in h.elements if orders[x] & (orders[x] - 1) == 0)
 
 
-def two_group_basis(
-    g: FiniteGroup, p: Subgroup, scan_key=None
-) -> AbelianTwoGroupBasis:
-    """Primary decomposition of an abelian 2-group given as a subgroup."""
-    for x in p.elements:
-        o = g.element_orders[x]
-        if o & (o - 1):
-            raise CayleyCodesError("two_group_basis requires a 2-group")
-    gens, orders, exponents = abelian_basis(g, p.elements, scan_key)
-    return AbelianTwoGroupBasis(gens, orders, exponents)
-
-
-@functools.lru_cache(maxsize=64)
-def _sylow_two_basis(g: FiniteGroup) -> AbelianTwoGroupBasis:
-    """two_group_basis of g's Sylow 2-subgroup, built once per group."""
-    return two_group_basis(g, g.sylow_two)
-
-
-def abelian_criterion(
-    g: FiniteGroup, h: Subgroup, basis: AbelianTwoGroupBasis | None = None
-) -> CriterionVerdict:
+def abelian_criterion(g: FiniteGroup, h: Subgroup) -> CriterionVerdict:
     """Projection criterion for abelian G with cyclic H n P.
 
-    Perfect iff H n P is trivial or projects onto some cyclic factor of P;
-    total iff the projection condition holds (it forces |H| even).
+    Perfect iff H n P is trivial or projects onto some cyclic factor of a
+    decomposition of P; total iff it projects (which forces |H| even).
+    No decomposition is needed: an element of P projects onto some factor
+    iff one of its exponents is odd, iff it is not a square in P.  And an
+    element x of P is a square in G iff it is a square in P: split a root
+    y = y2*y' with y2 in P and y' of odd order; then y'^2 = x*y2^-2 lies
+    in P and has odd order, so it is e and x = y2^2.  Hence H n P projects
+    iff one of its elements is not y^2 for any y in G.
     """
-    p, hp = abelian_sylow_reduction(g, h)
-    if not _is_cyclic(g, hp.elements):
+    hp = abelian_sylow_reduction(g, h)
+    if not _is_cyclic(g, hp):
         raise CayleyCodesError(
             "abelian_criterion requires H n P cyclic; use normal_subgroup_code"
         )
-    if basis is None:
-        basis = _sylow_two_basis(g)
-    projects = any(
-        basis.projects_onto(hp.elements, i) for i in range(len(basis.generators))
-    )
-    perfect = hp.order == 1 or projects
+    squares = {row[x] for x, row in enumerate(g.mult)}
+    projects = not squares.issuperset(hp)
+    perfect = len(hp) == 1 or projects
     return CriterionVerdict(
         perfect=perfect, total=projects, method="abelian-projection"
     )
@@ -388,8 +351,7 @@ def decide_subgroup_code(g: FiniteGroup, h: Subgroup) -> CriterionVerdict:
         if verdict is not None:
             return verdict
     if g.is_abelian:
-        _, hp = abelian_sylow_reduction(g, h)
-        if _is_cyclic(g, hp.elements):
+        if _is_cyclic(g, abelian_sylow_reduction(g, h)):
             return abelian_criterion(g, h)
         return normal_subgroup_code(g, h)
     if g.kind == "dihedral" and h.order < g.order:

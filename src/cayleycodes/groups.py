@@ -26,9 +26,10 @@ class FiniteGroup:
 
     ``mult[i][j]`` is the index of the product of element i by element j.
     ``kind`` tags how the group was built: one of "cyclic", "dihedral",
-    "abelian-product", "product", "table".  For cyclic and abelian-product
-    groups ``decomposition`` records the canonical cyclic factor orders
-    (used by the character machinery and the generator-expression grammar).
+    "abelian-product", "product", "table".  ``decomposition`` records the
+    canonical cyclic factor orders of a cyclic or abelian-product group
+    (used by the character machinery and the generator-expression grammar)
+    and is None for every other kind.
     """
 
     order: int
@@ -92,17 +93,6 @@ class FiniteGroup:
         return generating_set(self)
 
     @cached_property
-    def sylow_two(self) -> "Subgroup":
-        """The Sylow 2-subgroup of an abelian group: its elements of 2-power
-        order, with their greedy generating set."""
-        if not self.is_abelian:
-            raise CayleyCodesError("the Sylow 2-subgroup requires an abelian group")
-        elems = tuple(
-            x for x in range(self.order) if _is_power_of_two(self.element_orders[x])
-        )
-        return Subgroup(elems, generating_set(self, elems))
-
-    @cached_property
     def strides(self) -> tuple[int, ...]:
         """Mixed-radix place values of the ``decomposition`` factors, the
         first factor most significant: element x has i-th digit
@@ -117,11 +107,6 @@ class FiniteGroup:
 
     def elements(self) -> range:
         return range(self.order)
-
-    def label(self, i: int) -> str:
-        if self.labels is not None:
-            return self.labels[i]
-        return str(i)
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order}, kind={self.kind!r})"
@@ -156,12 +141,6 @@ class Automorphism:
     """A group automorphism stored as a length-n permutation of indices."""
 
     map: tuple[int, ...]
-
-    def __call__(self, i: int) -> int:
-        return self.map[i]
-
-    def apply_set(self, subset) -> frozenset[int]:
-        return frozenset(self.map[i] for i in subset)
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self after other: (self . other)(x) = self(other(x))."""
@@ -374,10 +353,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
         labels = tuple(
             f"({g.labels[i // m]},{h.labels[i % m]})" for i in range(size)
         )
-    decomposition = None
-    if g.decomposition is not None and h.decomposition is not None:
-        decomposition = g.decomposition + h.decomposition
-    return FiniteGroup(size, mult, identity, inv, labels, "product", decomposition)
+    return FiniteGroup(size, mult, identity, inv, labels, "product")
 
 
 # ---------------------------------------------------------------------------
@@ -523,10 +499,6 @@ def centre(g: FiniteGroup) -> Subgroup:
         if all(g.mult[x][y] == g.mult[y][x] for y in range(g.order))
     )
     return Subgroup(elems, generating_set(g, elems))
-
-
-def _is_power_of_two(k: int) -> bool:
-    return k & (k - 1) == 0
 
 
 # ---------------------------------------------------------------------------

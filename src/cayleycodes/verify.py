@@ -11,6 +11,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
+from .basis import abelian_basis
 from .cayley import (
     build_cayley,
     connection_set,
@@ -22,7 +23,6 @@ from .cayley import (
 from .corpus import abelian_types, corpus_groups, symmetric_group
 from .criteria import (
     abelian_criterion,
-    abelian_sylow_reduction,
     construct_connection_set_normal,
     cyclic_criterion,
     dihedral_construct_sets,
@@ -31,7 +31,6 @@ from .criteria import (
     normal_subgroup_code,
     parity_criterion,
     property_one_holds,
-    two_group_basis,
 )
 from .errors import CayleyCodesError
 from .groups import (
@@ -200,7 +199,8 @@ def suite_dihedral(max_order: int = 12, seed: int = 0) -> SuiteResult:
 @_timed
 def suite_abelian(max_order: int = 32, seed: int = 0) -> SuiteResult:
     """Projection criterion vs key property on abelian 2-groups with cyclic
-    subgroups, basis-independence, and the order-32 counterexample."""
+    subgroups, vs the projection read off the exponents of two different
+    bases, and the order-32 counterexample."""
     res = SuiteResult("abelian")
     types = [(2**k,) for k in range(1, 6) if 2**k <= max_order]
     for total_exp in range(1, 6):
@@ -210,26 +210,32 @@ def suite_abelian(max_order: int = 32, seed: int = 0) -> SuiteResult:
             types.append(typ)
     for typ in types:
         g = make_cyclic(typ[0]) if len(typ) == 1 else make_abelian(typ)
-        p, _ = abelian_sylow_reduction(g, subgroup_generated(g, set()))
-        basis_a = two_group_basis(g, p)
-        basis_b = two_group_basis(g, p, scan_key=lambda x: -x)
+        bases = [abelian_basis(g)[2], abelian_basis(g, scan_key=lambda x: -x)[2]]
         seen = set()
         for x in range(g.order):
             h = subgroup_generated(g, {x})
             if h.elements in seen:
                 continue
             seen.add(h.elements)
-            proj = abelian_criterion(g, h, basis_a)
-            proj_b = abelian_criterion(g, h, basis_b)
+            proj = abelian_criterion(g, h)
             prop = normal_subgroup_code(g, h)
             res.check(
                 (proj.perfect, proj.total) == (prop.perfect, prop.total),
                 f"{typ} H={h.elements}: projection {proj.perfect}/{proj.total}"
                 f" != property {prop.perfect}/{prop.total}",
             )
+            # H projects onto a cyclic factor iff some exponent is odd
+            by_basis = [
+                any(e % 2 for y in h.elements for e in exponents[y])
+                for exponents in bases
+            ]
             res.check(
-                (proj.perfect, proj.total) == (proj_b.perfect, proj_b.total),
-                f"{typ} H={h.elements}: verdict depends on the basis",
+                all(
+                    (proj.perfect, proj.total) == (h.order == 1 or p, p)
+                    for p in by_basis
+                ),
+                f"{typ} H={h.elements}: criterion {proj.perfect}/{proj.total}"
+                f" != basis projections {by_basis}",
             )
     # the order-32 counterexample: H = <a1*a2^2, a1*a3^2>
     g = make_abelian((2, 4, 4))

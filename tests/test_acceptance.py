@@ -34,7 +34,7 @@ def test_criterion_1_normal_criterion_matches_search():
     _gate(
         1,
         "normal-subgroup criterion == generic search over the corpus",
-        result.passed and elapsed <= 60.0,
+        result.passed and result.checks == 1497 and elapsed <= 60.0,
         f"{result.checks} checks, {elapsed:.1f}s; failures: {result.failures[:3]}",
     )
 
@@ -44,7 +44,7 @@ def test_criterion_2_cyclic_parity_formula():
     _gate(
         2,
         "cyclic parity formula exact for |G| <= 60 (search-checked <= 24)",
-        result.passed,
+        result.passed and result.checks == 345,
         f"{result.checks} checks; failures: {result.failures[:3]}",
     )
 
@@ -54,7 +54,7 @@ def test_criterion_3_dihedral_classification():
     _gate(
         3,
         "dihedral classification and explicit sets for n = 3..12",
-        result.passed,
+        result.passed and result.checks == 484,
         f"{result.checks} checks; failures: {result.failures[:3]}",
     )
 
@@ -83,8 +83,8 @@ def test_criterion_5_abelian_projection():
     _gate(
         5,
         "projection criterion == key property on abelian 2-groups <= 32,"
-        " basis-independent",
-        result.passed,
+        " and the projection over two bases",
+        result.passed and result.checks == 403,
         f"{result.checks} checks; failures: {result.failures[:3]}",
     )
 
@@ -94,7 +94,7 @@ def test_criterion_6_spectral_equivalence():
     _gate(
         6,
         "exact spectral tiling check == group-ring check",
-        result.passed,
+        result.passed and result.checks == 26093,
         f"{result.checks} checks; failures: {result.failures[:3]}",
     )
 
@@ -106,7 +106,7 @@ def test_criterion_7_power_automorphism_transport():
     _gate(
         7,
         "power automorphisms transport all enumerated codes, |G| <= 12",
-        result.passed and elapsed <= 300.0,
+        result.passed and result.checks == 7825 and elapsed <= 300.0,
         f"{result.checks} checks, {elapsed:.1f}s; failures: {result.failures[:3]}",
     )
 
@@ -117,7 +117,7 @@ def test_criterion_8_non_power_inner_witnesses():
         8,
         "non-power inner automorphisms get verified counterexamples"
         " (S3, D8, D10, D12)",
-        result.passed,
+        result.passed and result.checks == 90,
         f"{result.checks} checks; failures: {result.failures[:3]}",
     )
 
@@ -128,7 +128,7 @@ def test_criterion_9_trivial_centre():
         9,
         "trivial-centre groups: only the identity inner automorphism"
         " preserves codes (S3, D10, S4)",
-        result.passed,
+        result.passed and result.checks == 3,
         f"{result.checks} checks; failures: {result.failures[:3]}",
     )
 
@@ -141,6 +141,6 @@ def test_criterion_10_constructions_verify():
     _gate(
         10,
         "constructive connection sets verify on every eligible (G, H)",
-        result.passed and not construction_checks,
-        f"failures: {construction_checks[:3]}",
+        result.passed and result.checks == 1497 and not construction_checks,
+        f"{result.checks} checks; failures: {construction_checks[:3]}",
     )

@@ -111,6 +111,10 @@ class TestSpecOrder:
              "all_automorphisms bound exceeded: |G|=32 > 24"),
             (["enumerate", "cyclic:100000", "--conn", "1"],
              "enumerate_perfect_codes bound exceeded: |G|=100000 > 24"),
+            (["check", "cyclic:100000", "--conn", "1", "--code", "0"],
+             "|G|=100000 exceeds bound 2048"),
+            (["construct", "cyclic:100000", "--subgroup", "a"],
+             "|G|=100000 exceeds bound 2048"),
         ],
     )
     def test_bound_checked_before_the_table_is_built(

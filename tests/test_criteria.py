@@ -26,8 +26,8 @@ from cayleycodes import (
     parity_criterion,
     property_one_holds,
     subgroup_generated,
-    two_group_basis,
 )
+from cayleycodes.basis import abelian_basis
 from cayleycodes.corpus import corpus_groups, symmetric_group
 from cayleycodes.groups import all_subgroups, is_normal
 from cayleycodes.specparse import parse_element_expr
@@ -143,21 +143,41 @@ class TestCyclic:
 class TestAbelian:
     def test_sylow_reduction(self):
         g = make_cyclic(12)
-        p, hp = abelian_sylow_reduction(g, subgroup_generated(g, {3}))
-        assert p.elements == (0, 3, 6, 9)
-        assert hp.elements == (0, 3, 6, 9)
+        assert abelian_sylow_reduction(g, subgroup_generated(g, {3})) == (0, 3, 6, 9)
+        assert abelian_sylow_reduction(g, subgroup_generated(g, {2})) == (0, 6)
         g = make_cyclic(9)
-        p, hp = abelian_sylow_reduction(g, subgroup_generated(g, {3}))
-        assert p.elements == (0,) and hp.elements == (0,)
+        assert abelian_sylow_reduction(g, subgroup_generated(g, {3})) == (0,)
+        g = symmetric_group(3)
+        with pytest.raises(CayleyCodesError):
+            abelian_sylow_reduction(g, subgroup_generated(g, set()))
 
     def test_basis_orders(self):
-        g = make_abelian((2, 4, 4))
-        p, _ = abelian_sylow_reduction(g, subgroup_generated(g, set()))
-        basis = two_group_basis(g, p)
-        assert sorted(basis.orders) == [2, 4, 4]
-        g8 = make_cyclic(8)
-        p8, _ = abelian_sylow_reduction(g8, subgroup_generated(g8, set()))
-        assert two_group_basis(g8, p8).orders == (8,)
+        assert sorted(abelian_basis(make_abelian((2, 4, 4)))[1]) == [2, 4, 4]
+        assert abelian_basis(make_cyclic(8))[1] == (8,)
+
+    def test_matches_projection_over_two_bases(self):
+        """On every subgroup with cyclic H n P of every abelian group of
+        order <= 64, the squares test equals the projection of H n P onto
+        a cyclic factor, read off the exponents of two bases of P."""
+        cases = 0
+        for _, g in corpus_groups(64):
+            if not g.is_abelian:
+                continue
+            p = abelian_sylow_reduction(g, subgroup_generated(g, g.generators))
+            bases = [
+                abelian_basis(g, p)[2],
+                abelian_basis(g, p, scan_key=lambda x: -x)[2],
+            ]
+            for h in all_subgroups(g):
+                hp = abelian_sylow_reduction(g, h)
+                if len(hp) not in [g.element_orders[x] for x in hp]:
+                    continue
+                cases += 1
+                v = abelian_criterion(g, h)
+                for exponents in bases:
+                    projects = any(e % 2 for x in hp for e in exponents[x])
+                    assert (v.perfect, v.total) == (len(hp) == 1 or projects, projects)
+        assert cases == 1256
 
     def test_trivial_intersection_is_perfect(self):
         g = make_cyclic(12)
