@@ -108,16 +108,18 @@ def group_ring_indicator(g: FiniteGroup, subset) -> list[int]:
 
 
 def group_ring_product(g: FiniteGroup, u, v) -> list[int]:
-    """Convolution over the group: coefficient of x is sum_h u(h) v(h^-1 x)."""
+    """Convolution over the group: coefficient of x is sum_h u(h) v(h^-1 x).
+
+    Each row of u's support runs over the support of v, found once."""
     out = [0] * g.order
     mult = g.mult
+    support = [(k, vk) for k, vk in enumerate(v) if vk]
     for h, uh in enumerate(u):
         if uh == 0:
             continue
         row = mult[h]
-        for k, vk in enumerate(v):
-            if vk:
-                out[row[k]] += uh * vk
+        for k, vk in support:
+            out[row[k]] += uh * vk
     return out
 
 

@@ -221,6 +221,11 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     started = time.perf_counter()
+    bound = _max_order(DEFAULT_SUBGROUP_BOUND)
+    if args.max_order is not None and args.max_order > bound:
+        raise BoundExceededError(
+            f"--max-order {args.max_order} exceeds bound {bound}"
+        )
     result = run_suite(args.suite, max_order=args.max_order, seed=args.seed)
     report = _report("verify", None, result.to_json(), started)
     status = "PASS" if result.passed else "FAIL"

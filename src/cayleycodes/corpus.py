@@ -18,7 +18,7 @@ def symmetric_group(n: int) -> FiniteGroup:
     table = [
         [pos[tuple(p[q[x]] for x in range(n))] for q in perms] for p in perms
     ]
-    return from_table(table, tuple(str(p) for p in perms))
+    return from_table(table)
 
 
 def quaternion_group() -> FiniteGroup:
@@ -43,7 +43,7 @@ def quaternion_group() -> FiniteGroup:
     elems = [(s, u) for u in units for s in (1, -1)]
     pos = {e: i for i, e in enumerate(elems)}
     table = [[pos[mul(a, b)] for b in elems] for a in elems]
-    return from_table(table, tuple(("" if s == 1 else "-") + u for s, u in elems))
+    return from_table(table)
 
 
 def abelian_types(order: int):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 from .errors import BoundExceededError, CayleyCodesError, GroupTableError
@@ -36,9 +36,17 @@ class FiniteGroup:
     mult: tuple[tuple[int, ...], ...]
     identity: int
     inv: tuple[int, ...]
-    labels: tuple[str, ...] | None = None
     kind: str = "table"
     decomposition: tuple[int, ...] | None = None
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # The per-group caches look a group up on every call; the table is
+        # immutable, so it is hashed once instead of in O(n^2) each time.
+        return hash(tuple(getattr(self, f.name) for f in fields(self)))
 
     def mul(self, i: int, j: int) -> int:
         return self.mult[i][j]
@@ -76,6 +84,8 @@ class FiniteGroup:
 
     @cached_property
     def is_abelian(self) -> bool:
+        if self.kind in ("cyclic", "abelian-product"):
+            return True  # abelian by construction; skip the O(n^2) scan
         n = self.order
         return all(
             self.mult[i][j] == self.mult[j][i]
@@ -208,8 +218,7 @@ def make_cyclic(n: int) -> FiniteGroup:
     base = tuple(range(n))
     mult = tuple(base[i:] + base[:i] for i in range(n))
     inv = tuple((-i) % n for i in range(n))
-    labels = tuple("e" if i == 0 else "a" if i == 1 else f"a^{i}" for i in range(n))
-    return FiniteGroup(n, mult, 0, inv, labels, "cyclic", (n,))
+    return FiniteGroup(n, mult, 0, inv, "cyclic", (n,))
 
 
 def make_dihedral(n: int) -> FiniteGroup:
@@ -229,12 +238,7 @@ def make_dihedral(n: int) -> FiniteGroup:
         rows.append(tuple([k + n for k in r] + r))
     mult = tuple(rows)
     inv = _inverses_from_table(mult, 0)
-    labels = []
-    for i in range(n):
-        labels.append("e" if i == 0 else "a" if i == 1 else f"a^{i}")
-    for i in range(n):
-        labels.append("b" if i == 0 else f"a^{i}*b" if i > 1 else "a*b")
-    return FiniteGroup(size, mult, 0, inv, tuple(labels), "dihedral")
+    return FiniteGroup(size, mult, 0, inv, "dihedral")
 
 
 def make_abelian(orders) -> FiniteGroup:
@@ -249,26 +253,10 @@ def make_abelian(orders) -> FiniteGroup:
     orders = tuple(int(m) for m in orders)
     n = constructed_order("abelian", orders)
     product = functools.reduce(direct_product, map(make_cyclic, orders))
-
-    def lab(i):
-        digits = []
-        for m in reversed(orders):
-            i, x = divmod(i, m)
-            digits.append(x)
-        parts = [
-            f"a{k + 1}" if x == 1 else f"a{k + 1}^{x}"
-            for k, x in enumerate(reversed(digits))
-            if x != 0
-        ]
-        return "*".join(parts) if parts else "e"
-
-    labels = tuple(lab(i) for i in range(n))
-    return FiniteGroup(
-        n, product.mult, 0, product.inv, labels, "abelian-product", orders
-    )
+    return FiniteGroup(n, product.mult, 0, product.inv, "abelian-product", orders)
 
 
-def from_table(table, labels=None) -> FiniteGroup:
+def from_table(table) -> FiniteGroup:
     """Validate an arbitrary n x n index matrix as a group table.
 
     Rejections report the first failing witness under a lexicographic scan,
@@ -315,7 +303,7 @@ def from_table(table, labels=None) -> FiniteGroup:
             raise GroupTableError("not-latin-square", ("column", j))
 
     inv = _inverses_from_table(mult, identity)
-    g = FiniteGroup(n, mult, identity, inv, labels, "table")
+    g = FiniteGroup(n, mult, identity, inv, "table")
 
     for s in g.generators:
         col = columns[s]
@@ -348,12 +336,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     )
     identity = g.identity * m + h.identity
     inv = tuple(x * m + y for x in g.inv for y in h.inv)
-    labels = None
-    if g.labels is not None and h.labels is not None:
-        labels = tuple(
-            f"({g.labels[i // m]},{h.labels[i % m]})" for i in range(size)
-        )
-    return FiniteGroup(size, mult, identity, inv, labels, "product")
+    return FiniteGroup(size, mult, identity, inv, "product")
 
 
 # ---------------------------------------------------------------------------

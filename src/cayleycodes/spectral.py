@@ -1,17 +1,22 @@
 """Characters of finite abelian groups and exact cyclotomic tiling tests.
 
-All character values live in a single cyclotomic ring: a character value is
-a power of zeta_m with m = |G| (each factor root zeta_{m_j} embeds as
-zeta_m^(m/m_j)).  Sums of character values are integer coefficient vectors
-modulo x^m - 1, and the zero test is exact: a sum vanishes iff the m-th
-cyclotomic polynomial divides it.  Floating point would make the
-equivalence tests unfalsifiable.
+A character value is a power of zeta_m with m = |G| (each factor root
+zeta_{m_j} embeds as zeta_m^(m/m_j)); ``value_exponents`` records those
+powers.  A character of order d (the least d with chi^d trivial, i.e.
+d = m / gcd(m, all value exponents)) takes its values in the d-th roots
+of unity, so each sum of its values is an integer coefficient vector
+modulo x^d - 1.  The zero test is exact: the sum vanishes iff Phi_d, the
+minimal polynomial of zeta_d, divides it.  Testing in Z[x]/Phi_d rather
+than Z[x]/Phi_m gives the same answer on the smallest ring that holds the
+sum.  Floating point would make the equivalence tests unfalsifiable.
 
 The tiling test needs chi(A) chi(B) = 0 and tests each factor instead.
-Reduction mod Phi_m maps Z[x]/(x^m - 1) onto Z[x]/Phi_m, which is
-Z[zeta_m], an integral domain (Phi_m is irreducible).  So the image of
+Reduction mod Phi_d maps Z[x]/(x^d - 1) onto Z[x]/Phi_d, which is
+Z[zeta_d], an integral domain (Phi_d is irreducible).  So the image of
 the product is zero exactly when the image of one factor is, and
 "chi(A) is zero or chi(B) is zero" is as exact as the zero test itself.
+
+Each group's character table is built once and cached (`characters`).
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import cmath
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 from .basis import abelian_basis
@@ -60,16 +66,16 @@ def _poly_div_exact(num, den):
     return out
 
 
-def _poly_rem(num, den):
-    """Remainder of integer polynomial division by a monic divisor."""
-    num = list(num)
-    dn = len(den) - 1
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c:
-            for j in range(dn + 1):
-                num[i - dn + j] -= c * den[j]
-    return num[:dn]
+@functools.lru_cache(maxsize=None)
+def _reduction_terms(m: int):
+    """The degree k of Phi_m and its nonzero lower terms as (j - k, a_j).
+
+    Phi_m is monic, so mod Phi_m each x^i with i >= k is replaced by
+    -sum_j a_j x^(i-k+j), which is long division by Phi_m.
+    """
+    poly = cyclotomic_polynomial(m)
+    k = len(poly) - 1
+    return k, tuple((j - k, a) for j, a in enumerate(poly[:k]) if a)
 
 
 @dataclass(frozen=True)
@@ -87,8 +93,14 @@ class CyclotomicSum:
         """Exact vanishing test: Phi_m must divide the coefficient vector."""
         if not any(self.coeffs):
             return True
-        rem = _poly_rem(list(self.coeffs), list(cyclotomic_polynomial(self.m)))
-        return not any(rem)
+        k, terms = _reduction_terms(self.m)
+        rem = list(self.coeffs)
+        for i in range(self.m - 1, k - 1, -1):
+            c = rem[i]
+            if c:
+                for off, a in terms:
+                    rem[i + off] -= c * a
+        return not any(rem[:k])
 
     def as_complex(self) -> complex:
         """Floating-point value, for sanity cross-checks only."""
@@ -106,16 +118,19 @@ class Character:
     ``exponents`` are taken relative to a fixed decomposition with factor
     orders ``orders``; ``value_exponents`` precomputes, for every group
     element, the exponent k with value zeta_m^k (m = group order).
+    ``order`` is the character's order d, which divides m: every value is
+    a d-th root of unity, zeta_m^k = zeta_d^(k*d/m).
     """
 
     exponents: tuple[int, ...]
     orders: tuple[int, ...]
     m: int
     value_exponents: tuple[int, ...]
+    order: int
 
     @property
     def is_trivial(self) -> bool:
-        return all(n == 0 for n in self.exponents)
+        return self.order == 1
 
 
 def _decomposition(g: FiniteGroup):
@@ -133,7 +148,20 @@ def _decomposition(g: FiniteGroup):
 
 
 def characters(g: FiniteGroup):
-    """All |G| characters, trivial first, then sorted by exponent tuple."""
+    """All |G| characters, trivial first, then sorted by exponent tuple.
+
+    The table is built once per group and cached; each call returns a
+    fresh list of the cached (immutable) characters.
+    """
+    return list(_characters_cached(g))
+
+
+@functools.lru_cache(maxsize=64)
+def _characters_cached(g: FiniteGroup):
+    return tuple(_build_characters(g))
+
+
+def _build_characters(g: FiniteGroup):
     _, orders, exps = _decomposition(g)
     m = g.order
     out = []
@@ -144,17 +172,21 @@ def characters(g: FiniteGroup):
             ax = exps[x]
             k = sum(n * a * (m // o) for n, a, o in zip(nt, ax, orders)) % m
             vals.append(k)
-        out.append(Character(nt, orders, m, tuple(vals)))
+        d = m // math.gcd(m, *vals)
+        out.append(Character(nt, orders, m, tuple(vals), d))
     out.sort(key=lambda c: (not c.is_trivial, c.exponents))
     return out
 
 
 def char_sum(rho: Character, subset) -> CyclotomicSum:
-    """The exact cyclotomic sum of the character over a subset."""
-    coeffs = [0] * rho.m
+    """The exact cyclotomic sum of the character over a subset, stored
+    mod x^d - 1 with d = rho.order (the value zeta_m^k is zeta_d^(k*d/m))."""
+    step = rho.m // rho.order
+    values = rho.value_exponents
+    coeffs = [0] * rho.order
     for x in subset:
-        coeffs[rho.value_exponents[x]] += 1
-    return CyclotomicSum(rho.m, tuple(coeffs))
+        coeffs[values[x] // step] += 1
+    return CyclotomicSum(rho.order, tuple(coeffs))
 
 
 def spectral_tiling_check(g: FiniteGroup, a, b) -> bool:

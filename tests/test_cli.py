@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from cayleycodes import groups, specparse
+from cayleycodes import groups, specparse, verify
 from cayleycodes.cli import main
 from cayleycodes.errors import GroupSpecError, GroupTableError
 from cayleycodes.specparse import (
@@ -325,6 +325,31 @@ class TestVerify:
     def test_max_order_must_be_positive(self, capsys, value):
         assert main(["verify", "--suite", "thm4a", "--max-order", value]) == 2
         assert "--max-order" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "suite, max_order, env, bound",
+        [("cor3", "100000", None, 64), ("thm4a", "65", None, 64),
+         ("lemma-equivalence", "101", "100", 100)],
+    )
+    def test_max_order_bound_checked_before_any_suite_runs(
+        self, capsys, monkeypatch, suite, max_order, env, bound
+    ):
+        def refuse(**kwargs):
+            raise AssertionError("a suite ran")
+
+        for name in verify.SUITES:
+            monkeypatch.setitem(verify.SUITES, name, refuse)
+        if env is not None:
+            monkeypatch.setenv("CAYLEYCODES_MAX_ORDER", env)
+        assert main(["verify", "--suite", suite, "--max-order", max_order]) == 3
+        assert capsys.readouterr().err == (
+            f"error: --max-order {max_order} exceeds bound {bound}\n"
+        )
+
+    def test_max_order_bound_env_override(self, capsys, monkeypatch):
+        monkeypatch.setenv("CAYLEYCODES_MAX_ORDER", "100")
+        code, out = run_cli(capsys, "verify", "--suite", "cor3", "--max-order", "80")
+        assert code == 0 and "PASS" in out
 
 
 class TestAutomorphisms:

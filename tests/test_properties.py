@@ -9,11 +9,13 @@ from cayleycodes import (
     build_cayley,
     group_ring_check_perfect,
     group_ring_check_total,
+    group_ring_product,
     is_perfect_code,
     is_total_perfect_code,
     make_cyclic,
     make_dihedral,
 )
+from cayleycodes.corpus import quaternion_group, symmetric_group
 
 
 def _group(kind: str, n: int):
@@ -72,3 +74,32 @@ def test_perfect_codes_translate(n, shift):
     for c in enumerate_perfect_codes(graph):
         moved = [g.mul(x, shift % n) for x in c]
         assert is_perfect_code(graph, moved)
+
+
+def _reference_group_ring_product(g, u, v):
+    """The product as computed before the support of v was hoisted."""
+    out = [0] * g.order
+    for h, uh in enumerate(u):
+        if uh == 0:
+            continue
+        row = g.mult[h]
+        for k, vk in enumerate(v):
+            if vk:
+                out[row[k]] += uh * vk
+    return out
+
+
+PRODUCT_GROUPS = [
+    make_cyclic(1), make_cyclic(7), make_cyclic(12), make_dihedral(5),
+    symmetric_group(3), quaternion_group(),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=st.sampled_from(PRODUCT_GROUPS), data=st.data())
+def test_group_ring_product_matches_reference(g, data):
+    coeffs = st.lists(
+        st.integers(min_value=-3, max_value=3), min_size=g.order, max_size=g.order
+    )
+    u, v = data.draw(coeffs), data.draw(coeffs)
+    assert group_ring_product(g, u, v) == _reference_group_ring_product(g, u, v)

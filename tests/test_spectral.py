@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cayleycodes import (
     CayleyCodesError,
@@ -15,14 +17,67 @@ from cayleycodes import (
     characters,
     cyclotomic_polynomial,
     enumerate_perfect_codes,
+    from_table,
     make_abelian,
     make_cyclic,
     power_automorphism_tiling_transport,
     spectral_tiling_check,
     verify_lemma_equivalence,
 )
+from cayleycodes import spectral
+from cayleycodes.basis import abelian_basis
+from cayleycodes.corpus import abelian_types
 from cayleycodes.groups import Automorphism
 from cayleycodes.spectral import group_ring_tiling_check
+from cayleycodes.verify import suite_lemma_equivalence
+
+# Every group the lemma-equivalence suite visits at its default bound 24.
+LEMMA_GROUPS = [make_cyclic(n) for n in range(1, 25)] + [
+    make_abelian(t) for n in range(4, 25) for t in abelian_types(n)
+]
+
+
+def _relabeled(g, seed):
+    """g as a `table:` group under a seeded relabeling fixing the identity."""
+    rng = random.Random(seed)
+    perm = [0] + rng.sample(range(1, g.order), g.order - 1)
+    back = {p: i for i, p in enumerate(perm)}
+    n = g.order
+    return from_table(
+        [[perm[g.mult[back[x]][back[y]]] for y in range(n)] for x in range(n)]
+    )
+
+
+# seeded relabelings of abelian groups: their characters come from abelian_basis
+RELABELED_GROUPS = [
+    _relabeled(make_abelian(t), seed)
+    for seed, t in enumerate(
+        [(2, 2), (2, 4), (2, 2, 2), (3, 3), (2, 6), (2, 2, 4), (4, 4)]
+    )
+] + [_relabeled(make_cyclic(n), 100 + n) for n in (6, 8, 12)]
+
+
+def _reference_characters(g):
+    """The per-call character build the cached table replaced, as
+    (exponents, orders, m, value_exponents) tuples in the same order."""
+    if g.decomposition is not None and g.kind in ("cyclic", "abelian-product"):
+        orders = g.decomposition
+        exps = {
+            x: tuple((x // s) % m for s, m in zip(g.strides, orders))
+            for x in range(g.order)
+        }
+    else:
+        _, orders, exps = abelian_basis(g)
+    m = g.order
+    out = []
+    for nt in sorted(itertools.product(*(range(o) for o in orders))):
+        vals = tuple(
+            sum(n * a * (m // o) for n, a, o in zip(nt, exps[x], orders)) % m
+            for x in range(g.order)
+        )
+        out.append((nt, orders, m, vals))
+    out.sort(key=lambda c: (any(c[0]), c[0]))
+    return out
 
 
 class TestCyclotomic:
@@ -105,6 +160,92 @@ class TestCharacters:
                     lhs = rho.value_exponents[g.mul(x, y)]
                     rhs = rho.value_exponents[x] + rho.value_exponents[y]
                     assert lhs == rhs % rho.m
+
+
+class TestCharacterTable:
+    @pytest.mark.parametrize(
+        "g", LEMMA_GROUPS + RELABELED_GROUPS, ids=lambda g: f"{g.kind}{g.order}"
+    )
+    def test_cached_table_matches_per_call_build(self, g):
+        chars = characters(g)
+        assert [
+            (c.exponents, c.orders, c.m, c.value_exponents) for c in chars
+        ] == _reference_characters(g)
+        for c in chars:
+            # the least d > 0 with d * k = 0 mod m for every value exponent k
+            d = next(
+                d
+                for d in range(1, c.m + 1)
+                if all(d * k % c.m == 0 for k in c.value_exponents)
+            )
+            assert c.order == d and c.is_trivial == (d == 1)
+
+    def test_each_call_returns_a_fresh_list_without_rebuilding(self, monkeypatch):
+        g = make_abelian((2, 6))
+        first = characters(g)
+        first.clear()
+
+        def refuse(g):
+            raise AssertionError("the character table was built again")
+
+        monkeypatch.setattr(spectral, "_build_characters", refuse)
+        second = characters(make_abelian((2, 6)))
+        assert len(second) == 12 and second is not characters(g)
+
+    def test_lemma_suite_builds_one_table_per_group(self, monkeypatch):
+        built = collections.Counter()
+        build = spectral._build_characters
+
+        def counting(g):
+            built[g] += 1
+            return build(g)
+
+        spectral._characters_cached.cache_clear()
+        monkeypatch.setattr(spectral, "_build_characters", counting)
+        result = suite_lemma_equivalence()
+        assert result.passed and result.checks == 26093
+        assert set(built) <= set(LEMMA_GROUPS)
+        assert max(built.values()) == 1
+
+
+def _full_ring_sum(rho, subset):
+    """The character sum stored mod x^m - 1, m = |G|, with no reduction."""
+    coeffs = [0] * rho.m
+    for x in subset:
+        coeffs[rho.value_exponents[x]] += 1
+    return CyclotomicSum(rho.m, tuple(coeffs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_zero_test_mod_phi_d_matches_phi_m_and_complex(data):
+    g = data.draw(st.sampled_from(LEMMA_GROUPS[8:] + RELABELED_GROUPS))
+    rho = data.draw(st.sampled_from(characters(g)))
+    subset = data.draw(st.sets(st.integers(0, g.order - 1)))
+    reduced = char_sum(rho, subset)
+    full = _full_ring_sum(rho, subset)
+    assert reduced.m == rho.order
+    assert reduced.is_zero() == full.is_zero()
+    assert abs(reduced.as_complex() - full.as_complex()) < 1e-9
+    assert reduced.is_zero() == (abs(full.as_complex()) < 1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 10, 12]),
+    k=st.integers(1, 4),
+    data=st.data(),
+)
+def test_zero_test_is_unchanged_by_embedding_into_a_larger_ring(d, k, data):
+    # sum_j c_j zeta_d^j equals sum_j c_j zeta_m^(j*m/d) for m = k*d
+    coeffs = data.draw(st.lists(st.integers(-4, 4), min_size=d, max_size=d))
+    m = k * d
+    embedded = [0] * m
+    for j, c in enumerate(coeffs):
+        embedded[j * k] = c
+    small, large = CyclotomicSum(d, tuple(coeffs)), CyclotomicSum(m, tuple(embedded))
+    assert small.is_zero() == large.is_zero()
+    assert small.is_zero() == (abs(large.as_complex()) < 1e-9)
 
 
 class TestTiling:
