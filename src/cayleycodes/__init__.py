@@ -19,6 +19,7 @@ from .groups import (
     all_automorphisms,
     all_subgroups,
     centre,
+    coset_labels,
     direct_product,
     from_table,
     inner_automorphism,

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BoundExceededError, CayleyCodesError
-from .groups import FiniteGroup, Subgroup, left_cosets
+from .groups import FiniteGroup, Subgroup, coset_labels
 
 DEFAULT_ENUMERATION_BOUND = 24
 
@@ -149,11 +149,8 @@ def group_ring_check_perfect(g: FiniteGroup, s, code) -> bool:
 
 def is_left_transversal(g: FiniteGroup, h: Subgroup, subset) -> bool:
     """Does the subset contain exactly one element of each left coset xH?"""
-    subset = set(subset)
-    blocks = left_cosets(g, h)
-    if len(subset) != len(blocks):
-        return False
-    return all(len(subset.intersection(b)) == 1 for b in blocks)
+    labels = coset_labels(g, h)
+    return sorted(labels[x] for x in set(subset)) == list(range(g.order // h.order))
 
 
 def subgroup_code_transversal_check(
@@ -213,8 +210,6 @@ def enumerate_perfect_codes(
         for c in best_cands:
             search(covered | balls[c], chosen + [c])
 
-    if total and graph.degree == 0:
-        return [] if n > 0 else [()]
     search(frozenset(), [])
     solutions.sort()
     return solutions

@@ -17,8 +17,8 @@ from .errors import BoundExceededError, CayleyCodesError
 from .groups import (
     FiniteGroup,
     Subgroup,
+    coset_labels,
     is_normal,
-    left_cosets,
     make_dihedral,
 )
 
@@ -55,22 +55,23 @@ class CriterionVerdict:
 # the key property and normal-subgroup criterion
 
 
-def _involution_fixers(g: FiniteGroup, h: Subgroup):
-    """(x, k) for every x with x^2 in H, ascending, where k is the least
-    element of H with (xk)^2 = e, or None when there is none."""
-    mult, e, hs = g.mult, g.identity, h.element_set()
-    for x in range(g.order):
-        row = mult[x]
-        if row[x] in hs:
-            yield x, next((k for k in h.elements if mult[row[k]][row[k]] == e), None)
-
-
 def property_one_holds(g: FiniteGroup, h: Subgroup):
     """For every x with x^2 in H, is there k in H with (xk)^2 = e?
 
-    Returns (True, None) or (False, least failing x).
+    That is, does every left coset xH with x^2 in H hold some y with
+    y^2 = e?  Returns (True, None) or (False, least failing x).  O(n).
     """
-    bad = next((x for x, k in _involution_fixers(g, h) if k is None), None)
+    mult, e, hs = g.mult, g.identity, h.element_set()
+    labels = coset_labels(g, h)
+    fixed = {labels[y] for y, row in enumerate(mult) if row[y] == e}
+    bad = next(
+        (
+            x
+            for x, row in enumerate(mult)
+            if row[x] in hs and labels[x] not in fixed
+        ),
+        None,
+    )
     return bad is None, bad
 
 
@@ -122,29 +123,24 @@ def construct_connection_set_normal(
     ok, bad = property_one_holds(g, h)
     if not ok:
         raise CayleyCodesError(f"key property fails at g={bad}; no construction")
-    fixers = dict(_involution_fixers(g, h))
-    blocks = left_cosets(g, h)
-    block_of = {}
-    for bi, block in enumerate(blocks):
-        for x in block:
-            block_of[x] = bi
-    e_block = block_of[g.identity]
-    e = g.identity
+    mult, e, hs = g.mult, g.identity, h.element_set()
+    labels = coset_labels(g, h)
     out = []
-    done = {e_block}
-    for bi, block in enumerate(blocks):
-        if bi in done:
+    done = {labels[e]}
+    # ascending x meets each coset first at its least element, its rep
+    for rep, label in enumerate(labels):
+        if label in done:
             continue
-        rep = block[0]
-        if rep in fixers:
+        done.add(label)
+        row = mult[rep]
+        if row[rep] in hs:
             # involution in G/H: replace the representative by x_i h_i
-            out.append(g.mult[rep][fixers[rep]])
-            done.add(bi)
+            k = next(k for k in h.elements if mult[row[k]][row[k]] == e)
+            out.append(row[k])
         else:
             rinv = g.inv[rep]
             out.extend([rep, rinv])
-            done.add(bi)
-            done.add(block_of[rinv])
+            done.add(labels[rinv])
     if total:
         involutions = [k for k in h.elements if k != e and g.mult[k][k] == e]
         if not involutions:
@@ -257,25 +253,23 @@ def dihedral_construct_sets(n: int, t: int, s: int):
 # generic backtracking decision
 
 
-def _search_inverse_closed_transversal(g: FiniteGroup, h: Subgroup, total: bool):
-    """Find an inverse-closed left transversal of H: containing e for the
-    perfect case, identity-free for the total case.  Returns the transversal
-    as a sorted tuple, or None.
+def _search_inverse_closed_transversal(g: FiniteGroup, labels, total: bool):
+    """Find an inverse-closed left transversal of the subgroup whose left
+    cosets are numbered by ``labels`` (`coset_labels`): containing e for
+    the perfect case, identity-free for the total case.  Returns the
+    transversal as a sorted tuple, or None.
 
     Inverse-closure is enforced on elements, not cosets: choosing x for a
     coset forces x^-1 on the coset that contains it (for non-normal H the
     inverse of a left coset need not be a left coset).
     """
-    blocks = left_cosets(g, h)
-    block_of = {}
-    for bi, block in enumerate(blocks):
-        for x in block:
-            block_of[x] = bi
-    k = len(blocks)
+    k = max(labels) + 1
+    blocks = [[] for _ in range(k)]
+    for x, label in enumerate(labels):
+        blocks[label].append(x)
     chosen: list[int | None] = [None] * k
-    e_block = block_of[g.identity]
     if not total:
-        chosen[e_block] = g.identity
+        chosen[labels[g.identity]] = g.identity
 
     def backtrack():
         bi = next((i for i in range(k) if chosen[i] is None), None)
@@ -285,7 +279,7 @@ def _search_inverse_closed_transversal(g: FiniteGroup, h: Subgroup, total: bool)
             if x == g.identity:
                 continue  # e represents its coset (perfect) or is excluded (total)
             xi = g.inv[x]
-            bj = block_of[xi]
+            bj = labels[xi]
             if chosen[bj] is not None and chosen[bj] != xi:
                 continue
             if bj == bi and xi != x:
@@ -319,8 +313,9 @@ def generic_subgroup_code_decision(
         raise BoundExceededError(
             f"generic search bound exceeded: index={index}, |G|={g.order}"
         )
-    perfect_l = _search_inverse_closed_transversal(g, h, total=False)
-    total_l = _search_inverse_closed_transversal(g, h, total=True)
+    labels = coset_labels(g, h)
+    perfect_l = _search_inverse_closed_transversal(g, labels, total=False)
+    total_l = _search_inverse_closed_transversal(g, labels, total=True)
     witness = None
     if total and total_l is not None:
         witness = {"type": "connection_set", "value": list(total_l)}

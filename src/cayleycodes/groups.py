@@ -51,9 +51,6 @@ class FiniteGroup:
     def mul(self, i: int, j: int) -> int:
         return self.mult[i][j]
 
-    def inverse(self, i: int) -> int:
-        return self.inv[i]
-
     def power(self, i: int, k: int) -> int:
         if k < 0:
             return self.power(self.inv[i], -k)
@@ -460,19 +457,25 @@ def is_normal(g: FiniteGroup, h: Subgroup) -> bool:
     return all(g.conjugate(x, y) in hs for x in g.generators for y in hs)
 
 
+def coset_labels(g: FiniteGroup, h: Subgroup) -> list[int]:
+    """Entry x is the number of the left coset xH; cosets are numbered
+    0..|G:H|-1 in order of their least element.  O(n)."""
+    labels = [-1] * g.order
+    count = 0
+    for x, row in enumerate(g.mult):
+        if labels[x] < 0:
+            for y in h.elements:
+                labels[row[y]] = count
+            count += 1
+    return labels
+
+
 def left_cosets(g: FiniteGroup, h: Subgroup):
     """Blocks xH in order of least representative; reps are block minima."""
-    hs = sorted(h.element_set())
-    seen = [False] * g.order
-    blocks = []
-    for x in range(g.order):
-        if seen[x]:
-            continue
-        block = tuple(sorted(g.mult[x][y] for y in hs))
-        for z in block:
-            seen[z] = True
-        blocks.append(block)
-    return blocks
+    blocks = [[] for _ in range(g.order // h.order)]
+    for x, label in enumerate(coset_labels(g, h)):
+        blocks[label].append(x)
+    return [tuple(b) for b in blocks]
 
 
 def centre(g: FiniteGroup) -> Subgroup:
@@ -511,53 +514,50 @@ def is_power_automorphism(g: FiniteGroup, sigma: Automorphism) -> bool:
     return all(sigma.map[x] in g.cyclic_span(x) for x in range(g.order))
 
 
-def _element_words(g: FiniteGroup, gens):
-    """BFS words expressing every element as a product of generators."""
-    words = {g.identity: ()}
-    frontier = [g.identity]
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for gi, gen in enumerate(gens):
-                y = g.mult[x][gen]
-                if y not in words:
-                    words[y] = words[x] + (gi,)
-                    fresh.append(y)
-        frontier = fresh
-    return words
-
-
-def _map_from_images(g: FiniteGroup, words, images):
-    """The map sending each generator to its image, extended along words."""
-    out = [None] * g.order
-    for x, word in words.items():
-        acc = g.identity
-        for gi in word:
-            acc = g.mult[acc][images[gi]]
-        out[x] = acc
-    return Automorphism(tuple(out))
+def _extend_images(g: FiniteGroup, gens, images):
+    """The map with sigma(e) = e and sigma(xs) = sigma(x) t for each
+    generator s with image t, as a list, walked along right multiplication
+    from e as `closure` walks the group; None at the first edge x -> xs
+    whose image disagrees with one already assigned."""
+    mult, e = g.mult, g.identity
+    edges = tuple(zip(gens, images))
+    image = [None] * g.order
+    image[e] = e
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        row, image_row = mult[x], mult[image[x]]
+        for s, t in edges:
+            y, fy = row[s], image_row[t]
+            if image[y] is None:
+                image[y] = fy
+                stack.append(y)
+            elif image[y] != fy:
+                return None
+    return image
 
 
 def all_automorphisms(
     g: FiniteGroup, max_order: int = DEFAULT_AUTOMORPHISM_BOUND
 ):
-    """The full automorphism group, by generator-image backtracking."""
+    """The full automorphism group, by generator-image backtracking.
+
+    Each choice of generator images of matching element orders is kept
+    when its extension agrees on all n*|gens| edges (a homomorphism) and
+    is injective.
+    """
     if g.order > max_order:
         raise BoundExceededError(
             f"all_automorphisms bound exceeded: |G|={g.order} > {max_order}"
         )
-    if g.order == 1:
-        return [Automorphism((g.identity,))]
-    gens = g.generators
-    words = _element_words(g, gens)
+    orders = g.element_orders
     candidates = [
-        [y for y in range(g.order) if g.element_orders[y] == g.element_orders[x]]
-        for x in gens
+        [y for y in range(g.order) if orders[y] == orders[x]] for x in g.generators
     ]
     out = []
     for images in itertools.product(*candidates):
-        sigma = _map_from_images(g, words, images)
-        if is_automorphism(g, sigma):
-            out.append(sigma)
+        image = _extend_images(g, g.generators, images)
+        if image is not None and len(set(image)) == g.order:
+            out.append(Automorphism(tuple(image)))
     out.sort(key=lambda s: s.map)
     return out

@@ -25,13 +25,12 @@ from .groups import (
     all_automorphisms,
     all_subgroups,
     centre,
+    coset_labels,
     inner_automorphism,
     is_power_automorphism,
-    left_cosets,
 )
 
 EXHAUSTIVE_ORDER_BOUND = 12
-EXHAUSTIVE_ORBIT_BOUND = 14
 DEFAULT_SAMPLE_BUDGET = 200
 DEFAULT_SEED = 0
 
@@ -110,7 +109,7 @@ def preservation_sweep(
     if budget is not None and budget < 1:
         raise CayleyCodesError(f"sample budget must be positive, got {budget}")
     orbits = connection_orbits(g)
-    if g.order <= EXHAUSTIVE_ORDER_BOUND and len(orbits) <= EXHAUSTIVE_ORBIT_BOUND:
+    if g.order <= EXHAUSTIVE_ORDER_BOUND:
         candidates = all_connection_sets(g)
         scope, used_seed = "exhaustive", None
     else:
@@ -160,10 +159,8 @@ def is_tpcp_automorphism(
     return preservation_sweep(g, [sigma], True, budget, seed)[0]
 
 
-def all_power_automorphisms(g: FiniteGroup, max_order: int = 24):
-    sigmas = [
-        s for s in all_automorphisms(g, max_order) if is_power_automorphism(g, s)
-    ]
+def all_power_automorphisms(g: FiniteGroup):
+    sigmas = [s for s in all_automorphisms(g) if is_power_automorphism(g, s)]
     # they must form a subgroup: closed under composition and inverse
     known = {s.map for s in sigmas}
     for s in sigmas:
@@ -199,16 +196,15 @@ def prop3_witness(g: FiniteGroup, x: int):
             continue
         c_star = g.conjugate(xinv, moved[0])
         s = tuple(sorted(hs - {g.identity}))
-        code = []
-        for block in left_cosets(g, h):
-            right = {g.inv[y] for y in block}
-            if g.identity in right:
-                code.append(g.identity)
-            elif c_star in right:
-                code.append(c_star)
-            else:
-                code.append(min(right))
-        return connection_set(g, s), tuple(sorted(code))
+        # Hy is labelled by its inverse y^-1 H; ascending y keeps each
+        # right coset's least element unless e or c* is in it
+        labels = coset_labels(g, h)
+        code = {}
+        for y in range(g.order):
+            code.setdefault(labels[g.inv[y]], y)
+        for y in (c_star, g.identity):
+            code[labels[g.inv[y]]] = y
+        return connection_set(g, s), tuple(sorted(code.values()))
     raise CayleyCodesError("no subgroup is moved, yet sigma is not a power map")
 
 

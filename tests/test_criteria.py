@@ -14,6 +14,7 @@ from cayleycodes import (
     cyclic_criterion,
     decide_subgroup_code,
     dihedral_construct_sets,
+    direct_product,
     dihedral_criterion,
     dihedral_cyclic_criterion,
     generic_subgroup_code_decision,
@@ -28,7 +29,7 @@ from cayleycodes import (
     subgroup_generated,
 )
 from cayleycodes.basis import abelian_basis
-from cayleycodes.corpus import corpus_groups, symmetric_group
+from cayleycodes.corpus import corpus_groups, quaternion_group, symmetric_group
 from cayleycodes.groups import all_subgroups, is_normal
 from cayleycodes.specparse import parse_element_expr
 
@@ -53,16 +54,28 @@ class TestPropertyOne:
         assert witness == parse_element_expr(g, "a2*a3")
 
     def test_agrees_with_brute_force_definition(self):
-        # oracle: literal double loop over the quantifiers
-        g = make_abelian((4, 2))
-        for h in all_subgroups(g):
-            hs = h.element_set()
-            expected = all(
-                any(g.mul(g.mul(x, k), g.mul(x, k)) == 0 for k in hs)
-                for x in range(g.order)
-                if g.mul(x, x) in hs
-            )
-            assert property_one_holds(g, h)[0] == expected
+        # oracle: literal double loop over the quantifiers, for every
+        # subgroup, normal or not; the witness is the least failing x
+        groups = [
+            make_abelian((4, 2)),
+            symmetric_group(3),
+            quaternion_group(),
+            make_dihedral(4),
+            symmetric_group(4),
+            direct_product(make_dihedral(4), make_abelian((2,))),
+        ]
+        for g in groups:
+            e = g.identity
+            for h in all_subgroups(g):
+                hs = h.element_set()
+                failing = [
+                    x
+                    for x in range(g.order)
+                    if g.mul(x, x) in hs
+                    and not any(g.mul(g.mul(x, k), g.mul(x, k)) == e for k in hs)
+                ]
+                expected = (not failing, failing[0] if failing else None)
+                assert property_one_holds(g, h) == expected, (g, h.elements)
 
 
 class TestNormalCriterion:

@@ -14,6 +14,7 @@ from cayleycodes import (
     all_automorphisms,
     all_subgroups,
     centre,
+    coset_labels,
     direct_product,
     from_table,
     inner_automorphism,
@@ -221,6 +222,18 @@ class TestSubgroups:
             tuple(sorted(g.mult[y][x] for y in h.elements)) for x in range(6)
         }
         assert set(blocks) != right
+
+    def test_coset_labels_number_left_cosets(self):
+        # label x is the position in left_cosets of the block xH, for
+        # every subgroup, normal or not; blocks go by least element
+        for _, g in corpus_groups(12):
+            for h in all_subgroups(g):
+                labels = coset_labels(g, h)
+                blocks = left_cosets(g, h)
+                for x in range(g.order):
+                    xh = tuple(sorted(g.mult[x][y] for y in h.elements))
+                    assert blocks[labels[x]] == xh
+                assert sorted(blocks) == blocks
 
     def test_sylow_two(self):
         def sylow_two(g):
@@ -596,6 +609,12 @@ class TestAutomorphisms:
         g = make_cyclic(5)
         for s in all_automorphisms(g):
             assert s.compose(s.inverse()).is_identity
+
+    def test_all_automorphisms_pass_oracle(self):
+        # the order-32 special is over the default bound; check it too
+        for spec, g in corpus_groups(12):
+            for sigma in all_automorphisms(g, max_order=g.order):
+                assert is_automorphism(g, sigma), (spec, sigma.map)
 
     def test_counterexample_group_isomorphic_to_product(self):
         g = make_abelian((2, 4, 4))
