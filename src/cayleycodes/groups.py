@@ -52,10 +52,10 @@ class FiniteGroup:
         return self.mult[i][j]
 
     def power(self, i: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv[i], -k)
+        """i^k for any integer k.  Since i^|G| = e, k is taken mod |G|
+        first, which also turns a negative k into a positive one."""
         acc = self.identity
-        for _ in range(k):
+        for _ in range(k % self.order):
             acc = self.mult[acc][i]
         return acc
 
@@ -89,6 +89,13 @@ class FiniteGroup:
             for i in range(n)
             for j in range(i + 1, n)
         )
+
+    @cached_property
+    def bit_rows(self) -> tuple[list[int], ...]:
+        """``bit_rows[s][c]`` is ``1 << mult[s][c]``: the rows of the table
+        as one-bit masks, so that a ball T c is the sum of rows s in T at
+        column c.  Built once per group and shared by every connection set."""
+        return tuple([1 << v for v in row] for row in self.mult)
 
     @cached_property
     def element_orders(self) -> tuple[int, ...]:

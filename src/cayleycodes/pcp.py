@@ -94,6 +94,24 @@ def all_connection_sets(g: FiniteGroup):
     return sets
 
 
+def _sampled_connection_sets(g: FiniteGroup, budget: int, seed: int):
+    """The distinct connection sets among `budget` seeded draws, lazily,
+    in first-draw order.  A repeat refutes no automorphism its first draw
+    did not, so it is skipped, and drawing stops once every one of the
+    2^|orbits| sets has been drawn: a budget above that costs no more than
+    an exhaustive sweep."""
+    orbits = connection_orbits(g)
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(budget):
+        mask = rng.getrandbits(len(orbits))
+        if mask not in seen:
+            seen.add(mask)
+            yield _orbit_union(orbits, mask)
+            if len(seen) == 1 << len(orbits):
+                return
+
+
 def preservation_sweep(
     g: FiniteGroup,
     sigmas,
@@ -105,24 +123,19 @@ def preservation_sweep(
     connection set's codes are enumerated once and checked against every
     automorphism not yet refuted, so each counterexample is the first
     (S, C) that a sweep of that automorphism alone finds.  Exhaustive at
-    small order, else `budget` seeded samples (DEFAULT_SAMPLE_BUDGET if None)."""
+    small order, else the distinct sets among `budget` seeded draws
+    (DEFAULT_SAMPLE_BUDGET if None)."""
     if budget is not None and budget < 1:
         raise CayleyCodesError(f"sample budget must be positive, got {budget}")
-    orbits = connection_orbits(g)
     if g.order <= EXHAUSTIVE_ORDER_BOUND:
         candidates = all_connection_sets(g)
         scope, used_seed = "exhaustive", None
     else:
-        rng = random.Random(seed)
-        candidates = [
-            _orbit_union(orbits, rng.getrandbits(len(orbits)))
-            for _ in range(budget or DEFAULT_SAMPLE_BUDGET)
-        ]
+        candidates = _sampled_connection_sets(g, budget or DEFAULT_SAMPLE_BUDGET, seed)
         scope, used_seed = "sampled", seed
     counterexample = [None] * len(sigmas)
     pending = range(len(sigmas))
-    # a repeated sample refutes no automorphism its first draw did not
-    for s in dict.fromkeys(candidates):
+    for s in candidates:
         if not pending:
             break
         graph = build_cayley(g, connection_set(g, s))

@@ -5,7 +5,9 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cayleycodes import cayley, cli
 from cayleycodes import (
     BoundExceededError,
     CayleyCodesError,
@@ -24,7 +26,9 @@ from cayleycodes import (
     subgroup_generated,
 )
 from cayleycodes.cayley import connection_set
-from cayleycodes.corpus import corpus_groups, symmetric_group
+from cayleycodes.corpus import corpus_groups, quaternion_group, symmetric_group
+from cayleycodes.pcp import _sampled_connection_sets, all_connection_sets
+from cayleycodes.specparse import parse_group_spec
 
 
 class TestGraphs:
@@ -246,3 +250,114 @@ class TestEnumeration:
             if is_perfect_code(graph, c)
         )
         assert enumerate_perfect_codes(graph) == expected
+
+
+def _frozenset_search(graph, total=False):
+    """The exact cover as it was before the int bitmasks, kept as the
+    oracle for `enumerate_perfect_codes`: frozenset balls, and at each node
+    the uncovered vertex with the fewest centres whose balls miss every
+    covered vertex."""
+    n = graph.group.order
+    balls = [
+        graph.neighbours(v) if total else graph.closed_ball(v) for v in range(n)
+    ]
+    full = frozenset(range(n))
+    solutions = []
+
+    def search(covered, chosen):
+        if covered == full:
+            solutions.append(tuple(sorted(chosen)))
+            return
+        best_cands = None
+        for v in range(n):
+            if v in covered:
+                continue
+            cands = [
+                c
+                for c in range(n)
+                if v in balls[c] and balls[c].isdisjoint(covered)
+            ]
+            if best_cands is None or len(cands) < len(best_cands):
+                best_cands = cands
+                if not cands:
+                    return
+        for c in best_cands:
+            search(covered | balls[c], chosen + [c])
+
+    search(frozenset(), [])
+    solutions.sort()
+    return solutions
+
+
+SMALL_GROUPS = [(spec, g) for spec, g in corpus_groups(12) if g.order <= 12]
+MID_GROUPS = [(spec, g) for spec, g in corpus_groups(24) if 13 <= g.order <= 24]
+MODES = pytest.mark.parametrize("total", [False, True], ids=["perfect", "total"])
+
+
+class TestMaskSearchOracle:
+    """The bitmask exact cover against the frozenset search it replaced."""
+
+    @MODES
+    @pytest.mark.parametrize("spec, g", SMALL_GROUPS, ids=[s for s, _ in SMALL_GROUPS])
+    def test_every_connection_set_of_small_groups(self, spec, g, total):
+        for s in all_connection_sets(g):
+            graph = build_cayley(g, s)
+            assert enumerate_perfect_codes(graph, total) == _frozenset_search(
+                graph, total
+            ), s
+
+    @MODES
+    @pytest.mark.parametrize("spec, g", MID_GROUPS, ids=[s for s, _ in MID_GROUPS])
+    def test_sampled_connection_sets_of_order_13_to_24(self, spec, g, total):
+        for s in _sampled_connection_sets(g, 8, seed=g.order):
+            graph = build_cayley(g, s)
+            assert enumerate_perfect_codes(graph, total) == _frozenset_search(
+                graph, total
+            ), s
+
+    def test_z2_to_the_fifth_has_65536_codes(self):
+        # S = {e1}: every code holds one element of each coset {x, x e1}
+        g = parse_group_spec("abelian:2,2,2,2,2")
+        e1 = g.strides[0]
+        codes = enumerate_perfect_codes(build_cayley(g, {e1}), max_order=32)
+        assert len(codes) == 65536 == len(set(codes))
+        cosets = {frozenset((x, g.mul(x, e1))) for x in range(32)}
+        for code in codes:
+            assert all(len(coset.intersection(code)) == 1 for coset in cosets)
+
+
+ORACLE_GROUPS = [
+    make_cyclic(9), make_cyclic(12), make_dihedral(5), make_dihedral(6),
+    symmetric_group(3), quaternion_group(), parse_group_spec("abelian:2,2,4"),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=st.sampled_from(ORACLE_GROUPS), data=st.data(), total=st.booleans())
+def test_mask_search_matches_frozenset_search(g, data, total):
+    picks = data.draw(st.sets(st.integers(min_value=1, max_value=g.order - 1)))
+    s = picks | {g.inv[x] for x in picks}
+    graph = build_cayley(g, s)
+    assert enumerate_perfect_codes(graph, total) == _frozenset_search(graph, total)
+
+
+class TestNodeBudget:
+    def test_library_raises_past_the_budget(self, monkeypatch):
+        graph = build_cayley(make_cyclic(12), {6})  # 64 codes
+        assert len(enumerate_perfect_codes(graph)) == 64
+        monkeypatch.setattr(cayley, "ENUMERATION_NODE_BUDGET", 50)
+        with pytest.raises(BoundExceededError, match="node budget"):
+            enumerate_perfect_codes(graph)
+        assert enumerate_perfect_codes(build_cayley(make_cyclic(6), {1, 5})) == [
+            (0, 3), (1, 4), (2, 5),
+        ]
+
+    def test_cli_exits_3(self, monkeypatch, capsys):
+        argv = ["enumerate", "cyclic:12", "--conn", "6"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cayley, "ENUMERATION_NODE_BUDGET", 50)
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "node budget exceeded" in captured.err

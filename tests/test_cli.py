@@ -73,6 +73,33 @@ class TestSpecParsing:
             parse_element_list(g, "c^2")
 
 
+HUGE_EXPONENTS = [10**20 + 1, -(10**20 + 1), 99999999999999999999, -99999999999999999999]
+
+
+class TestHugeExponents:
+    """x^k is computed as x^(k mod |G|), so any exponent returns at once."""
+
+    @pytest.mark.parametrize("k", HUGE_EXPONENTS)
+    @pytest.mark.parametrize(
+        "spec, gen", [("cyclic:4", "a"), ("dihedral:6", "a"), ("abelian:2,4", "a2")]
+    )
+    def test_check_matches_the_reduced_exponent(self, capsys, spec, gen, k):
+        g = parse_group_spec(spec)
+        r = k % g.order
+        element = g.identity
+        for _ in range(r):
+            element = g.mul(element, parse_element_expr(g, gen))
+        reports = []
+        for exp in (k, r):
+            argv = ["check", spec, "--conn", f"{gen}^{exp},{gen}^{-exp}",
+                    "--code", f"{gen}^{exp}", "--format", "json"]
+            assert main(argv) == 0
+            reports.append(json.loads(capsys.readouterr().out)["results"])
+        assert reports[0] == reports[1]
+        assert reports[0]["code"] == [element]
+        assert reports[0]["connection_set"] == sorted({element, g.inv[element]})
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out

@@ -139,6 +139,25 @@ class TestGroupSweep:
         assert cli.main(["automorphisms", "abelian:2,2,2", "--pcp"]) == 0
         assert len(calls) <= 2 * 128
 
+    def test_budget_past_every_set_costs_one_exhaustive_sweep(
+        self, monkeypatch, capsys
+    ):
+        # cyclic:13 has 6 inverse-pair orbits, so 64 connection sets
+        calls = []
+
+        def counting(graph, total=False, max_order=None):
+            calls.append(total)
+            return enumerate_perfect_codes(graph, total, max_order)
+
+        monkeypatch.setattr(pcp, "enumerate_perfect_codes", counting)
+        argv = ["automorphisms", "cyclic:13", "--pcp", "--budget"]
+        assert cli.main([*argv, "10000"]) == 0
+        expected = capsys.readouterr().out
+        calls.clear()
+        assert cli.main([*argv, str(10**12)]) == 0
+        assert capsys.readouterr().out == expected
+        assert calls.count(False) <= 64 and calls.count(True) <= 64
+
     @pytest.mark.parametrize("budget", [0, -1])
     def test_non_positive_budget_raises(self, budget):
         g = make_cyclic(16)
