@@ -189,7 +189,9 @@ def enumerate_perfect_codes(
     usable centres (the least such vertex on a tie), and choosing c covers
     ball[c] and drops clash[c] from usable.  More than
     ENUMERATION_NODE_BUDGET nodes raise BoundExceededError.  Output is
-    sorted lexicographically as tuples.
+    sorted lexicographically as tuples.  A code's |C| balls of |T|
+    elements each partition G, so when |T| does not divide |G| the answer
+    is [] without a search.
     """
     g = graph.group
     n = g.order
@@ -198,8 +200,8 @@ def enumerate_perfect_codes(
             f"enumerate_perfect_codes bound exceeded: |G|={n} > {max_order}"
         )
     t = list(graph.conn.elements) if total else [*graph.conn.elements, g.identity]
-    if not t:
-        return []  # no open ball covers anything
+    if not t or n % len(t):
+        return []  # the code's balls, |T| elements each, cannot tile G
     rows = g.bit_rows
     ball = list(map(sum, zip(*(rows[s] for s in t))))
     # T c' meets T c iff c' is in T^-1 T c = T T c; and T T is the union

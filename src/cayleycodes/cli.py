@@ -93,7 +93,7 @@ def _report(command: str, spec: str | None, results, started: float) -> dict:
 
 def _emit(report: dict, fmt: str, text_lines):
     if fmt == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(json.dumps(report, sort_keys=True))
     else:
         for line in text_lines:
             print(line)

@@ -9,7 +9,6 @@ direct products, and arbitrary validated tables.  Everything downstream
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -549,22 +548,33 @@ def all_automorphisms(
 ):
     """The full automorphism group, by generator-image backtracking.
 
-    Each choice of generator images of matching element orders is kept
-    when its extension agrees on all n*|gens| edges (a homomorphism) and
-    is injective.
+    The greedy generators (`generating_set`) each lie outside the span of
+    the earlier ones, and an automorphism keeps that, so each generator's
+    image is chosen among the elements of its order outside the span of
+    the earlier images.  Each full choice is kept when its extension
+    agrees on all n*|gens| edges (a homomorphism) and is injective.
     """
     if g.order > max_order:
         raise BoundExceededError(
             f"all_automorphisms bound exceeded: |G|={g.order} > {max_order}"
         )
-    orders = g.element_orders
+    gens, orders = g.generators, g.element_orders
     candidates = [
-        [y for y in range(g.order) if orders[y] == orders[x]] for x in g.generators
+        [y for y in range(g.order) if orders[y] == orders[x]] for x in gens
     ]
     out = []
-    for images in itertools.product(*candidates):
-        image = _extend_images(g, g.generators, images)
-        if image is not None and len(set(image)) == g.order:
-            out.append(Automorphism(tuple(image)))
+
+    def choose(images):
+        if len(images) == len(gens):
+            image = _extend_images(g, gens, images)
+            if image is not None and len(set(image)) == g.order:
+                out.append(Automorphism(tuple(image)))
+            return
+        span = closure(g, images)
+        for y in candidates[len(images)]:
+            if y not in span:
+                choose(images + [y])
+
+    choose([])
     out.sort(key=lambda s: s.map)
     return out

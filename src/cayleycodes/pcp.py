@@ -5,6 +5,13 @@ perfect code of every Cayley graph of the group to a perfect code of the
 same graph; total-PCP likewise.  For small groups the sweep over
 connection sets is exhaustive (inverse-pair orbits halve the exponent);
 beyond that a seeded random sample is used and the report says so.
+
+The sweep takes each sigma to be an automorphism of G, and enumerates only
+where a refutation is possible.  Such a sigma is an isomorphism
+Cay(G, S) -> Cay(G, sigma(S)), so it maps the codes of Cay(G, S) onto
+themselves when sigma(S) = S.  And the |C| balls of a code, |T| elements
+each (T = S u {e}, or S for total codes), partition G, so Cay(G, S) has
+no code unless |T| divides |G|.
 """
 
 from __future__ import annotations
@@ -119,12 +126,17 @@ def preservation_sweep(
     budget: int | None = None,
     seed: int = DEFAULT_SEED,
 ) -> list[PcpReport]:
-    """One report per automorphism in sigmas, from one sweep: each
-    connection set's codes are enumerated once and checked against every
-    automorphism not yet refuted, so each counterexample is the first
-    (S, C) that a sweep of that automorphism alone finds.  Exhaustive at
-    small order, else the distinct sets among `budget` seeded draws
-    (DEFAULT_SAMPLE_BUDGET if None)."""
+    """One report per automorphism in sigmas, from one sweep.
+
+    Every sigma must be an automorphism of g.  A connection set S is
+    skipped when |T| does not divide |G| (no code exists), and when every
+    sigma not yet refuted fixes S (each maps the codes of Cay(G, S) onto
+    themselves).  Otherwise the codes of S are enumerated once and checked
+    against the unrefuted sigma that move S, so each counterexample is
+    the first (S, C), in set order and then code order, that a sweep of
+    that automorphism alone finds.  Exhaustive at small order, else the
+    distinct sets among `budget` seeded draws (DEFAULT_SAMPLE_BUDGET if
+    None)."""
     if budget is not None and budget < 1:
         raise CayleyCodesError(f"sample budget must be positive, got {budget}")
     if g.order <= EXHAUSTIVE_ORDER_BOUND:
@@ -135,14 +147,23 @@ def preservation_sweep(
         scope, used_seed = "sampled", seed
     counterexample = [None] * len(sigmas)
     pending = range(len(sigmas))
+    images = [sigma.map.__getitem__ for sigma in sigmas]
+    extra = 0 if total else 1  # |T| - |S|
     for s in candidates:
         if not pending:
             break
+        size = len(s) + extra
+        if not size or g.order % size:
+            continue  # Cay(G, S) has no code
+        members = set(s)
+        movers = [i for i in pending if not members.issuperset(map(images[i], s))]
+        if not movers:
+            continue  # every pending sigma maps the codes of S onto themselves
         graph = build_cayley(g, connection_set(g, s))
         codes = enumerate_perfect_codes(graph, total=total, max_order=g.order)
         known = set(map(frozenset, codes))
-        for i in pending:
-            image = sigmas[i].map.__getitem__
+        for i in movers:
+            image = images[i]
             lost = (c for c in codes if frozenset(map(image, c)) not in known)
             counterexample[i] = next(((s, c) for c in lost), None)
         pending = [i for i in pending if counterexample[i] is None]

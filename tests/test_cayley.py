@@ -352,6 +352,18 @@ class TestNodeBudget:
             (0, 3), (1, 4), (2, 5),
         ]
 
+    def test_no_search_unless_the_ball_size_divides_the_order(self, monkeypatch):
+        # a zero budget makes any search raise, so [] means no search ran
+        monkeypatch.setattr(cayley, "ENUMERATION_NODE_BUDGET", 0)
+        g = make_cyclic(6)
+        for s, total in [({1, 2, 4, 5}, False), ({1, 3, 5}, False),
+                         ((), True), ({1, 2, 4, 5}, True)]:
+            assert enumerate_perfect_codes(build_cayley(g, s), total) == []
+        for s, total in [({1, 5}, False), ((), False), ({3}, True),
+                         ({1, 3, 5}, True), ({1, 5}, True)]:
+            with pytest.raises(BoundExceededError, match="node budget"):
+                enumerate_perfect_codes(build_cayley(g, s), total)
+
     def test_cli_exits_3(self, monkeypatch, capsys):
         argv = ["enumerate", "cyclic:12", "--conn", "6"]
         assert cli.main(argv) == 0

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import collections
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cayleycodes import groups
 from cayleycodes import (
     GroupTableError,
     abelian_sylow_reduction,
@@ -29,6 +31,7 @@ from cayleycodes import (
 from cayleycodes.groups import (
     Automorphism,
     Subgroup,
+    _extend_images,
     closure,
     generating_set,
     is_automorphism,
@@ -568,6 +571,26 @@ class TestTableConstruction:
         assert "abelian:2,4,4" in specs
 
 
+def _product_automorphisms(g):
+    """`all_automorphisms` as it was before it pruned images inside the span
+    of the earlier ones, kept as its oracle: every choice of generator
+    images of matching element orders, from itertools.product."""
+    orders = g.element_orders
+    candidates = [
+        [y for y in range(g.order) if orders[y] == orders[x]] for x in g.generators
+    ]
+    out = []
+    for images in itertools.product(*candidates):
+        image = _extend_images(g, g.generators, images)
+        if image is not None and len(set(image)) == g.order:
+            out.append(Automorphism(tuple(image)))
+    out.sort(key=lambda s: s.map)
+    return out
+
+
+AUTOMORPHISM_GROUPS = [(spec, g) for spec, g in corpus_groups(24) if g.order <= 24]
+
+
 class TestAutomorphisms:
     def test_identity_is_power(self):
         g = symmetric_group(3)
@@ -615,6 +638,25 @@ class TestAutomorphisms:
         for spec, g in corpus_groups(12):
             for sigma in all_automorphisms(g, max_order=g.order):
                 assert is_automorphism(g, sigma), (spec, sigma.map)
+
+    @pytest.mark.parametrize(
+        "spec, g", AUTOMORPHISM_GROUPS, ids=[s for s, _ in AUTOMORPHISM_GROUPS]
+    )
+    def test_pruned_search_matches_product_search(self, spec, g):
+        assert all_automorphisms(g, max_order=g.order) == _product_automorphisms(g)
+
+    def test_z2_to_the_fourth_extends_only_independent_images(self, monkeypatch):
+        # images of e1..e4 outside the span of the earlier ones are exactly
+        # the 20 160 bases of Z2^4, against 15^4 choices of involutions
+        calls = []
+
+        def counting(g, gens, images):
+            calls.append(images)
+            return _extend_images(g, gens, images)
+
+        monkeypatch.setattr(groups, "_extend_images", counting)
+        g = make_abelian((2, 2, 2, 2))
+        assert len(all_automorphisms(g)) == len(calls) == 20160
 
     def test_counterexample_group_isomorphic_to_product(self):
         g = make_abelian((2, 4, 4))

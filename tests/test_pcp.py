@@ -31,7 +31,15 @@ from cayleycodes.groups import (
     all_subgroups,
     is_power_automorphism,
 )
-from cayleycodes.pcp import all_connection_sets, connection_orbits
+from cayleycodes.cayley import connection_set, is_total_perfect_code
+from cayleycodes.pcp import (
+    DEFAULT_SAMPLE_BUDGET,
+    EXHAUSTIVE_ORDER_BOUND,
+    PcpReport,
+    _sampled_connection_sets,
+    all_connection_sets,
+    connection_orbits,
+)
 from cayleycodes.specparse import parse_group_spec
 
 
@@ -165,6 +173,100 @@ class TestGroupSweep:
             preservation_sweep(g, all_automorphisms(g), budget=budget)
         with pytest.raises(CayleyCodesError):
             is_pcp_automorphism(g, Automorphism(tuple(range(16))), budget=budget)
+
+
+def _reference_sweep(g, sigmas, total=False, budget=None, seed=0):
+    """The preservation sweep as it was before it skipped connection sets,
+    kept as the oracle for `preservation_sweep`: every candidate S is
+    enumerated and its codes checked against every unrefuted sigma."""
+    if g.order <= EXHAUSTIVE_ORDER_BOUND:
+        candidates = all_connection_sets(g)
+        scope, used_seed = "exhaustive", None
+    else:
+        candidates = _sampled_connection_sets(g, budget or DEFAULT_SAMPLE_BUDGET, seed)
+        scope, used_seed = "sampled", seed
+    counterexample = [None] * len(sigmas)
+    pending = range(len(sigmas))
+    for s in candidates:
+        if not pending:
+            break
+        graph = build_cayley(g, connection_set(g, s))
+        codes = enumerate_perfect_codes(graph, total=total, max_order=g.order)
+        known = set(map(frozenset, codes))
+        for i in pending:
+            image = sigmas[i].map.__getitem__
+            lost = (c for c in codes if frozenset(map(image, c)) not in known)
+            counterexample[i] = next(((s, c) for c in lost), None)
+        pending = [i for i in pending if counterexample[i] is None]
+    return [
+        PcpReport(sigma, ce is None, ce, scope, used_seed)
+        for sigma, ce in zip(sigmas, counterexample)
+    ]
+
+
+MID_GROUPS = [(spec, g) for spec, g in corpus_groups(24) if 13 <= g.order <= 24]
+MODES = pytest.mark.parametrize("total", [False, True], ids=["perfect", "total"])
+FIXING_GROUPS = [
+    (spec, g) for spec, g in corpus_groups(12)
+    if spec in ("dihedral:4", "abelian:2,2,2", "cyclic:8", "table:Q8")
+]
+
+
+class TestSkippingSweep:
+    """The sweep that skips sets where nothing can be refuted, against the
+    sweep that enumerates every candidate set."""
+
+    @MODES
+    @pytest.mark.parametrize(
+        "spec, g, budget", SWEEP_GROUPS, ids=[spec for spec, _, _ in SWEEP_GROUPS]
+    )
+    def test_matches_reference_on_sweep_groups(self, spec, g, budget, total):
+        sigmas = all_automorphisms(g)
+        assert preservation_sweep(g, sigmas, total, budget, seed=7) == (
+            _reference_sweep(g, sigmas, total, budget, seed=7)
+        )
+
+    @MODES
+    @pytest.mark.parametrize("spec, g", MID_GROUPS, ids=[s for s, _ in MID_GROUPS])
+    def test_matches_reference_on_order_13_to_24(self, spec, g, total):
+        sigmas = all_automorphisms(g)
+        for budget in (None, 25, 1):
+            for seed in (0, 3):
+                assert preservation_sweep(g, sigmas, total, budget, seed) == (
+                    _reference_sweep(g, sigmas, total, budget, seed)
+                ), (budget, seed)
+
+    @pytest.mark.parametrize("spec, g", FIXING_GROUPS, ids=[s for s, _ in FIXING_GROUPS])
+    def test_a_sigma_that_fixes_s_maps_codes_to_codes(self, spec, g):
+        checks = {False: is_perfect_code, True: is_total_perfect_code}
+        fixing = 0
+        for s in all_connection_sets(g):
+            graph = build_cayley(g, s)
+            for sigma in all_automorphisms(g):
+                if sorted(sigma.map[x] for x in s) != list(s):
+                    continue
+                fixing += 1
+                for total, is_code in checks.items():
+                    for code in enumerate_perfect_codes(graph, total):
+                        assert is_code(graph, [sigma.map[c] for c in code])
+        assert fixing > len(all_connection_sets(g))
+
+    def test_no_enumeration_once_only_the_identity_is_pending(self, monkeypatch):
+        g = parse_group_spec("dihedral:6")
+        sigmas = all_automorphisms(g)
+        enumerated = []
+
+        def recording(graph, total=False, max_order=None):
+            enumerated.append(graph.conn.sorted())
+            return enumerate_perfect_codes(graph, total, max_order)
+
+        monkeypatch.setattr(pcp, "enumerate_perfect_codes", recording)
+        reports = preservation_sweep(g, sigmas)
+        assert [r.preserving for r in reports] == [s.is_identity for s in sigmas]
+        sets = all_connection_sets(g)
+        last_refuted = max(sets.index(r.counterexample[0]) for r in reports[1:])
+        assert sets.index(enumerated[-1]) == last_refuted
+        assert last_refuted < len(sets) - 1
 
 
 class TestPowerAutomorphisms:
