@@ -67,7 +67,6 @@ from .spectral import (
     char_sum,
     characters,
     cyclotomic_polynomial,
-    power_automorphism_tiling_transport,
     spectral_tiling_check,
     verify_lemma_equivalence,
 )

@@ -23,7 +23,6 @@ from operator import or_
 from .errors import BoundExceededError, CayleyCodesError
 from .groups import FiniteGroup, Subgroup, coset_labels
 
-DEFAULT_ENUMERATION_BOUND = 24
 # search nodes one enumeration may visit: over 180 times the most (5 461,
 # a sampled set of cyclic:24) that any golden-corpus command, verify suite
 # or benchmark workload needs
@@ -174,11 +173,7 @@ def subgroup_code_transversal_check(
 # exact-cover enumeration (the universal oracle)
 
 
-def enumerate_perfect_codes(
-    graph: CayleyGraph,
-    total: bool = False,
-    max_order: int = DEFAULT_ENUMERATION_BOUND,
-):
+def enumerate_perfect_codes(graph: CayleyGraph, total: bool = False):
     """All (total) perfect codes, by exact cover over closed (open) balls.
 
     Algorithm X (Knuth, "Dancing Links") on int bitmasks.  With T = S u {e}
@@ -195,10 +190,6 @@ def enumerate_perfect_codes(
     """
     g = graph.group
     n = g.order
-    if n > max_order:
-        raise BoundExceededError(
-            f"enumerate_perfect_codes bound exceeded: |G|={n} > {max_order}"
-        )
     t = list(graph.conn.elements) if total else [*graph.conn.elements, g.identity]
     if not t or n % len(t):
         return []  # the code's balls, |T| elements each, cannot tile G

@@ -16,7 +16,6 @@ import time
 
 from . import __version__
 from .cayley import (
-    DEFAULT_ENUMERATION_BOUND,
     build_cayley,
     code_report,
     connection_set,
@@ -32,8 +31,6 @@ from .errors import (
     GroupTableError,
 )
 from .groups import (
-    DEFAULT_AUTOMORPHISM_BOUND,
-    DEFAULT_SUBGROUP_BOUND,
     all_automorphisms,
     all_subgroups,
     is_normal,
@@ -42,19 +39,32 @@ from .groups import (
     subgroup_generated,
 )
 from .pcp import preservation_sweep
-from .specparse import parse_element_list, parse_group_spec, spec_order
+from .specparse import parse_element_list, parse_group_spec
 from .verify import SUITES, run_suite
 
 ENV_MAX_ORDER = "CAYLEYCODES_MAX_ORDER"
-# check and construct do little beyond building the n^2 table: at order
-# 2048 each took at most 1.3 s and 192 MB (CPython 3.11, 2-vCPU Xeon).
-DEFAULT_TABLE_BOUND = 2048
+# The largest |G| each command accepts; ENV_MAX_ORDER, when set, replaces
+# every one of them.  check and construct do little beyond building the
+# n^2 table: at order 2048 each took at most 1.3 s and 192 MB (CPython
+# 3.11, 2-vCPU Xeon).  The library bounds only its work: node budgets on
+# the exact cover and the automorphism search, and an index guard on the
+# generic transversal search.
+ORDER_BOUNDS = {
+    "classify": 64,
+    "enumerate": 24,
+    "automorphisms": 24,
+    "check": 2048,
+    "construct": 2048,
+}
+# automorphisms keeps its older message, which the golden digests of its
+# exit-3 rows record
+BOUND_MESSAGES = {"automorphisms": "all_automorphisms bound exceeded: |G|={} > {}"}
 
 
-def _max_order(default: int) -> int:
+def _max_order(command: str) -> int:
     value = os.environ.get(ENV_MAX_ORDER)
     if not value:
-        return default
+        return ORDER_BOUNDS[command]
     try:
         return int(value)
     except ValueError:
@@ -63,22 +73,20 @@ def _max_order(default: int) -> int:
         ) from None
 
 
-def _bounded_group(spec: str, default: int, message: str):
-    """The spec's group and the command's order bound.
+def _bounded_group(args):
+    """The group of `args.spec`, within the bound of `args.command`.
 
-    Raises BoundExceededError(message.format(order, bound)) when |G| is
-    over the bound, before the table is built whenever `spec_order` can
-    read |G| off the spec, so no n^2 table over the bound is allocated.
+    The bound is checked before any n^2 table is built, once table files
+    are read, so a spec over the bound allocates no table of its order.
     """
-    order = spec_order(spec)
-    g = None
-    if order is None:
-        g = parse_group_spec(spec)
-        order = g.order
-    bound = _max_order(default)
-    if order > bound:
-        raise BoundExceededError(message.format(order, bound))
-    return (parse_group_spec(spec) if g is None else g), bound
+    bound = _max_order(args.command)
+
+    def check(order):
+        if order > bound:
+            message = BOUND_MESSAGES.get(args.command, "|G|={} exceeds bound {}")
+            raise BoundExceededError(message.format(order, bound))
+
+    return parse_group_spec(args.spec, check)
 
 
 def _report(command: str, spec: str | None, results, started: float) -> dict:
@@ -101,14 +109,12 @@ def _emit(report: dict, fmt: str, text_lines):
 
 def cmd_classify(args) -> int:
     started = time.perf_counter()
-    g, bound = _bounded_group(
-        args.spec, DEFAULT_SUBGROUP_BOUND, "|G|={} exceeds bound {}"
-    )
+    g = _bounded_group(args)
     if args.subgroup:
         gens = parse_element_list(g, args.subgroup)
         subs = [subgroup_generated(g, gens)]
     else:
-        subs = all_subgroups(g, max_order=bound)
+        subs = all_subgroups(g)
     rows = []
     for h in subs:
         verdict = decide_subgroup_code(g, h)
@@ -143,7 +149,7 @@ def cmd_classify(args) -> int:
 
 def cmd_check(args) -> int:
     started = time.perf_counter()
-    g, _ = _bounded_group(args.spec, DEFAULT_TABLE_BOUND, "|G|={} exceeds bound {}")
+    g = _bounded_group(args)
     s = parse_element_list(g, args.conn)
     code = parse_element_list(g, args.code)
     try:
@@ -168,18 +174,14 @@ def cmd_check(args) -> int:
 
 def cmd_enumerate(args) -> int:
     started = time.perf_counter()
-    g, bound = _bounded_group(
-        args.spec,
-        DEFAULT_ENUMERATION_BOUND,
-        "enumerate_perfect_codes bound exceeded: |G|={} > {}",
-    )
+    g = _bounded_group(args)
     s = parse_element_list(g, args.conn)
     try:
         conn = connection_set(g, s)
     except CayleyCodesError as exc:
         raise GroupSpecError(str(exc)) from exc
     graph = build_cayley(g, conn)
-    codes = enumerate_perfect_codes(graph, total=args.total, max_order=bound)
+    codes = enumerate_perfect_codes(graph, total=args.total)
     results = {"codes": [list(c) for c in codes], "count": len(codes)}
     report = _report("enumerate", args.spec, results, started)
     mode = "total perfect" if args.total else "perfect"
@@ -191,7 +193,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_construct(args) -> int:
     started = time.perf_counter()
-    g, _ = _bounded_group(args.spec, DEFAULT_TABLE_BOUND, "|G|={} exceeds bound {}")
+    g = _bounded_group(args)
     gens = parse_element_list(g, args.subgroup)
     h = subgroup_generated(g, gens)
     conn = construct_connection_set(g, h, total=args.total)
@@ -221,12 +223,7 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     started = time.perf_counter()
-    bound = _max_order(DEFAULT_SUBGROUP_BOUND)
-    if args.max_order is not None and args.max_order > bound:
-        raise BoundExceededError(
-            f"--max-order {args.max_order} exceeds bound {bound}"
-        )
-    result = run_suite(args.suite, max_order=args.max_order, seed=args.seed)
+    result = run_suite(args.suite, args.seed)
     report = _report("verify", None, result.to_json(), started)
     status = "PASS" if result.passed else "FAIL"
     lines = [
@@ -240,12 +237,8 @@ def cmd_verify(args) -> int:
 
 def cmd_automorphisms(args) -> int:
     started = time.perf_counter()
-    g, bound = _bounded_group(
-        args.spec,
-        DEFAULT_AUTOMORPHISM_BOUND,
-        "all_automorphisms bound exceeded: |G|={} > {}",
-    )
-    sigmas = all_automorphisms(g, max_order=bound)
+    g = _bounded_group(args)
+    sigmas = all_automorphisms(g)
     if args.pcp:
         sweep = dict(budget=args.budget, seed=args.seed)
         pcp = preservation_sweep(g, sigmas, **sweep)
@@ -323,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=sorted(SUITES))
-    p.add_argument("--max-order", type=positive_int, default=None)
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(fn=cmd_verify)

@@ -22,8 +22,8 @@ from .groups import (
     make_dihedral,
 )
 
-DEFAULT_GENERIC_INDEX_BOUND = 16
-DEFAULT_GENERIC_ORDER_BOUND = 32
+GENERIC_INDEX_BOUND = 16
+GENERIC_ORDER_BOUND = 32
 
 
 @dataclass(frozen=True)
@@ -303,13 +303,11 @@ def generic_subgroup_code_decision(
     g: FiniteGroup,
     h: Subgroup,
     total: bool = False,
-    max_index: int = DEFAULT_GENERIC_INDEX_BOUND,
-    max_order: int = DEFAULT_GENERIC_ORDER_BOUND,
 ) -> CriterionVerdict:
     """Decide both modes by exhaustive transversal search; the witness
     connection set stored is the one for the requested mode."""
     index = g.order // h.order
-    if index > max_index and g.order > max_order:
+    if index > GENERIC_INDEX_BOUND and g.order > GENERIC_ORDER_BOUND:
         raise BoundExceededError(
             f"generic search bound exceeded: index={index}, |G|={g.order}"
         )

@@ -160,7 +160,7 @@ def preservation_sweep(
         if not movers:
             continue  # every pending sigma maps the codes of S onto themselves
         graph = build_cayley(g, connection_set(g, s))
-        codes = enumerate_perfect_codes(graph, total=total, max_order=g.order)
+        codes = enumerate_perfect_codes(graph, total=total)
         known = set(map(frozenset, codes))
         for i in movers:
             image = images[i]
@@ -221,7 +221,7 @@ def prop3_witness(g: FiniteGroup, x: int):
     if is_power_automorphism(g, sigma):
         return None
     xinv = g.inv[x]
-    subs = [s for s in all_subgroups(g, max_order=g.order) if 1 < s.order]
+    subs = [s for s in all_subgroups(g) if 1 < s.order]
     subs.sort(key=lambda s: s.elements)
     for h in subs:
         hs = h.element_set()

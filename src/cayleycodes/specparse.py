@@ -29,35 +29,68 @@ from .groups import (
 )
 
 
-def parse_group_spec(spec: str) -> FiniteGroup:
-    kind, *args = _parse(spec)
-    if kind == "cyclic":
-        return _construct(make_cyclic, args[0])
-    if kind == "dihedral":
-        return _construct(make_dihedral, args[0])
-    if kind == "abelian":
-        return _construct(make_abelian, args[0])
-    if kind == "product":
-        left, right = args
-        return direct_product(parse_group_spec(left), parse_group_spec(right))
-    return load_table_file(args[0])
+def parse_group_spec(spec: str, check_order=None) -> FiniteGroup:
+    """The group a spec names.
+
+    Table files are read first.  Then `check_order`, when given, is called
+    with |G| before any multiplication table is built from a constructor
+    or a product, so it can refuse a spec without an n^2 table.
+    """
+    tree = _tree(spec, load=True)
+    order = _order(tree)  # raises on a parameter a constructor rejects
+    if check_order is not None:
+        check_order(order)
+    return _build(tree)
 
 
 def spec_order(spec: str) -> int | None:
     """|G| of a cyclic, dihedral, abelian or product spec, without building
     its table.
 
-    None for a "table:" spec and for any spec `parse_group_spec` rejects,
-    so that its error still comes from parsing it.
+    None for a spec that names a table file and for any spec
+    `parse_group_spec` rejects, so that its error still comes from
+    parsing it.
     """
     try:
-        kind, *args = _parse(spec)
-        if kind == "product":
-            left, right = map(spec_order, args)
-            return None if left is None or right is None else left * right
-        return None if kind == "table" else constructed_order(kind, args[0])
+        return _order(_tree(spec, load=False))
     except CayleyCodesError:
         return None
+
+
+def _tree(spec: str, load: bool):
+    """The spec as (kind, parameter) or ("product", left tree, right tree);
+    a table file is ("table", its group) when `load` is set, else
+    ("table", None)."""
+    kind, *args = _parse(spec)
+    if kind == "product":
+        return ("product", *(_tree(side, load) for side in args))
+    if kind == "table":
+        return ("table", load_table_file(args[0]) if load else None)
+    return (kind, args[0])
+
+
+def _order(tree) -> int | None:
+    """|G| of a tree, None when it holds a table file not read."""
+    kind, *args = tree
+    if kind == "product":
+        left, right = map(_order, args)
+        return None if left is None or right is None else left * right
+    if kind == "table":
+        return None if args[0] is None else args[0].order
+    try:
+        return constructed_order(kind, args[0])
+    except CayleyCodesError as exc:
+        raise GroupSpecError(str(exc)) from exc
+
+
+def _build(tree) -> FiniteGroup:
+    kind, *args = tree
+    if kind == "product":
+        return direct_product(*map(_build, args))
+    if kind == "table":
+        return args[0]
+    make = {"cyclic": make_cyclic, "dihedral": make_dihedral, "abelian": make_abelian}
+    return make[kind](args[0])
 
 
 def _parse(spec: str):
@@ -78,14 +111,6 @@ def _parse(spec: str):
     if low.startswith("table:"):
         return "table", text[6:]
     raise GroupSpecError(f"unrecognized group spec {spec!r}")
-
-
-def _construct(make, param) -> FiniteGroup:
-    """Call a group constructor; a parameter it rejects is a spec error."""
-    try:
-        return make(param)
-    except CayleyCodesError as exc:
-        raise GroupSpecError(str(exc)) from exc
 
 
 def _int(text: str) -> int:
@@ -170,7 +195,8 @@ def parse_element_expr(g: FiniteGroup, expr: str) -> int:
         term = term.strip()
         if not term:
             raise GroupSpecError(f"empty term in element expression {expr!r}")
-        if term.lstrip("-").isdigit():
+        # isdecimal, not isdigit: int() rejects digits such as "²"
+        if term.removeprefix("-").isdecimal():
             idx = int(term)
             if not 0 <= idx < g.order:
                 raise GroupSpecError(f"element index {idx} out of range")
@@ -193,7 +219,7 @@ def parse_element_list(g: FiniteGroup, text: str) -> list[int]:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         return []
-    if all(p.isdigit() for p in parts):
+    if all(p.isdecimal() for p in parts):
         out = []
         for p in parts:
             idx = int(p)

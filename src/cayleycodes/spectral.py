@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from .basis import abelian_basis
 from .cayley import group_ring_check_total as group_ring_tiling_check
 from .errors import CayleyCodesError
-from .groups import Automorphism, FiniteGroup, is_power_automorphism
+from .groups import FiniteGroup
 
 
 @functools.lru_cache(maxsize=None)
@@ -216,18 +216,3 @@ def verify_lemma_equivalence(g: FiniteGroup, a, b) -> bool:
         )
     return spectral
 
-
-def power_automorphism_tiling_transport(
-    g: FiniteGroup, a, b, sigma: Automorphism
-) -> bool:
-    """Given a tiling equation for (A, B) and a power automorphism, check
-    that (A^sigma, B) still satisfies it.  The precondition is enforced;
-    the conclusion is checked, not assumed."""
-    if not g.is_abelian:
-        raise CayleyCodesError("transport check requires an abelian group")
-    if not is_power_automorphism(g, sigma):
-        raise CayleyCodesError("transport requires a power automorphism")
-    if not group_ring_tiling_check(g, a, b):
-        raise CayleyCodesError("precondition fails: (A, B) is not a tiling pair")
-    image = [sigma.map[x] for x in a]
-    return group_ring_tiling_check(g, image, b)

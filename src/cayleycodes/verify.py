@@ -79,23 +79,12 @@ class SuiteResult:
         }
 
 
-def _timed(fn):
-    def wrapper(*args, **kwargs) -> SuiteResult:
-        start = time.perf_counter()
-        result = fn(*args, **kwargs)
-        result.elapsed = time.perf_counter() - start
-        return result
-
-    return wrapper
-
-
-@_timed
-def suite_theorem3(max_order: int = 24, seed: int = 0) -> SuiteResult:
-    """Normal-subgroup criterion vs generic search on the whole corpus,
+def suite_theorem3(seed: int = 0) -> SuiteResult:
+    """Normal-subgroup criterion vs generic search on `corpus_groups(24)`,
     plus verification of the constructive connection sets."""
     res = SuiteResult("theorem3")
-    for spec, g in corpus_groups(max_order):
-        for h in all_subgroups(g, max_order=max(g.order, 32)):
+    for spec, g in corpus_groups(24):
+        for h in all_subgroups(g):
             if not is_normal(g, h):
                 continue
             verdict = normal_subgroup_code(g, h)
@@ -135,12 +124,11 @@ def suite_theorem3(max_order: int = 24, seed: int = 0) -> SuiteResult:
     return res
 
 
-@_timed
-def suite_cor3(max_order: int = 60, seed: int = 0) -> SuiteResult:
-    """Cyclic parity formula vs the key-property criterion (and, at small
-    orders, generic search) for every subgroup of every cyclic group."""
+def suite_cor3(seed: int = 0) -> SuiteResult:
+    """Cyclic parity formula vs the key-property criterion (and, up to
+    order 24, generic search) for every subgroup of Z_n, n = 1..60."""
     res = SuiteResult("cor3")
-    for n in range(1, max_order + 1):
+    for n in range(1, 61):
         g = make_cyclic(n)
         for d in sorted(k for k in range(1, n + 1) if n % k == 0):
             h = subgroup_generated(g, {n // d} if d > 1 else set())
@@ -160,12 +148,11 @@ def suite_cor3(max_order: int = 60, seed: int = 0) -> SuiteResult:
     return res
 
 
-@_timed
-def suite_dihedral(max_order: int = 12, seed: int = 0) -> SuiteResult:
-    """Dihedral classification for n = 3..max_order, with every explicit
+def suite_dihedral(seed: int = 0) -> SuiteResult:
+    """Dihedral classification of D_2n for n = 3..12, with every explicit
     connection-set construction verified definitionally."""
     res = SuiteResult("dihedral")
-    for n in range(3, max_order + 1):
+    for n in range(3, 13):
         g = make_dihedral(n)
         for h in all_subgroups(g):
             if h.order == g.order:
@@ -196,18 +183,13 @@ def suite_dihedral(max_order: int = 12, seed: int = 0) -> SuiteResult:
     return res
 
 
-@_timed
-def suite_abelian(max_order: int = 32, seed: int = 0) -> SuiteResult:
-    """Projection criterion vs key property on abelian 2-groups with cyclic
-    subgroups, vs the projection read off the exponents of two different
-    bases, and the order-32 counterexample."""
+def suite_abelian(seed: int = 0) -> SuiteResult:
+    """Projection criterion vs key property on the cyclic subgroups of every
+    abelian 2-group of order <= 32, vs the projection read off the
+    exponents of two different bases, and the order-32 counterexample."""
     res = SuiteResult("abelian")
-    types = [(2**k,) for k in range(1, 6) if 2**k <= max_order]
-    for total_exp in range(1, 6):
-        if 2**total_exp > max_order:
-            break
-        for typ in abelian_types(2**total_exp):
-            types.append(typ)
+    types = [(2**k,) for k in range(1, 6)]
+    types += [typ for k in range(1, 6) for typ in abelian_types(2**k)]
     for typ in types:
         g = make_cyclic(typ[0]) if len(typ) == 1 else make_abelian(typ)
         bases = [abelian_basis(g)[2], abelian_basis(g, scan_key=lambda x: -x)[2]]
@@ -255,10 +237,9 @@ def suite_abelian(max_order: int = 32, seed: int = 0) -> SuiteResult:
     return res
 
 
-@_timed
-def suite_lemma_equivalence(max_order: int = 24, seed: int = 0) -> SuiteResult:
+def suite_lemma_equivalence(seed: int = 0) -> SuiteResult:
     """Spectral tiling check == group-ring check: exhaustive for |G| <= 8,
-    500 seeded random pairs per abelian group of order 9..max_order."""
+    500 seeded random pairs per abelian group of order 9..24."""
     res = SuiteResult("lemma-equivalence")
 
     def check(g, a, b):
@@ -291,10 +272,8 @@ def suite_lemma_equivalence(max_order: int = 24, seed: int = 0) -> SuiteResult:
             b = [x for x in range(g.order) if rng0.random() < 0.5]
             check(g, a, b)
     rng = random.Random(seed)
-    larger = [make_cyclic(n) for n in range(9, max_order + 1)]
-    larger += [
-        make_abelian(t) for n in range(9, max_order + 1) for t in abelian_types(n)
-    ]
+    larger = [make_cyclic(n) for n in range(9, 25)]
+    larger += [make_abelian(t) for n in range(9, 25) for t in abelian_types(n)]
     for g in larger:
         for _ in range(500):
             a = [x for x in range(g.order) if rng.random() < 0.5]
@@ -303,24 +282,19 @@ def suite_lemma_equivalence(max_order: int = 24, seed: int = 0) -> SuiteResult:
     return res
 
 
-@_timed
-def suite_thm4a(max_order: int = 12, seed: int = 0) -> SuiteResult:
+def suite_thm4a(seed: int = 0) -> SuiteResult:
     """Every power automorphism maps every enumerated (total) perfect code
-    of every Cayley graph of every abelian group of order <= max_order to
+    of every Cayley graph of every abelian group of order <= 12 to
     another code of the same graph."""
     res = SuiteResult("thm4a")
-    groups = [make_cyclic(n) for n in range(1, max_order + 1)]
-    groups += [
-        make_abelian(t)
-        for n in range(4, max_order + 1)
-        for t in abelian_types(n)
-    ]
+    groups = [make_cyclic(n) for n in range(1, 13)]
+    groups += [make_abelian(t) for n in range(4, 13) for t in abelian_types(n)]
     for g in groups:
         sigmas = all_power_automorphisms(g)
         for s in all_connection_sets(g):
             graph = build_cayley(g, connection_set(g, s))
             for total in (False, True):
-                codes = enumerate_perfect_codes(graph, total=total, max_order=g.order)
+                codes = enumerate_perfect_codes(graph, total=total)
                 known = set(codes)
                 for c in codes:
                     for sigma in sigmas:
@@ -333,8 +307,7 @@ def suite_thm4a(max_order: int = 12, seed: int = 0) -> SuiteResult:
     return res
 
 
-@_timed
-def suite_prop3(max_order: int = 0, seed: int = 0) -> SuiteResult:
+def suite_prop3(seed: int = 0) -> SuiteResult:
     """Constructed witnesses for non-power inner automorphisms of S3, D8,
     D10 and D12, confirmed by both the definitional and group-ring checks."""
     res = SuiteResult("prop3")
@@ -369,8 +342,7 @@ def suite_prop3(max_order: int = 0, seed: int = 0) -> SuiteResult:
     return res
 
 
-@_timed
-def suite_trivial_centre(max_order: int = 0, seed: int = 0) -> SuiteResult:
+def suite_trivial_centre(seed: int = 0) -> SuiteResult:
     """Only the identity inner automorphism of a centre-trivial group
     preserves perfect codes: S3, D10 and S4."""
     res = SuiteResult("trivial-centre")
@@ -398,10 +370,11 @@ SUITES = {
 }
 
 
-def run_suite(name: str, max_order: int | None = None, seed: int = 0) -> SuiteResult:
+def run_suite(name: str, seed: int = 0) -> SuiteResult:
+    """Run one suite over its fixed corpus, timed."""
     if name not in SUITES:
         raise CayleyCodesError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
-    fn = SUITES[name]
-    if max_order is None:
-        return fn(seed=seed)
-    return fn(max_order=max_order, seed=seed)
+    start = time.perf_counter()
+    result = SUITES[name](seed)
+    result.elapsed = time.perf_counter() - start
+    return result

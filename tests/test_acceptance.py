@@ -40,7 +40,7 @@ def test_criterion_1_normal_criterion_matches_search():
 
 
 def test_criterion_2_cyclic_parity_formula():
-    result = run_suite("cor3", max_order=60)
+    result = run_suite("cor3")
     _gate(
         2,
         "cyclic parity formula exact for |G| <= 60 (search-checked <= 24)",
@@ -50,7 +50,7 @@ def test_criterion_2_cyclic_parity_formula():
 
 
 def test_criterion_3_dihedral_classification():
-    result = run_suite("dihedral", max_order=12)
+    result = run_suite("dihedral")
     _gate(
         3,
         "dihedral classification and explicit sets for n = 3..12",
@@ -79,7 +79,7 @@ def test_criterion_4_counterexample():
 
 
 def test_criterion_5_abelian_projection():
-    result = run_suite("abelian", max_order=32)
+    result = run_suite("abelian")
     _gate(
         5,
         "projection criterion == key property on abelian 2-groups <= 32,"
@@ -90,7 +90,7 @@ def test_criterion_5_abelian_projection():
 
 
 def test_criterion_6_spectral_equivalence():
-    result = run_suite("lemma-equivalence", max_order=24, seed=0)
+    result = run_suite("lemma-equivalence", seed=0)
     _gate(
         6,
         "exact spectral tiling check == group-ring check",
@@ -101,7 +101,7 @@ def test_criterion_6_spectral_equivalence():
 
 def test_criterion_7_power_automorphism_transport():
     start = time.perf_counter()
-    result = run_suite("thm4a", max_order=12)
+    result = run_suite("thm4a")
     elapsed = time.perf_counter() - start
     _gate(
         7,

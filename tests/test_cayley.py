@@ -231,11 +231,6 @@ class TestEnumeration:
                 assert len(code) * len(s) == g.order
                 assert len(code) % 2 == 0
 
-    def test_bound(self):
-        graph = build_cayley(make_cyclic(6), {1, 5})
-        with pytest.raises(BoundExceededError):
-            enumerate_perfect_codes(graph, max_order=4)
-
     def test_agrees_with_brute_force(self):
         # oracle: filter all subsets at order <= 8
         import itertools
@@ -319,7 +314,7 @@ class TestMaskSearchOracle:
         # S = {e1}: every code holds one element of each coset {x, x e1}
         g = parse_group_spec("abelian:2,2,2,2,2")
         e1 = g.strides[0]
-        codes = enumerate_perfect_codes(build_cayley(g, {e1}), max_order=32)
+        codes = enumerate_perfect_codes(build_cayley(g, {e1}))
         assert len(codes) == 65536 == len(set(codes))
         cosets = {frozenset((x, g.mul(x, e1))) for x in range(32)}
         for code in codes:

@@ -137,7 +137,7 @@ class TestSpecOrder:
             (["automorphisms", "abelian:2,2,2,2,2", "--pcp"],
              "all_automorphisms bound exceeded: |G|=32 > 24"),
             (["enumerate", "cyclic:100000", "--conn", "1"],
-             "enumerate_perfect_codes bound exceeded: |G|=100000 > 24"),
+             "|G|=100000 exceeds bound 24"),
             (["check", "cyclic:100000", "--conn", "1", "--code", "0"],
              "|G|=100000 exceeds bound 2048"),
             (["construct", "cyclic:100000", "--subgroup", "a"],
@@ -147,14 +147,29 @@ class TestSpecOrder:
     def test_bound_checked_before_the_table_is_built(
         self, capsys, monkeypatch, argv, message
     ):
-        def refuse(*args):
-            raise AssertionError("a group table was built")
-
-        for module in (groups, specparse):
-            for name in ("make_cyclic", "make_dihedral", "make_abelian", "direct_product"):
-                monkeypatch.setattr(module, name, refuse)
+        _refuse_tables(monkeypatch)
         assert main(argv) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_bound_checked_after_reading_the_table_files_of_a_product(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        path = tmp_path / "z2.txt"
+        path.write_text("2\n0 1\n1 0\n")
+        _refuse_tables(monkeypatch)
+        assert main(["classify", f"product:(cyclic:100000)x(table:{path})"]) == 3
+        assert capsys.readouterr().err == "error: |G|=200000 exceeds bound 64\n"
+
+
+def _refuse_tables(monkeypatch):
+    """Make building any constructor or product table fail the test."""
+
+    def refuse(*args):
+        raise AssertionError("a group table was built")
+
+    for module in (groups, specparse):
+        for name in ("make_cyclic", "make_dihedral", "make_abelian", "direct_product"):
+            monkeypatch.setattr(module, name, refuse)
 
 
 class TestClassify:
@@ -257,6 +272,14 @@ class TestCheck:
     def test_identity_in_connection_set(self, capsys):
         assert main(["check", "cyclic:6", "--conn", "0,1,5", "--code", "0,3"]) == 2
 
+    @pytest.mark.parametrize(
+        "conn, code", [("²", "0"), ("1,3", "a*²"), ("1,3", "a*--5")]
+    )
+    def test_non_decimal_digits_are_parse_errors(self, capsys, conn, code):
+        # "²".isdigit() holds, but int() rejects it
+        assert main(["check", "cyclic:4", "--conn", conn, "--code", code]) == 2
+        assert capsys.readouterr().err.startswith("error: bad term")
+
     def test_non_subgroup_code_has_null_transversal(self, capsys):
         code, out = run_cli(
             capsys, "check", "cyclic:6", "--conn", "1,5", "--code", "1,4",
@@ -348,35 +371,14 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         assert main(["verify", "--suite", "nonsense"]) == 2
 
-    @pytest.mark.parametrize("value", ["-3", "0", "x"])
-    def test_max_order_must_be_positive(self, capsys, value):
-        assert main(["verify", "--suite", "thm4a", "--max-order", value]) == 2
-        assert "--max-order" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "suite, max_order, env, bound",
-        [("cor3", "100000", None, 64), ("thm4a", "65", None, 64),
-         ("lemma-equivalence", "101", "100", 100)],
-    )
-    def test_max_order_bound_checked_before_any_suite_runs(
-        self, capsys, monkeypatch, suite, max_order, env, bound
-    ):
-        def refuse(**kwargs):
+    def test_max_order_is_not_an_option(self, capsys, monkeypatch):
+        # each suite runs one fixed corpus, so there is no size to set
+        def refuse(seed):
             raise AssertionError("a suite ran")
 
-        for name in verify.SUITES:
-            monkeypatch.setitem(verify.SUITES, name, refuse)
-        if env is not None:
-            monkeypatch.setenv("CAYLEYCODES_MAX_ORDER", env)
-        assert main(["verify", "--suite", suite, "--max-order", max_order]) == 3
-        assert capsys.readouterr().err == (
-            f"error: --max-order {max_order} exceeds bound {bound}\n"
-        )
-
-    def test_max_order_bound_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("CAYLEYCODES_MAX_ORDER", "100")
-        code, out = run_cli(capsys, "verify", "--suite", "cor3", "--max-order", "80")
-        assert code == 0 and "PASS" in out
+        monkeypatch.setitem(verify.SUITES, "cor3", refuse)
+        assert main(["verify", "--suite", "cor3", "--max-order", "8"]) == 2
+        assert "unrecognized arguments: --max-order 8" in capsys.readouterr().err
 
 
 class TestAutomorphisms:
@@ -408,6 +410,15 @@ class TestAutomorphisms:
             if not r["preserving"]:
                 assert r["counterexample"] is not None
 
+    def test_node_budget_exits_3(self, capsys, monkeypatch):
+        # Aut(Z2^5) has 9 999 360 elements; the search stops at its budget
+        monkeypatch.setenv("CAYLEYCODES_MAX_ORDER", "32")
+        monkeypatch.setattr(groups, "AUTOMORPHISM_NODE_BUDGET", 1000)
+        assert main(["automorphisms", "abelian:2,2,2,2,2"]) == 3
+        assert capsys.readouterr().err == (
+            "error: all_automorphisms node budget exceeded:"
+            " more than 1000 search nodes\n"
+        )
 
     @pytest.mark.parametrize("value", ["-1", "0", "x"])
     def test_budget_must_be_positive(self, capsys, value):

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from cayleycodes import groups
 from cayleycodes import (
+    BoundExceededError,
     GroupTableError,
     abelian_sylow_reduction,
     all_automorphisms,
@@ -298,7 +299,7 @@ class TestLatticeOracle:
 
     @pytest.mark.parametrize("spec, g", ORACLE_GROUPS, ids=[s for s, _ in ORACLE_GROUPS])
     def test_all_subgroups_match_reference(self, spec, g):
-        got = all_subgroups(g, max_order=g.order)
+        got = all_subgroups(g)
         want = _reference_lattice(g)
         assert [(s.elements, s.generators) for s in got] == [
             (s.elements, s.generators) for s in want
@@ -310,7 +311,7 @@ class TestLatticeOracle:
         ids=[s for s, g in ORACLE_GROUPS if not g.is_abelian],
     )
     def test_is_normal_matches_all_conjugates(self, spec, g):
-        for h in all_subgroups(g, max_order=g.order):
+        for h in all_subgroups(g):
             hs = h.element_set()
             definitional = all(
                 g.conjugate(x, y) in hs for x in range(g.order) for y in hs
@@ -614,10 +615,10 @@ class TestAutomorphisms:
 
     def test_inner_automorphism_trivial_cases(self):
         g = symmetric_group(3)
-        assert inner_automorphism(g, g.identity).is_identity
+        assert inner_automorphism(g, g.identity).map == tuple(range(6))
         a = make_cyclic(8)
         for x in range(8):
-            assert inner_automorphism(a, x).is_identity
+            assert inner_automorphism(a, x).map == tuple(range(8))
 
     def test_automorphism_counts(self):
         assert len(all_automorphisms(make_cyclic(2))) == 1
@@ -631,19 +632,28 @@ class TestAutomorphisms:
     def test_compose_inverse(self):
         g = make_cyclic(5)
         for s in all_automorphisms(g):
-            assert s.compose(s.inverse()).is_identity
+            assert s.compose(s.inverse()).map == tuple(range(5))
 
     def test_all_automorphisms_pass_oracle(self):
-        # the order-32 special is over the default bound; check it too
         for spec, g in corpus_groups(12):
-            for sigma in all_automorphisms(g, max_order=g.order):
+            for sigma in all_automorphisms(g):
                 assert is_automorphism(g, sigma), (spec, sigma.map)
 
     @pytest.mark.parametrize(
         "spec, g", AUTOMORPHISM_GROUPS, ids=[s for s, _ in AUTOMORPHISM_GROUPS]
     )
     def test_pruned_search_matches_product_search(self, spec, g):
-        assert all_automorphisms(g, max_order=g.order) == _product_automorphisms(g)
+        assert all_automorphisms(g) == _product_automorphisms(g)
+
+    def test_search_raises_past_the_node_budget(self, monkeypatch):
+        # Z2^3 takes 1 + 7 + 7*6 + 7*6*4 = 218 nodes for its 168 automorphisms
+        g = make_abelian((2, 2, 2))
+        assert len(all_automorphisms(g)) == 168
+        monkeypatch.setattr(groups, "AUTOMORPHISM_NODE_BUDGET", 217)
+        with pytest.raises(BoundExceededError, match="node budget"):
+            all_automorphisms(g)
+        monkeypatch.setattr(groups, "AUTOMORPHISM_NODE_BUDGET", 218)
+        assert len(all_automorphisms(g)) == 168
 
     def test_z2_to_the_fourth_extends_only_independent_images(self, monkeypatch):
         # images of e1..e4 outside the span of the earlier ones are exactly

@@ -153,9 +153,9 @@ class TestGroupSweep:
         # cyclic:13 has 6 inverse-pair orbits, so 64 connection sets
         calls = []
 
-        def counting(graph, total=False, max_order=None):
+        def counting(graph, total=False):
             calls.append(total)
-            return enumerate_perfect_codes(graph, total, max_order)
+            return enumerate_perfect_codes(graph, total)
 
         monkeypatch.setattr(pcp, "enumerate_perfect_codes", counting)
         argv = ["automorphisms", "cyclic:13", "--pcp", "--budget"]
@@ -191,7 +191,7 @@ def _reference_sweep(g, sigmas, total=False, budget=None, seed=0):
         if not pending:
             break
         graph = build_cayley(g, connection_set(g, s))
-        codes = enumerate_perfect_codes(graph, total=total, max_order=g.order)
+        codes = enumerate_perfect_codes(graph, total=total)
         known = set(map(frozenset, codes))
         for i in pending:
             image = sigmas[i].map.__getitem__
@@ -256,13 +256,13 @@ class TestSkippingSweep:
         sigmas = all_automorphisms(g)
         enumerated = []
 
-        def recording(graph, total=False, max_order=None):
+        def recording(graph, total=False):
             enumerated.append(graph.conn.sorted())
-            return enumerate_perfect_codes(graph, total, max_order)
+            return enumerate_perfect_codes(graph, total)
 
         monkeypatch.setattr(pcp, "enumerate_perfect_codes", recording)
         reports = preservation_sweep(g, sigmas)
-        assert [r.preserving for r in reports] == [s.is_identity for s in sigmas]
+        assert [r.preserving for r in reports] == [s.map == tuple(range(g.order)) for s in sigmas]
         sets = all_connection_sets(g)
         last_refuted = max(sets.index(r.counterexample[0]) for r in reports[1:])
         assert sets.index(enumerated[-1]) == last_refuted
@@ -326,7 +326,7 @@ def _reference_prop3_witness(g, x):
     if is_power_automorphism(g, inner_automorphism(g, x)):
         return None
     xinv = g.inv[x]
-    subs = [s for s in all_subgroups(g, max_order=g.order) if s.order > 1]
+    subs = [s for s in all_subgroups(g) if s.order > 1]
     for h in sorted(subs, key=lambda s: s.elements):
         moved = [k for k in h.elements if g.conjugate(xinv, k) not in h]
         if not moved:

@@ -20,14 +20,12 @@ from cayleycodes import (
     from_table,
     make_abelian,
     make_cyclic,
-    power_automorphism_tiling_transport,
     spectral_tiling_check,
     verify_lemma_equivalence,
 )
 from cayleycodes import spectral
 from cayleycodes.basis import abelian_basis
 from cayleycodes.corpus import abelian_types
-from cayleycodes.groups import Automorphism
 from cayleycodes.spectral import group_ring_tiling_check
 from cayleycodes.verify import suite_lemma_equivalence
 
@@ -295,37 +293,6 @@ class TestTiling:
                 spectral_mod.verify_lemma_equivalence(g, {0}, {0})
         finally:
             spectral_mod.group_ring_tiling_check = original
-
-
-class TestTransport:
-    def test_identity(self):
-        g = make_cyclic(6)
-        ident = Automorphism(tuple(range(6)))
-        assert power_automorphism_tiling_transport(g, {0, 1, 5}, {0, 3}, ident)
-
-    def test_inversion_on_z6(self):
-        g = make_cyclic(6)
-        inv = Automorphism(g.inv)
-        assert power_automorphism_tiling_transport(g, {0, 1, 5}, {0, 3}, inv)
-
-    def test_cube_map_on_all_z8_tilings(self):
-        g = make_cyclic(8)
-        cube = Automorphism(tuple(g.power(x, 3) for x in range(8)))
-        found = 0
-        for ka in (1, 2, 4, 8):
-            kb = 8 // ka
-            for a in itertools.combinations(range(8), ka):
-                for b in itertools.combinations(range(8), kb):
-                    if group_ring_tiling_check(g, a, b):
-                        found += 1
-                        assert power_automorphism_tiling_transport(g, a, b, cube)
-        assert found > 0
-
-    def test_preconditions_enforced(self):
-        g = make_cyclic(6)
-        ident = Automorphism(tuple(range(6)))
-        with pytest.raises(CayleyCodesError):
-            power_automorphism_tiling_transport(g, {0, 1}, {0, 3}, ident)
 
 
 def _gcd(a, b):
