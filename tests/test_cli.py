@@ -371,14 +371,42 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         assert main(["verify", "--suite", "nonsense"]) == 2
 
-    def test_max_order_is_not_an_option(self, capsys, monkeypatch):
-        # each suite runs one fixed corpus, so there is no size to set
+    # verify --max-order is gone: each suite runs one fixed corpus, so any
+    # value of the option is a usage error, whatever CAYLEYCODES_MAX_ORDER says
+    @pytest.mark.parametrize("value", ["-3", "0", "x"])
+    def test_max_order_must_be_positive(self, capsys, value):
+        assert main(["verify", "--suite", "thm4a", "--max-order", value]) == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: --max-order {value}" in err
+
+    @pytest.mark.parametrize(
+        "suite, max_order, env, bound",
+        [("cor3", "100000", None, 64), ("thm4a", "65", None, 64),
+         ("lemma-equivalence", "101", "100", 100)],
+    )
+    def test_max_order_bound_checked_before_any_suite_runs(
+        self, capsys, monkeypatch, suite, max_order, env, bound
+    ):
         def refuse(seed):
             raise AssertionError("a suite ran")
 
-        monkeypatch.setitem(verify.SUITES, "cor3", refuse)
-        assert main(["verify", "--suite", "cor3", "--max-order", "8"]) == 2
-        assert "unrecognized arguments: --max-order 8" in capsys.readouterr().err
+        for name in verify.SUITES:
+            monkeypatch.setitem(verify.SUITES, name, refuse)
+        if env is not None:
+            monkeypatch.setenv("CAYLEYCODES_MAX_ORDER", env)
+        assert main(["verify", "--suite", suite, "--max-order", max_order]) == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: --max-order {max_order}" in err
+        assert f"exceeds bound {bound}" not in err
+
+    def test_max_order_bound_env_override(self, capsys, monkeypatch):
+        monkeypatch.setenv("CAYLEYCODES_MAX_ORDER", "100")
+        assert main(["verify", "--suite", "cor3", "--max-order", "80"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        # the env bound is for the spec-taking commands; verify ignores it
+        monkeypatch.setenv("CAYLEYCODES_MAX_ORDER", "1")
+        code, out = run_cli(capsys, "verify", "--suite", "cor3")
+        assert code == 0 and "PASS" in out
 
 
 class TestAutomorphisms:
