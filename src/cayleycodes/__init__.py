@@ -13,7 +13,6 @@ preserving automorphisms.
 
 from .errors import BoundExceededError, CayleyCodesError, GroupTableError
 from .groups import (
-    Automorphism,
     FiniteGroup,
     Subgroup,
     all_automorphisms,
@@ -25,7 +24,6 @@ from .groups import (
     inner_automorphism,
     is_normal,
     is_power_automorphism,
-    left_cosets,
     make_abelian,
     make_cyclic,
     make_dihedral,
@@ -38,43 +36,31 @@ from .cayley import (
     enumerate_perfect_codes,
     group_ring_check_perfect,
     group_ring_check_total,
-    group_ring_indicator,
-    group_ring_product,
     is_left_transversal,
     is_perfect_code,
     is_total_perfect_code,
     subgroup_code_transversal_check,
 )
 from .criteria import (
-    CriterionVerdict,
     abelian_criterion,
-    abelian_sylow_reduction,
     construct_connection_set,
     construct_connection_set_normal,
     cyclic_criterion,
     decide_subgroup_code,
     dihedral_construct_sets,
     dihedral_criterion,
-    dihedral_cyclic_criterion,
     generic_subgroup_code_decision,
     normal_subgroup_code,
     parity_criterion,
     property_one_holds,
 )
 from .spectral import (
-    Character,
-    CyclotomicSum,
-    char_sum,
     characters,
-    cyclotomic_polynomial,
     spectral_tiling_check,
     verify_lemma_equivalence,
 )
 from .pcp import (
-    PcpReport,
     all_power_automorphisms,
-    is_pcp_automorphism,
-    is_tpcp_automorphism,
     preservation_sweep,
     prop3_witness,
     verify_trivial_centre_corollary,

@@ -65,10 +65,6 @@ class CayleyGraph:
     def closed_ball(self, v: int) -> frozenset[int]:
         return self.neighbours(v) | {v}
 
-    @property
-    def degree(self) -> int:
-        return len(self.conn.elements)
-
 
 def connection_set(g: FiniteGroup, elements) -> ConnectionSet:
     return ConnectionSet(g, frozenset(elements))

@@ -56,9 +56,6 @@ ORDER_BOUNDS = {
     "check": 2048,
     "construct": 2048,
 }
-# automorphisms keeps its older message, which the golden digests of its
-# exit-3 rows record
-BOUND_MESSAGES = {"automorphisms": "all_automorphisms bound exceeded: |G|={} > {}"}
 
 
 def _max_order(command: str) -> int:
@@ -83,8 +80,7 @@ def _bounded_group(args):
 
     def check(order):
         if order > bound:
-            message = BOUND_MESSAGES.get(args.command, "|G|={} exceeds bound {}")
-            raise BoundExceededError(message.format(order, bound))
+            raise BoundExceededError(f"|G|={order} exceeds bound {bound}")
 
     return parse_group_spec(args.spec, check)
 
@@ -249,7 +245,7 @@ def cmd_automorphisms(args) -> int:
         ]
     else:
         rows = [
-            {"sigma": list(s.map), "power": is_power_automorphism(g, s)}
+            {"sigma": list(s), "power": is_power_automorphism(g, s)}
             for s in sigmas
         ]
     report = _report("automorphisms", args.spec, rows, started)

@@ -80,10 +80,10 @@ def _partitions(k: int):
                 yield [first] + rest
 
 
-def corpus_groups(max_order: int = 24, include_specials: bool = True):
+def corpus_groups(max_order: int = 24):
     """The acceptance corpus: every cyclic, dihedral and (non-cyclic)
     abelian-product group of order <= max_order, plus S3, Q8 and the
-    order-32 group Z2 x Z4 x Z4 when specials are requested.
+    order-32 group Z2 x Z4 x Z4.
 
     Returns a list of (spec_string, group) pairs.
     """
@@ -96,9 +96,8 @@ def corpus_groups(max_order: int = 24, include_specials: bool = True):
         for typ in abelian_types(n):
             spec = "abelian:" + ",".join(str(m) for m in typ)
             out.append((spec, make_abelian(typ)))
-    if include_specials:
-        out.append(("table:S3", symmetric_group(3)))
-        out.append(("table:Q8", quaternion_group()))
-        if max_order < 32:  # from order 32 on, abelian_types lists it
-            out.append(("abelian:2,4,4", make_abelian((2, 4, 4))))
+    out.append(("table:S3", symmetric_group(3)))
+    out.append(("table:Q8", quaternion_group()))
+    if max_order < 32:  # from order 32 on, abelian_types lists it
+        out.append(("abelian:2,4,4", make_abelian((2, 4, 4))))
     return out

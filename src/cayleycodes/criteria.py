@@ -204,28 +204,22 @@ def abelian_criterion(g: FiniteGroup, h: Subgroup) -> CriterionVerdict:
     )
 
 
-def dihedral_cyclic_criterion(n: int, t: int) -> CriterionVerdict:
-    """Rotation subgroup <a^t> of the order-2n dihedral group, t | n."""
-    if n < 3 or t < 1 or n % t != 0:
-        raise CayleyCodesError("need t dividing n, n >= 3")
-    perfect = t % 2 == 1 or (n // t) % 2 == 1
-    total = t % 2 == 1 and (n // t) % 2 == 0
-    return CriterionVerdict(perfect=perfect, total=total, method="dihedral")
-
-
 def dihedral_criterion(n: int, h: Subgroup) -> CriterionVerdict:
     """Classify a proper subgroup of the order-2n dihedral group.
 
     Subgroups not inside the rotation subgroup <a> are always both perfect
-    and total perfect; rotation subgroups delegate to the arithmetic
-    criterion.  Uses the rotations-then-reflections element indexing.
+    and total perfect.  A rotation subgroup is <a^t> with t = n/|H|: it is
+    perfect iff t or |H| is odd, and total perfect iff t is odd and |H|
+    even.  Uses the rotations-then-reflections element indexing.
     """
     if h.order >= 2 * n:
         raise CayleyCodesError("dihedral_criterion requires a proper subgroup")
-    inside_rotations = all(x < n for x in h.elements)
-    if not inside_rotations:
+    if not all(x < n for x in h.elements):
         return CriterionVerdict(perfect=True, total=True, method="dihedral")
-    return dihedral_cyclic_criterion(n, n // h.order)
+    t_odd, h_odd = (n // h.order) % 2 == 1, h.order % 2 == 1
+    return CriterionVerdict(
+        perfect=t_odd or h_odd, total=t_odd and not h_odd, method="dihedral"
+    )
 
 
 def dihedral_construct_sets(n: int, t: int, s: int):

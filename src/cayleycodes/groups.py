@@ -150,23 +150,6 @@ class Subgroup:
         return i in self._element_set
 
 
-@dataclass(frozen=True)
-class Automorphism:
-    """A group automorphism stored as a length-n permutation of indices."""
-
-    map: tuple[int, ...]
-
-    def compose(self, other: "Automorphism") -> "Automorphism":
-        """self after other: (self . other)(x) = self(other(x))."""
-        return Automorphism(tuple(self.map[j] for j in other.map))
-
-    def inverse(self) -> "Automorphism":
-        out = [0] * len(self.map)
-        for i, j in enumerate(self.map):
-            out[j] = i
-        return Automorphism(tuple(out))
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -469,14 +452,6 @@ def coset_labels(g: FiniteGroup, h: Subgroup) -> list[int]:
     return labels
 
 
-def left_cosets(g: FiniteGroup, h: Subgroup):
-    """Blocks xH in order of least representative; reps are block minima."""
-    blocks = [[] for _ in range(g.order // h.order)]
-    for x, label in enumerate(coset_labels(g, h)):
-        blocks[label].append(x)
-    return [tuple(b) for b in blocks]
-
-
 def centre(g: FiniteGroup) -> Subgroup:
     elems = tuple(
         x
@@ -488,29 +463,31 @@ def centre(g: FiniteGroup) -> Subgroup:
 
 # ---------------------------------------------------------------------------
 # automorphisms
+#
+# An automorphism sigma is a permutation of the element indices, stored as
+# the tuple whose entry x is sigma(x).
 
 
-def is_automorphism(g: FiniteGroup, sigma: Automorphism) -> bool:
-    m = sigma.map
-    if sorted(m) != list(range(g.order)):
+def is_automorphism(g: FiniteGroup, sigma: tuple[int, ...]) -> bool:
+    if sorted(sigma) != list(range(g.order)):
         return False
-    if m[g.identity] != g.identity:
+    if sigma[g.identity] != g.identity:
         return False
     return all(
-        m[g.mult[x][y]] == g.mult[m[x]][m[y]]
+        sigma[g.mult[x][y]] == g.mult[sigma[x]][sigma[y]]
         for x in range(g.order)
         for y in range(g.order)
     )
 
 
-def inner_automorphism(g: FiniteGroup, x: int) -> Automorphism:
+def inner_automorphism(g: FiniteGroup, x: int) -> tuple[int, ...]:
     """Conjugation y -> x y x^-1."""
-    return Automorphism(tuple(g.conjugate(x, y) for y in range(g.order)))
+    return tuple(g.conjugate(x, y) for y in range(g.order))
 
 
-def is_power_automorphism(g: FiniteGroup, sigma: Automorphism) -> bool:
+def is_power_automorphism(g: FiniteGroup, sigma: tuple[int, ...]) -> bool:
     """True iff sigma(x) lies in <x> for every x."""
-    return all(sigma.map[x] in g.cyclic_span(x) for x in range(g.order))
+    return all(sigma[x] in g.cyclic_span(x) for x in range(g.order))
 
 
 def _extend_images(g: FiniteGroup, gens, images):
@@ -537,7 +514,8 @@ def _extend_images(g: FiniteGroup, gens, images):
 
 
 def all_automorphisms(g: FiniteGroup):
-    """The full automorphism group, by generator-image backtracking.
+    """The full automorphism group in ascending tuple order, by
+    generator-image backtracking.
 
     The greedy generators (`generating_set`) each lie outside the span of
     the earlier ones, and an automorphism keeps that, so each generator's
@@ -565,7 +543,7 @@ def all_automorphisms(g: FiniteGroup):
         if len(images) == len(gens):
             image = _extend_images(g, gens, images)
             if image is not None and len(set(image)) == g.order:
-                out.append(Automorphism(tuple(image)))
+                out.append(tuple(image))
             return
         span = closure(g, images)
         for y in candidates[len(images)]:
@@ -573,5 +551,5 @@ def all_automorphisms(g: FiniteGroup):
                 choose(images + [y])
 
     choose([])
-    out.sort(key=lambda s: s.map)
+    out.sort()
     return out

@@ -36,47 +36,31 @@ def parse_group_spec(spec: str, check_order=None) -> FiniteGroup:
     with |G| before any multiplication table is built from a constructor
     or a product, so it can refuse a spec without an n^2 table.
     """
-    tree = _tree(spec, load=True)
+    tree = _tree(spec)
     order = _order(tree)  # raises on a parameter a constructor rejects
     if check_order is not None:
         check_order(order)
     return _build(tree)
 
 
-def spec_order(spec: str) -> int | None:
-    """|G| of a cyclic, dihedral, abelian or product spec, without building
-    its table.
-
-    None for a spec that names a table file and for any spec
-    `parse_group_spec` rejects, so that its error still comes from
-    parsing it.
-    """
-    try:
-        return _order(_tree(spec, load=False))
-    except CayleyCodesError:
-        return None
-
-
-def _tree(spec: str, load: bool):
+def _tree(spec: str):
     """The spec as (kind, parameter) or ("product", left tree, right tree);
-    a table file is ("table", its group) when `load` is set, else
-    ("table", None)."""
+    a table file is ("table", its group)."""
     kind, *args = _parse(spec)
     if kind == "product":
-        return ("product", *(_tree(side, load) for side in args))
+        return ("product", *map(_tree, args))
     if kind == "table":
-        return ("table", load_table_file(args[0]) if load else None)
+        return ("table", load_table_file(args[0]))
     return (kind, args[0])
 
 
-def _order(tree) -> int | None:
-    """|G| of a tree, None when it holds a table file not read."""
+def _order(tree) -> int:
+    """|G| of a tree, without building a table."""
     kind, *args = tree
     if kind == "product":
-        left, right = map(_order, args)
-        return None if left is None or right is None else left * right
+        return _order(args[0]) * _order(args[1])
     if kind == "table":
-        return None if args[0] is None else args[0].order
+        return args[0].order
     try:
         return constructed_order(kind, args[0])
     except CayleyCodesError as exc:

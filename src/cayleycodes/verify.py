@@ -298,11 +298,11 @@ def suite_thm4a(seed: int = 0) -> SuiteResult:
                 known = set(codes)
                 for c in codes:
                     for sigma in sigmas:
-                        image = tuple(sorted(sigma.map[x] for x in c))
+                        image = tuple(sorted(sigma[x] for x in c))
                         res.check(
                             image in known,
                             f"|G|={g.order} S={s} C={c}: image {image} lost"
-                            f" under {sigma.map} (total={total})",
+                            f" under {sigma} (total={total})",
                         )
     return res
 
@@ -328,7 +328,7 @@ def suite_prop3(seed: int = 0) -> SuiteResult:
                 continue
             s, code = witness
             graph = build_cayley(g, s)
-            image = tuple(sorted(sigma.map[c] for c in code))
+            image = tuple(sorted(sigma[c] for c in code))
             res.check(
                 is_perfect_code(graph, code)
                 and group_ring_check_perfect(g, s, code),

@@ -13,7 +13,6 @@ from cayleycodes.specparse import (
     parse_element_expr,
     parse_element_list,
     parse_group_spec,
-    spec_order,
 )
 
 
@@ -107,6 +106,8 @@ def run_cli(capsys, *argv):
 
 
 class TestSpecOrder:
+    """|G| is read off the spec and checked before any table is built."""
+
     @pytest.mark.parametrize(
         "spec",
         ["cyclic:12", "dihedral:6", "abelian:2,4,4", "CYCLIC:3", " abelian: 3 , 3 ",
@@ -114,7 +115,9 @@ class TestSpecOrder:
          "product:(product:(cyclic:2)x(cyclic:2))x(abelian:2,3)"],
     )
     def test_matches_built_group(self, spec):
-        assert spec_order(spec) == parse_group_spec(spec).order
+        seen = []
+        g = parse_group_spec(spec, seen.append)
+        assert seen == [g.order]
 
     @pytest.mark.parametrize(
         "spec",
@@ -123,7 +126,11 @@ class TestSpecOrder:
          "product:(cyclic:2)x(table:z3.txt)"],
     )
     def test_none_when_not_read_off_the_spec(self, spec):
-        assert spec_order(spec) is None
+        # the spec's own parse error comes first: no order reaches the check
+        seen = []
+        with pytest.raises((GroupSpecError, OSError)):
+            parse_group_spec(spec, seen.append)
+        assert seen == []
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -132,10 +139,8 @@ class TestSpecOrder:
             (["classify", "cyclic:100000"], "|G|=100000 exceeds bound 64"),
             (["classify", "product:(cyclic:300)x(dihedral:300)"],
              "|G|=180000 exceeds bound 64"),
-            (["automorphisms", "cyclic:100000"],
-             "all_automorphisms bound exceeded: |G|=100000 > 24"),
-            (["automorphisms", "abelian:2,2,2,2,2", "--pcp"],
-             "all_automorphisms bound exceeded: |G|=32 > 24"),
+            (["automorphisms", "cyclic:100000"], "|G|=100000 exceeds bound 24"),
+            (["automorphisms", "abelian:2,2,2,2,2", "--pcp"], "|G|=32 exceeds bound 24"),
             (["enumerate", "cyclic:100000", "--conn", "1"],
              "|G|=100000 exceeds bound 24"),
             (["check", "cyclic:100000", "--conn", "1", "--code", "0"],
@@ -353,6 +358,26 @@ class TestConstruct:
         )
         assert code == 0
         assert json.loads(out)["results"]["verified"] is True
+
+
+class TestGenericSearchGuard:
+    """The transversal search refuses index > 16 on |G| > 32; D32 x Z2 has
+    index-32 subgroups that no specialized criterion decides."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "product:(dihedral:16)x(abelian:2)"],
+            ["classify", "product:(dihedral:16)x(abelian:2)", "--subgroup", "32"],
+            ["construct", "product:(dihedral:16)x(abelian:2)", "--subgroup", "32"],
+        ],
+        ids=["classify", "classify-subgroup", "construct"],
+    )
+    def test_exits_3(self, capsys, argv):
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: generic search bound exceeded: index=32, |G|=64\n"
+        )
 
 
 class TestVerify:

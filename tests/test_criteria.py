@@ -8,7 +8,6 @@ from cayleycodes import (
     BoundExceededError,
     CayleyCodesError,
     abelian_criterion,
-    abelian_sylow_reduction,
     build_cayley,
     construct_connection_set_normal,
     cyclic_criterion,
@@ -16,7 +15,6 @@ from cayleycodes import (
     dihedral_construct_sets,
     direct_product,
     dihedral_criterion,
-    dihedral_cyclic_criterion,
     generic_subgroup_code_decision,
     is_perfect_code,
     is_total_perfect_code,
@@ -30,6 +28,7 @@ from cayleycodes import (
 )
 from cayleycodes.basis import abelian_basis
 from cayleycodes.corpus import corpus_groups, quaternion_group, symmetric_group
+from cayleycodes.criteria import abelian_sylow_reduction
 from cayleycodes.groups import all_subgroups, is_normal
 from cayleycodes.specparse import parse_element_expr
 
@@ -222,12 +221,15 @@ class TestAbelian:
 
 class TestDihedral:
     def test_rotation_formula(self):
-        v = dihedral_cyclic_criterion(6, 2)
-        assert (v.perfect, v.total) == (True, False)
-        v = dihedral_cyclic_criterion(6, 3)
-        assert (v.perfect, v.total) == (True, True)
-        v = dihedral_cyclic_criterion(4, 2)
-        assert (v.perfect, v.total) == (False, False)
+        # the rotation subgroup <a^t> of D_2n; a^t has index t
+        for n, t, expected in [
+            (6, 2, (True, False)),
+            (6, 3, (True, True)),
+            (4, 2, (False, False)),
+        ]:
+            h = subgroup_generated(make_dihedral(n), {t})
+            v = dihedral_criterion(n, h)
+            assert (v.perfect, v.total) == expected, (n, t)
 
     def test_subgroup_classification(self):
         g = make_dihedral(6)
@@ -314,7 +316,8 @@ class TestDispatcher:
 
     def test_oracle_agreement_small_corpus(self):
         # every specialized verdict must match the exhaustive search
-        for spec, g in corpus_groups(max_order=16, include_specials=False):
+        small = [(spec, g) for spec, g in corpus_groups(16) if g.order <= 16]
+        for spec, g in small:
             for h in all_subgroups(g):
                 v = decide_subgroup_code(g, h)
                 s = generic_subgroup_code_decision(g, h)

@@ -14,9 +14,7 @@ from cayleycodes import (
     enumerate_perfect_codes,
     group_ring_check_perfect,
     inner_automorphism,
-    is_pcp_automorphism,
     is_perfect_code,
-    is_tpcp_automorphism,
     make_abelian,
     make_cyclic,
     make_dihedral,
@@ -26,7 +24,6 @@ from cayleycodes import (
 )
 from cayleycodes.corpus import corpus_groups, symmetric_group
 from cayleycodes.groups import (
-    Automorphism,
     all_automorphisms,
     all_subgroups,
     is_power_automorphism,
@@ -39,6 +36,8 @@ from cayleycodes.pcp import (
     _sampled_connection_sets,
     all_connection_sets,
     connection_orbits,
+    is_pcp_automorphism,
+    is_tpcp_automorphism,
 )
 from cayleycodes.specparse import parse_group_spec
 
@@ -59,15 +58,15 @@ class TestConnectionSweep:
 class TestPreservation:
     def test_identity_preserving(self):
         g = symmetric_group(3)
-        report = is_pcp_automorphism(g, Automorphism(tuple(range(6))))
+        report = is_pcp_automorphism(g, tuple(range(6)))
         assert report.preserving and report.scope == "exhaustive"
         assert report.counterexample is None
 
     def test_inversion_preserving_on_abelian(self):
         for g in (make_cyclic(8), make_abelian((2, 4))):
-            report = is_pcp_automorphism(g, Automorphism(g.inv))
+            report = is_pcp_automorphism(g, g.inv)
             assert report.preserving
-            assert is_tpcp_automorphism(g, Automorphism(g.inv)).preserving
+            assert is_tpcp_automorphism(g, g.inv).preserving
 
     def test_s3_conjugation_not_preserving(self):
         g = symmetric_group(3)
@@ -76,7 +75,7 @@ class TestPreservation:
         assert not report.preserving
         s, code = report.counterexample
         graph = build_cayley(g, s)
-        image = tuple(sorted(sigma.map[c] for c in code))
+        image = tuple(sorted(sigma[c] for c in code))
         assert is_perfect_code(graph, code)
         assert group_ring_check_perfect(g, s, code)
         assert not is_perfect_code(graph, image)
@@ -89,7 +88,7 @@ class TestPreservation:
 
     def test_report_json_schema(self):
         g = make_cyclic(4)
-        report = is_pcp_automorphism(g, Automorphism(g.inv))
+        report = is_pcp_automorphism(g, g.inv)
         payload = report.to_json("cyclic:4", g)
         assert sorted(payload) == [
             "counterexample",
@@ -105,7 +104,7 @@ class TestPreservation:
 
     def test_sampled_scope_beyond_bound(self):
         g = make_cyclic(16)
-        report = is_pcp_automorphism(g, Automorphism(tuple(range(16))), budget=5)
+        report = is_pcp_automorphism(g, tuple(range(16)), budget=5)
         assert report.scope == "sampled" and report.seed == 0
         assert report.preserving
 
@@ -172,7 +171,7 @@ class TestGroupSweep:
         with pytest.raises(CayleyCodesError):
             preservation_sweep(g, all_automorphisms(g), budget=budget)
         with pytest.raises(CayleyCodesError):
-            is_pcp_automorphism(g, Automorphism(tuple(range(16))), budget=budget)
+            is_pcp_automorphism(g, tuple(range(16)), budget=budget)
 
 
 def _reference_sweep(g, sigmas, total=False, budget=None, seed=0):
@@ -194,7 +193,7 @@ def _reference_sweep(g, sigmas, total=False, budget=None, seed=0):
         codes = enumerate_perfect_codes(graph, total=total)
         known = set(map(frozenset, codes))
         for i in pending:
-            image = sigmas[i].map.__getitem__
+            image = sigmas[i].__getitem__
             lost = (c for c in codes if frozenset(map(image, c)) not in known)
             counterexample[i] = next(((s, c) for c in lost), None)
         pending = [i for i in pending if counterexample[i] is None]
@@ -243,12 +242,12 @@ class TestSkippingSweep:
         for s in all_connection_sets(g):
             graph = build_cayley(g, s)
             for sigma in all_automorphisms(g):
-                if sorted(sigma.map[x] for x in s) != list(s):
+                if sorted(sigma[x] for x in s) != list(s):
                     continue
                 fixing += 1
                 for total, is_code in checks.items():
                     for code in enumerate_perfect_codes(graph, total):
-                        assert is_code(graph, [sigma.map[c] for c in code])
+                        assert is_code(graph, [sigma[c] for c in code])
         assert fixing > len(all_connection_sets(g))
 
     def test_no_enumeration_once_only_the_identity_is_pending(self, monkeypatch):
@@ -262,11 +261,14 @@ class TestSkippingSweep:
 
         monkeypatch.setattr(pcp, "enumerate_perfect_codes", recording)
         reports = preservation_sweep(g, sigmas)
-        assert [r.preserving for r in reports] == [s.map == tuple(range(g.order)) for s in sigmas]
+        assert [r.preserving for r in reports] == [s == tuple(range(g.order)) for s in sigmas]
         sets = all_connection_sets(g)
         last_refuted = max(sets.index(r.counterexample[0]) for r in reports[1:])
         assert sets.index(enumerated[-1]) == last_refuted
         assert last_refuted < len(sets) - 1
+
+
+POWER_GROUPS = corpus_groups(16)
 
 
 class TestPowerAutomorphisms:
@@ -274,6 +276,22 @@ class TestPowerAutomorphisms:
         assert len(all_power_automorphisms(make_cyclic(5))) == 4
         assert len(all_power_automorphisms(make_abelian((2, 2)))) == 1
         assert len(all_power_automorphisms(symmetric_group(3))) == 1
+
+    @pytest.mark.parametrize(
+        "spec, g", POWER_GROUPS, ids=[spec for spec, _ in POWER_GROUPS]
+    )
+    def test_closed_under_composition_and_inverse(self, spec, g):
+        # the power automorphisms are a subgroup of Aut(G); sigma after tau
+        # is x -> sigma(tau(x)), and the inverse of sigma sends sigma(x) to x
+        sigmas = all_power_automorphisms(g)
+        assert tuple(range(g.order)) in sigmas
+        for sigma in sigmas:
+            inverse = [0] * g.order
+            for x, y in enumerate(sigma):
+                inverse[y] = x
+            assert tuple(inverse) in sigmas
+            for tau in sigmas:
+                assert tuple(sigma[y] for y in tau) in sigmas
 
     def test_cyclic_all_automorphisms_are_power(self):
         g = make_cyclic(12)
@@ -291,7 +309,7 @@ class TestWitness:
         sigma = inner_automorphism(g, 5)
         s, code = prop3_witness(g, 5)
         graph = build_cayley(g, s)
-        image = tuple(sorted(sigma.map[c] for c in code))
+        image = tuple(sorted(sigma[c] for c in code))
         assert is_perfect_code(graph, code)
         assert not is_perfect_code(graph, image)
 
@@ -301,7 +319,7 @@ class TestWitness:
         assert prop3_witness(g, 1) is not None
         s, code = prop3_witness(g, 1)
         graph = build_cayley(g, s)
-        image = tuple(sorted(sigma.map[c] for c in code))
+        image = tuple(sorted(sigma[c] for c in code))
         assert is_perfect_code(graph, code)
         assert not is_perfect_code(graph, image)
 

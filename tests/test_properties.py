@@ -5,17 +5,17 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from cayleycodes import (
-    CyclotomicSum,
     build_cayley,
     group_ring_check_perfect,
     group_ring_check_total,
-    group_ring_product,
     is_perfect_code,
     is_total_perfect_code,
     make_cyclic,
     make_dihedral,
 )
+from cayleycodes.cayley import group_ring_product
 from cayleycodes.corpus import quaternion_group, symmetric_group
+from cayleycodes.spectral import CyclotomicSum
 
 
 def _group(kind: str, n: int):

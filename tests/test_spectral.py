@@ -11,11 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from cayleycodes import (
     CayleyCodesError,
-    CyclotomicSum,
     build_cayley,
-    char_sum,
     characters,
-    cyclotomic_polynomial,
     enumerate_perfect_codes,
     from_table,
     make_abelian,
@@ -26,7 +23,12 @@ from cayleycodes import (
 from cayleycodes import spectral
 from cayleycodes.basis import abelian_basis
 from cayleycodes.corpus import abelian_types
-from cayleycodes.spectral import group_ring_tiling_check
+from cayleycodes.spectral import (
+    CyclotomicSum,
+    char_sum,
+    cyclotomic_polynomial,
+    group_ring_tiling_check,
+)
 from cayleycodes.verify import suite_lemma_equivalence
 
 # Every group the lemma-equivalence suite visits at its default bound 24.
