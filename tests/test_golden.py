@@ -11,7 +11,7 @@ exit code and stderr instead.  The corpus's `table:S3` and `table:Q8` are
 resolved to the corpus groups rather than read from files.
 
 `construct` runs for every subgroup of every `corpus_groups(12)` group,
-given by its generator indices, in both modes.  `enumerate` runs for every
+given by its element indices, in both modes.  `enumerate` runs for every
 connection set of every group of order <= 8 in `corpus_groups(8)` (which
 leaves out the order-32 special), in both modes.  `automorphisms --pcp`
 runs exhaustively for every `corpus_groups(12)` spec, and sampled with
@@ -99,7 +99,7 @@ def construct_digests(g, spec: str) -> dict[str, str]:
     out = {}
     for h in all_subgroups(g):
         for mode in MODES:
-            args = [f"--subgroup={_indices(h.generators)}", *mode]
+            args = [f"--subgroup={_indices(h.elements)}", *mode]
             out[" ".join(args)] = command_digest(
                 ["construct", spec, *args, "--format", "json"]
             )
