@@ -14,7 +14,6 @@ preserving automorphisms.
 from .errors import BoundExceededError, CayleyCodesError, GroupTableError
 from .groups import (
     FiniteGroup,
-    Subgroup,
     all_automorphisms,
     all_subgroups,
     centre,

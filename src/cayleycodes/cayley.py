@@ -21,7 +21,7 @@ from functools import reduce
 from operator import or_
 
 from .errors import BoundExceededError, CayleyCodesError
-from .groups import FiniteGroup, Subgroup, coset_labels
+from .groups import FiniteGroup, coset_labels
 
 # search nodes one enumeration may visit: over 180 times the most (5 461,
 # a sampled set of cyclic:24) that any golden-corpus command, verify suite
@@ -148,14 +148,14 @@ def group_ring_check_perfect(g: FiniteGroup, s, code) -> bool:
 # transversal form (for subgroup codes)
 
 
-def is_left_transversal(g: FiniteGroup, h: Subgroup, subset) -> bool:
+def is_left_transversal(g: FiniteGroup, h: tuple[int, ...], subset) -> bool:
     """Does the subset contain exactly one element of each left coset xH?"""
     labels = coset_labels(g, h)
-    return sorted(labels[x] for x in set(subset)) == list(range(g.order // h.order))
+    return sorted(labels[x] for x in set(subset)) == list(range(g.order // len(h)))
 
 
 def subgroup_code_transversal_check(
-    g: FiniteGroup, h: Subgroup, s, total: bool = False
+    g: FiniteGroup, h: tuple[int, ...], s, total: bool = False
 ) -> bool:
     """H is a perfect code in Cay(G,S) iff S u {e} is a left transversal of
     H in G; a total perfect code iff S itself is."""
@@ -237,7 +237,7 @@ def code_report(
     spec: str,
     s,
     code,
-    subgroup: Subgroup | None = None,
+    subgroup: tuple[int, ...] | None = None,
     total: bool = False,
 ) -> dict:
     """The code-report JSON object for one (group, S, C) triple.

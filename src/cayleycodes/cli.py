@@ -116,9 +116,9 @@ def cmd_classify(args) -> int:
         verdict = decide_subgroup_code(g, h)
         rows.append(
             {
-                "subgroup": list(h.elements),
-                "order": h.order,
-                "index": g.order // h.order,
+                "subgroup": list(h),
+                "order": len(h),
+                "index": g.order // len(h),
                 "normal": is_normal(g, h),
                 **verdict.to_json(args.spec, h),
             }
@@ -195,14 +195,14 @@ def cmd_construct(args) -> int:
     conn = construct_connection_set(g, h, total=args.total)
     graph = build_cayley(g, conn)
     verified = (
-        is_total_perfect_code(graph, h.elements)
+        is_total_perfect_code(graph, h)
         if args.total
-        else is_perfect_code(graph, h.elements)
+        else is_perfect_code(graph, h)
     )
     if not verified:
         raise CayleyCodesError("constructed set failed verification; not printed")
     results = {
-        "subgroup": list(h.elements),
+        "subgroup": list(h),
         "connection_set": list(conn.sorted()),
         "total": args.total,
         "verified": True,
@@ -210,7 +210,7 @@ def cmd_construct(args) -> int:
     report = _report("construct", args.spec, results, started)
     label = "R" if args.total else "S"
     lines = [
-        f"group {args.spec}  H={list(h.elements)}",
+        f"group {args.spec}  H={list(h)}",
         f"{label} = {list(conn.sorted())}  (verified)",
     ]
     _emit(report, args.format, lines)

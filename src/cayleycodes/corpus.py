@@ -82,8 +82,8 @@ def _partitions(k: int):
 
 def corpus_groups(max_order: int = 24):
     """The acceptance corpus: every cyclic, dihedral and (non-cyclic)
-    abelian-product group of order <= max_order, plus S3, Q8 and the
-    order-32 group Z2 x Z4 x Z4.
+    abelian-product group of order <= max_order, plus S3 and Q8 when
+    max_order allows them.
 
     Returns a list of (spec_string, group) pairs.
     """
@@ -96,8 +96,8 @@ def corpus_groups(max_order: int = 24):
         for typ in abelian_types(n):
             spec = "abelian:" + ",".join(str(m) for m in typ)
             out.append((spec, make_abelian(typ)))
-    out.append(("table:S3", symmetric_group(3)))
-    out.append(("table:Q8", quaternion_group()))
-    if max_order < 32:  # from order 32 on, abelian_types lists it
-        out.append(("abelian:2,4,4", make_abelian((2, 4, 4))))
+    if max_order >= 6:
+        out.append(("table:S3", symmetric_group(3)))
+    if max_order >= 8:
+        out.append(("table:Q8", quaternion_group()))
     return out

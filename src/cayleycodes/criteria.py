@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 from .cayley import ConnectionSet, connection_set
 from .errors import BoundExceededError, CayleyCodesError
-from .groups import (
-    FiniteGroup,
-    Subgroup,
-    coset_labels,
-    is_normal,
-    make_dihedral,
-)
+from .groups import FiniteGroup, coset_labels, is_normal
 
 GENERIC_INDEX_BOUND = 16
 GENERIC_ORDER_BOUND = 32
@@ -39,11 +33,11 @@ class CriterionVerdict:
     method: str
     witness: dict | None = None
 
-    def to_json(self, spec: str, h: Subgroup) -> dict:
+    def to_json(self, spec: str, h: tuple[int, ...]) -> dict:
         w = self.witness or {"type": "none", "value": None}
         return {
             "group": spec,
-            "subgroup": list(h.elements),
+            "subgroup": list(h),
             "perfect": self.perfect,
             "total_perfect": self.total,
             "method": self.method,
@@ -55,13 +49,13 @@ class CriterionVerdict:
 # the key property and normal-subgroup criterion
 
 
-def property_one_holds(g: FiniteGroup, h: Subgroup):
+def property_one_holds(g: FiniteGroup, h: tuple[int, ...]):
     """For every x with x^2 in H, is there k in H with (xk)^2 = e?
 
     That is, does every left coset xH with x^2 in H hold some y with
     y^2 = e?  Returns (True, None) or (False, least failing x).  O(n).
     """
-    mult, e, hs = g.mult, g.identity, h.element_set()
+    mult, e, hs = g.mult, g.identity, frozenset(h)
     labels = coset_labels(g, h)
     fixed = {labels[y] for y, row in enumerate(mult) if row[y] == e}
     bad = next(
@@ -75,18 +69,18 @@ def property_one_holds(g: FiniteGroup, h: Subgroup):
     return bad is None, bad
 
 
-def normal_subgroup_code(g: FiniteGroup, h: Subgroup) -> CriterionVerdict:
+def normal_subgroup_code(g: FiniteGroup, h: tuple[int, ...]) -> CriterionVerdict:
     """Perfect iff the key property holds; total additionally needs |H| even."""
     if not is_normal(g, h):
         raise CayleyCodesError("normal_subgroup_code requires a normal subgroup")
     ok, bad = property_one_holds(g, h)
     witness = None if ok else {"type": "failing_g", "value": bad}
     return CriterionVerdict(
-        perfect=ok, total=ok and h.order % 2 == 0, method="property1", witness=witness
+        perfect=ok, total=ok and len(h) % 2 == 0, method="property1", witness=witness
     )
 
 
-def parity_criterion(g: FiniteGroup, h: Subgroup) -> CriterionVerdict | None:
+def parity_criterion(g: FiniteGroup, h: tuple[int, ...]) -> CriterionVerdict | None:
     """Sufficient-only shortcut: odd |H| or odd index settles the question.
 
     Returns None when both |H| and [G:H] are even (the full criterion must
@@ -95,8 +89,8 @@ def parity_criterion(g: FiniteGroup, h: Subgroup) -> CriterionVerdict | None:
     """
     if not is_normal(g, h):
         raise CayleyCodesError("parity_criterion requires a normal subgroup")
-    index = g.order // h.order
-    if h.order % 2 == 1:
+    index = g.order // len(h)
+    if len(h) % 2 == 1:
         return CriterionVerdict(perfect=True, total=False, method="parity")
     if index % 2 == 1:
         return CriterionVerdict(perfect=True, total=True, method="parity")
@@ -108,7 +102,7 @@ def parity_criterion(g: FiniteGroup, h: Subgroup) -> CriterionVerdict | None:
 
 
 def construct_connection_set_normal(
-    g: FiniteGroup, h: Subgroup, total: bool = False
+    g: FiniteGroup, h: tuple[int, ...], total: bool = False
 ) -> ConnectionSet:
     """Build S (or R) realizing a normal subgroup as a (total) perfect code.
 
@@ -123,7 +117,7 @@ def construct_connection_set_normal(
     ok, bad = property_one_holds(g, h)
     if not ok:
         raise CayleyCodesError(f"key property fails at g={bad}; no construction")
-    mult, e, hs = g.mult, g.identity, h.element_set()
+    mult, e, hs = g.mult, g.identity, frozenset(h)
     labels = coset_labels(g, h)
     out = []
     done = {labels[e]}
@@ -135,14 +129,14 @@ def construct_connection_set_normal(
         row = mult[rep]
         if row[rep] in hs:
             # involution in G/H: replace the representative by x_i h_i
-            k = next(k for k in h.elements if mult[row[k]][row[k]] == e)
+            k = next(k for k in h if mult[row[k]][row[k]] == e)
             out.append(row[k])
         else:
             rinv = g.inv[rep]
             out.extend([rep, rinv])
             done.add(labels[rinv])
     if total:
-        involutions = [k for k in h.elements if k != e and g.mult[k][k] == e]
+        involutions = [k for k in h if k != e and g.mult[k][k] == e]
         if not involutions:
             raise CayleyCodesError("total construction requires |H| even")
         out.append(involutions[0])
@@ -159,27 +153,27 @@ def _is_cyclic(g: FiniteGroup, elements) -> bool:
     return len(elements) in map(g.element_orders.__getitem__, elements)
 
 
-def cyclic_criterion(g: FiniteGroup, h: Subgroup) -> CriterionVerdict:
+def cyclic_criterion(g: FiniteGroup, h: tuple[int, ...]) -> CriterionVerdict:
     """Pure arithmetic on |H| and [G:H] for cyclic G."""
-    if not _is_cyclic(g, g.elements()):
+    if not _is_cyclic(g, range(g.order)):
         raise CayleyCodesError("cyclic_criterion requires a cyclic group")
-    index = g.order // h.order
-    perfect = h.order % 2 == 1 or index % 2 == 1
-    total = h.order % 2 == 0 and index % 2 == 1
+    index = g.order // len(h)
+    perfect = len(h) % 2 == 1 or index % 2 == 1
+    total = len(h) % 2 == 0 and index % 2 == 1
     return CriterionVerdict(perfect=perfect, total=total, method="cyclic")
 
 
-def abelian_sylow_reduction(g: FiniteGroup, h: Subgroup) -> tuple[int, ...]:
+def abelian_sylow_reduction(g: FiniteGroup, h: tuple[int, ...]) -> tuple[int, ...]:
     """H n P for the Sylow 2-subgroup P of abelian G, ascending: the
     elements of H whose order is a power of 2.  In an abelian group these
     are closed under products, so they form a subgroup as they stand."""
     if not g.is_abelian:
         raise CayleyCodesError("Sylow reduction requires an abelian group")
     orders = g.element_orders
-    return tuple(x for x in h.elements if orders[x] & (orders[x] - 1) == 0)
+    return tuple(x for x in h if orders[x] & (orders[x] - 1) == 0)
 
 
-def abelian_criterion(g: FiniteGroup, h: Subgroup) -> CriterionVerdict:
+def abelian_criterion(g: FiniteGroup, h: tuple[int, ...]) -> CriterionVerdict:
     """Projection criterion for abelian G with cyclic H n P.
 
     Perfect iff H n P is trivial or projects onto some cyclic factor of a
@@ -204,7 +198,7 @@ def abelian_criterion(g: FiniteGroup, h: Subgroup) -> CriterionVerdict:
     )
 
 
-def dihedral_criterion(n: int, h: Subgroup) -> CriterionVerdict:
+def dihedral_criterion(n: int, h: tuple[int, ...]) -> CriterionVerdict:
     """Classify a proper subgroup of the order-2n dihedral group.
 
     Subgroups not inside the rotation subgroup <a> are always both perfect
@@ -212,11 +206,11 @@ def dihedral_criterion(n: int, h: Subgroup) -> CriterionVerdict:
     perfect iff t or |H| is odd, and total perfect iff t is odd and |H|
     even.  Uses the rotations-then-reflections element indexing.
     """
-    if h.order >= 2 * n:
+    if len(h) >= 2 * n:
         raise CayleyCodesError("dihedral_criterion requires a proper subgroup")
-    if not all(x < n for x in h.elements):
+    if not all(x < n for x in h):
         return CriterionVerdict(perfect=True, total=True, method="dihedral")
-    t_odd, h_odd = (n // h.order) % 2 == 1, h.order % 2 == 1
+    t_odd, h_odd = (n // len(h)) % 2 == 1, len(h) % 2 == 1
     return CriterionVerdict(
         perfect=t_odd or h_odd, total=t_odd and not h_odd, method="dihedral"
     )
@@ -228,19 +222,14 @@ def dihedral_construct_sets(n: int, t: int, s: int):
     R = {b, ba, ..., ba^(t-1)} makes H a total perfect code; the size-(t-1)
     set {a^(s-1)b, ..., a^(s-t+1)b} makes H a perfect code.  Every element
     is a reflection, hence an involution, so both sets are inverse-closed.
-    Returns (R, S) as connection sets of make_dihedral(n).
+    Returns (R, S) as element-index lists in the indexing of
+    `make_dihedral(n)`, where a^k b is n + k and b a^i = a^(-i) b.
     """
     if n < 3 or t <= 1 or n % t != 0 or not 0 <= s <= t - 1:
         raise CayleyCodesError("need t | n with t > 1 and 0 <= s <= t-1")
-    g = make_dihedral(n)
-    b = n  # index of the reflection b
-    r_set = []
-    for i in range(t):
-        r_set.append(g.mult[b][g.power(1, i)])  # b a^i
-    s_set = []
-    for j in range(1, t):
-        s_set.append(g.mult[g.power(1, (s - j) % n)][b])  # a^(s-j) b
-    return connection_set(g, r_set), connection_set(g, s_set)
+    r_set = [n + (-i) % n for i in range(t)]  # b a^i
+    s_set = [n + (s - j) % n for j in range(1, t)]  # a^(s-j) b
+    return r_set, s_set
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +284,12 @@ def _search_inverse_closed_transversal(g: FiniteGroup, labels, total: bool):
 
 def generic_subgroup_code_decision(
     g: FiniteGroup,
-    h: Subgroup,
+    h: tuple[int, ...],
     total: bool = False,
 ) -> CriterionVerdict:
     """Decide both modes by exhaustive transversal search; the witness
     connection set stored is the one for the requested mode."""
-    index = g.order // h.order
+    index = g.order // len(h)
     if index > GENERIC_INDEX_BOUND and g.order > GENERIC_ORDER_BOUND:
         raise BoundExceededError(
             f"generic search bound exceeded: index={index}, |G|={g.order}"
@@ -326,11 +315,11 @@ def generic_subgroup_code_decision(
 # dispatcher
 
 
-def decide_subgroup_code(g: FiniteGroup, h: Subgroup) -> CriterionVerdict:
+def decide_subgroup_code(g: FiniteGroup, h: tuple[int, ...]) -> CriterionVerdict:
     """Fastest-first dispatch: parity shortcut, then the specialized
     criterion for cyclic/abelian/dihedral groups, then the normal-subgroup
     criterion, then generic search."""
-    if _is_cyclic(g, g.elements()):
+    if _is_cyclic(g, range(g.order)):
         return cyclic_criterion(g, h)
     normal = is_normal(g, h)
     if normal:
@@ -341,7 +330,7 @@ def decide_subgroup_code(g: FiniteGroup, h: Subgroup) -> CriterionVerdict:
         if _is_cyclic(g, abelian_sylow_reduction(g, h)):
             return abelian_criterion(g, h)
         return normal_subgroup_code(g, h)
-    if g.kind == "dihedral" and h.order < g.order:
+    if g.kind == "dihedral" and len(h) < g.order:
         return dihedral_criterion(g.order // 2, h)
     if normal:
         return normal_subgroup_code(g, h)
@@ -349,7 +338,7 @@ def decide_subgroup_code(g: FiniteGroup, h: Subgroup) -> CriterionVerdict:
 
 
 def construct_connection_set(
-    g: FiniteGroup, h: Subgroup, total: bool = False
+    g: FiniteGroup, h: tuple[int, ...], total: bool = False
 ) -> ConnectionSet:
     """A connection set realizing H as a (total) perfect code.
 
@@ -360,16 +349,16 @@ def construct_connection_set(
     """
     if (
         g.kind == "dihedral"
-        and h.order < g.order
-        and any(x >= g.order // 2 for x in h.elements)
+        and len(h) < g.order
+        and any(x >= g.order // 2 for x in h)
     ):
         # H = <a^t, a^s b>: the explicit reflection sets apply
         n = g.order // 2
-        rotations = [x for x in h.elements if x < n and x != g.identity]
+        rotations = [x for x in h if x < n and x != g.identity]
         t = min(rotations) if rotations else n
-        s = min(x - n for x in h.elements if x >= n)
-        r_conn, s_conn = dihedral_construct_sets(n, t, s)
-        return r_conn if total else s_conn
+        s = min(x - n for x in h if x >= n)
+        r_set, s_set = dihedral_construct_sets(n, t, s)
+        return connection_set(g, r_set if total else s_set)
     if is_normal(g, h):
         return construct_connection_set_normal(g, h, total=total)
     verdict = generic_subgroup_code_decision(g, h, total=total)

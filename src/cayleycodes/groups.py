@@ -48,9 +48,6 @@ class FiniteGroup:
         # immutable, so it is hashed once instead of in O(n^2) each time.
         return hash(tuple(getattr(self, f.name) for f in fields(self)))
 
-    def mul(self, i: int, j: int) -> int:
-        return self.mult[i][j]
-
     def power(self, i: int, k: int) -> int:
         """i^k for any integer k.  Since i^|G| = e, k is taken mod |G|
         first, which also turns a negative k into a positive one."""
@@ -119,35 +116,8 @@ class FiniteGroup:
             out.append(acc)
         return tuple(out)
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def __repr__(self):
         return f"FiniteGroup(order={self.order}, kind={self.kind!r})"
-
-
-@dataclass(frozen=True)
-class Subgroup:
-    """A closed subset of a parent group, with generator witnesses.
-
-    ``elements`` is in ascending order."""
-
-    elements: tuple[int, ...]
-    generators: tuple[int, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    @cached_property
-    def _element_set(self) -> frozenset[int]:
-        return frozenset(self.elements)
-
-    def element_set(self) -> frozenset[int]:
-        return self._element_set
-
-    def __contains__(self, i: int) -> bool:
-        return i in self._element_set
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +294,8 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
 
 # ---------------------------------------------------------------------------
 # subgroups and cosets
+#
+# A subgroup H is the ascending tuple of its element indices.
 
 
 def closure(g: FiniteGroup, seed, base=None) -> frozenset[int]:
@@ -351,26 +323,24 @@ def closure(g: FiniteGroup, seed, base=None) -> frozenset[int]:
     return frozenset(out)
 
 
-def subgroup_generated(g: FiniteGroup, gens) -> Subgroup:
-    gens = tuple(sorted(set(gens)))
-    return Subgroup(tuple(sorted(closure(g, gens))), gens)
+def subgroup_generated(g: FiniteGroup, gens) -> tuple[int, ...]:
+    return tuple(sorted(closure(g, gens)))
 
 
-def generating_set(g: FiniteGroup, elems=None) -> tuple[int, ...]:
-    """A small generating set, chosen greedily by ascending index.
+def generating_set(g: FiniteGroup) -> tuple[int, ...]:
+    """A small generating set of G, chosen greedily by ascending index.
 
     Each element outside the current span is added and the span recomputed
     from the generators chosen so far, so a call costs at most |gens|
-    closures of O(|K|*|gens|) each.
+    closures of O(|G|*|gens|) each.
     """
-    target = frozenset(elems) if elems is not None else frozenset(range(g.order))
     gens = []
     span = frozenset({g.identity})
-    for x in sorted(target):
+    for x in range(g.order):
         if x not in span:
             gens.append(x)
             span = closure(g, gens)
-            if span == target:
+            if len(span) == g.order:
                 break
     return tuple(gens)
 
@@ -383,8 +353,9 @@ def all_subgroups(g: FiniteGroup):
     ascending order, and the first x to reach K = <H, x> gives K the
     generators gens(H) + (x,).  Since <H, y> = <H, x> for y in Hx, only
     one x per right coset Hx is joined, by `closure` over the base H at
-    a cost of O(|K| + |K:H|*|gens|).  Results are memoized per group
-    (the types are immutable).
+    a cost of O(|K| + |K:H|*|gens|).  The generators serve only the
+    search; each subgroup is returned as its ascending element tuple.
+    Results are memoized per group (the types are immutable).
     """
     return list(_all_subgroups_cached(g))
 
@@ -411,10 +382,8 @@ def _all_subgroups_cached(g: FiniteGroup):
                     found[k] = gens
                     fresh.append(k)
         frontier = fresh
-    subs = [
-        Subgroup(tuple(sorted(h)), gens) for h, gens in found.items()
-    ]
-    subs.sort(key=lambda s: (s.order, s.elements))
+    subs = [tuple(sorted(h)) for h in found]
+    subs.sort(key=lambda h: (len(h), h))
     return tuple(subs)
 
 
@@ -425,7 +394,7 @@ def is_subgroup(g: FiniteGroup, elems) -> bool:
     return all(g.mult[x][y] in s for x in s for y in s)
 
 
-def is_normal(g: FiniteGroup, h: Subgroup) -> bool:
+def is_normal(g: FiniteGroup, h: tuple[int, ...]) -> bool:
     """Is H closed under conjugation by G?
 
     Conjugation by a generating set of G suffices: if xHx^-1 lies in H for
@@ -435,30 +404,29 @@ def is_normal(g: FiniteGroup, h: Subgroup) -> bool:
     """
     if g.is_abelian:
         return True
-    hs = h.element_set()
-    return all(g.conjugate(x, y) in hs for x in g.generators for y in hs)
+    hs = frozenset(h)
+    return all(g.conjugate(x, y) in hs for x in g.generators for y in h)
 
 
-def coset_labels(g: FiniteGroup, h: Subgroup) -> list[int]:
+def coset_labels(g: FiniteGroup, h: tuple[int, ...]) -> list[int]:
     """Entry x is the number of the left coset xH; cosets are numbered
     0..|G:H|-1 in order of their least element.  O(n)."""
     labels = [-1] * g.order
     count = 0
     for x, row in enumerate(g.mult):
         if labels[x] < 0:
-            for y in h.elements:
+            for y in h:
                 labels[row[y]] = count
             count += 1
     return labels
 
 
-def centre(g: FiniteGroup) -> Subgroup:
-    elems = tuple(
+def centre(g: FiniteGroup) -> tuple[int, ...]:
+    return tuple(
         x
         for x in range(g.order)
         if all(g.mult[x][y] == g.mult[y][x] for y in range(g.order))
     )
-    return Subgroup(elems, generating_set(g, elems))
 
 
 # ---------------------------------------------------------------------------

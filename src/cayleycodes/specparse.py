@@ -184,7 +184,7 @@ def parse_element_expr(g: FiniteGroup, expr: str) -> int:
             idx = int(term)
             if not 0 <= idx < g.order:
                 raise GroupSpecError(f"element index {idx} out of range")
-            acc = g.mul(acc, idx)
+            acc = g.mult[acc][idx]
             continue
         m = _TERM.match(term)
         if not m:
@@ -194,7 +194,7 @@ def parse_element_expr(g: FiniteGroup, expr: str) -> int:
             raise GroupSpecError(
                 f"unknown generator {name!r} for a {g.kind} group"
             )
-        acc = g.mul(acc, g.power(gens[name], exp))
+        acc = g.mult[acc][g.power(gens[name], exp)]
     return acc
 
 

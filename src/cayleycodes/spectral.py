@@ -115,15 +115,14 @@ class CyclotomicSum:
 class Character:
     """An irreducible character of an abelian group.
 
-    ``exponents`` are taken relative to a fixed decomposition with factor
-    orders ``orders``; ``value_exponents`` precomputes, for every group
+    ``exponents`` are taken relative to a fixed decomposition of the group
+    into cyclic factors; ``value_exponents`` precomputes, for every group
     element, the exponent k with value zeta_m^k (m = group order).
     ``order`` is the character's order d, which divides m: every value is
     a d-th root of unity, zeta_m^k = zeta_d^(k*d/m).
     """
 
     exponents: tuple[int, ...]
-    orders: tuple[int, ...]
     m: int
     value_exponents: tuple[int, ...]
     order: int
@@ -173,7 +172,7 @@ def _build_characters(g: FiniteGroup):
             k = sum(n * a * (m // o) for n, a, o in zip(nt, ax, orders)) % m
             vals.append(k)
         d = m // math.gcd(m, *vals)
-        out.append(Character(nt, orders, m, tuple(vals), d))
+        out.append(Character(nt, m, tuple(vals), d))
     out.sort(key=lambda c: (not c.is_trivial, c.exponents))
     return out
 

@@ -80,10 +80,12 @@ class SuiteResult:
 
 
 def suite_theorem3(seed: int = 0) -> SuiteResult:
-    """Normal-subgroup criterion vs generic search on `corpus_groups(24)`,
-    plus verification of the constructive connection sets."""
+    """Normal-subgroup criterion vs generic search on `corpus_groups(24)`
+    and the order-32 Z2 x Z4 x Z4, plus verification of the constructive
+    connection sets."""
     res = SuiteResult("theorem3")
-    for spec, g in corpus_groups(24):
+    groups = corpus_groups(24) + [("abelian:2,4,4", make_abelian((2, 4, 4)))]
+    for spec, g in groups:
         for h in all_subgroups(g):
             if not is_normal(g, h):
                 continue
@@ -91,7 +93,7 @@ def suite_theorem3(seed: int = 0) -> SuiteResult:
             search = generic_subgroup_code_decision(g, h)
             res.check(
                 verdict.perfect == search.perfect and verdict.total == search.total,
-                f"{spec} H={h.elements}: criterion {verdict.perfect}/{verdict.total}"
+                f"{spec} H={h}: criterion {verdict.perfect}/{verdict.total}"
                 f" != search {search.perfect}/{search.total}",
             )
             shortcut = parity_criterion(g, h)
@@ -99,27 +101,27 @@ def suite_theorem3(seed: int = 0) -> SuiteResult:
                 res.check(
                     (shortcut.perfect, shortcut.total)
                     == (verdict.perfect, verdict.total),
-                    f"{spec} H={h.elements}: parity shortcut disagrees",
+                    f"{spec} H={h}: parity shortcut disagrees",
                 )
             if verdict.perfect:
                 s = construct_connection_set_normal(g, h)
                 res.check(
-                    is_perfect_code(build_cayley(g, s), h.elements),
-                    f"{spec} H={h.elements}: constructed S fails verification",
+                    is_perfect_code(build_cayley(g, s), h),
+                    f"{spec} H={h}: constructed S fails verification",
                 )
-            if verdict.perfect and h.order % 2 == 0:
+            if verdict.perfect and len(h) % 2 == 0:
                 r = construct_connection_set_normal(g, h, total=True)
                 res.check(
-                    is_total_perfect_code(build_cayley(g, r), h.elements),
-                    f"{spec} H={h.elements}: constructed R fails verification",
+                    is_total_perfect_code(build_cayley(g, r), h),
+                    f"{spec} H={h}: constructed R fails verification",
                 )
-                hs = h.element_set()
+                hs = frozenset(h)
                 res.check(
                     any(
                         x in hs and g.mult[x][x] == g.identity
                         for x in r.elements
                     ),
-                    f"{spec} H={h.elements}: R lacks an involution from H",
+                    f"{spec} H={h}: R lacks an involution from H",
                 )
     return res
 
@@ -155,29 +157,29 @@ def suite_dihedral(seed: int = 0) -> SuiteResult:
     for n in range(3, 13):
         g = make_dihedral(n)
         for h in all_subgroups(g):
-            if h.order == g.order:
+            if len(h) == g.order:
                 continue
             verdict = dihedral_criterion(n, h)
             search = generic_subgroup_code_decision(g, h)
             res.check(
                 (verdict.perfect, verdict.total) == (search.perfect, search.total),
-                f"D{2 * n} H={h.elements}: criterion disagrees with search",
+                f"D{2 * n} H={h}: criterion disagrees with search",
             )
-            if any(x >= n for x in h.elements):
+            if any(x >= n for x in h):
                 res.check(
                     verdict.perfect and verdict.total,
-                    f"D{2 * n} H={h.elements}: reflection subgroup not both codes",
+                    f"D{2 * n} H={h}: reflection subgroup not both codes",
                 )
         for t in [d for d in range(2, n + 1) if n % d == 0]:
             for s in range(t):
                 r_set, s_set = dihedral_construct_sets(n, t, s)
                 h = subgroup_generated(g, {t % n, n + s})
                 res.check(
-                    is_total_perfect_code(build_cayley(g, r_set), h.elements),
+                    is_total_perfect_code(build_cayley(g, r_set), h),
                     f"D{2 * n} t={t} s={s}: R set fails total verification",
                 )
                 res.check(
-                    is_perfect_code(build_cayley(g, s_set), h.elements),
+                    is_perfect_code(build_cayley(g, s_set), h),
                     f"D{2 * n} t={t} s={s}: S set fails perfect verification",
                 )
     return res
@@ -196,27 +198,27 @@ def suite_abelian(seed: int = 0) -> SuiteResult:
         seen = set()
         for x in range(g.order):
             h = subgroup_generated(g, {x})
-            if h.elements in seen:
+            if h in seen:
                 continue
-            seen.add(h.elements)
+            seen.add(h)
             proj = abelian_criterion(g, h)
             prop = normal_subgroup_code(g, h)
             res.check(
                 (proj.perfect, proj.total) == (prop.perfect, prop.total),
-                f"{typ} H={h.elements}: projection {proj.perfect}/{proj.total}"
+                f"{typ} H={h}: projection {proj.perfect}/{proj.total}"
                 f" != property {prop.perfect}/{prop.total}",
             )
             # H projects onto a cyclic factor iff some exponent is odd
             by_basis = [
-                any(e % 2 for y in h.elements for e in exponents[y])
+                any(e % 2 for y in h for e in exponents[y])
                 for exponents in bases
             ]
             res.check(
                 all(
-                    (proj.perfect, proj.total) == (h.order == 1 or p, p)
+                    (proj.perfect, proj.total) == (len(h) == 1 or p, p)
                     for p in by_basis
                 ),
-                f"{typ} H={h.elements}: criterion {proj.perfect}/{proj.total}"
+                f"{typ} H={h}: criterion {proj.perfect}/{proj.total}"
                 f" != basis projections {by_basis}",
             )
     # the order-32 counterexample: H = <a1*a2^2, a1*a3^2>

@@ -87,7 +87,7 @@ class TestHugeExponents:
         r = k % g.order
         element = g.identity
         for _ in range(r):
-            element = g.mul(element, parse_element_expr(g, gen))
+            element = g.mult[element][parse_element_expr(g, gen)]
         reports = []
         for exp in (k, r):
             argv = ["check", spec, "--conn", f"{gen}^{exp},{gen}^{-exp}",

@@ -10,13 +10,16 @@ here without running the benchmark.  A command that exits non-zero
 exit code and stderr instead.  The corpus's `table:S3` and `table:Q8` are
 resolved to the corpus groups rather than read from files.
 
-`construct` runs for every subgroup of every `corpus_groups(12)` group,
-given by its element indices, in both modes.  `enumerate` runs for every
-connection set of every group of order <= 8 in `corpus_groups(8)` (which
-leaves out the order-32 special), in both modes.  `automorphisms --pcp`
-runs exhaustively for every `corpus_groups(12)` spec, and sampled with
-`--budget 40` at seeds 0 and 7 on four groups of order 16; its digests
-cover the counterexamples, which plain `automorphisms` does not print.
+`classify` runs for every `corpus_groups(24)` group, Z2 x Z4 x Z4
+(`abelian:2,4,4`, the order-32 group of the paper's counterexample) and
+Z2^5.  `construct` runs for every subgroup of every `corpus_groups(12)`
+group and of Z2 x Z4 x Z4, given by its element indices, in both modes.
+`enumerate` runs for every connection set of every `corpus_groups(8)`
+group, in both modes.  `automorphisms` and `automorphisms --pcp` run for
+every `corpus_groups(12)` spec and Z2 x Z4 x Z4, and `--pcp` also
+sampled with `--budget 40` at seeds 0 and 7 on four groups of order 16;
+its digests cover the counterexamples, which plain `automorphisms` does
+not print.
 
 Re-record (only when the output is meant to change):
     PYTHONPATH=src python tests/test_golden.py
@@ -35,19 +38,21 @@ import pytest
 
 from cayleycodes import cli
 from cayleycodes.corpus import corpus_groups
-from cayleycodes.groups import all_subgroups
+from cayleycodes.groups import all_subgroups, make_abelian
 from cayleycodes.pcp import all_connection_sets
 from cayleycodes.specparse import parse_group_spec
 
 GOLDEN_FILE = Path(__file__).with_name("golden_classify.json")
 AUTOMORPHISMS_GOLDEN_FILE = Path(__file__).with_name("golden_automorphisms.json")
+# the order-32 group of the paper's counterexample, added to each corpus
+Z2_Z4_Z4 = ("abelian:2,4,4", make_abelian((2, 4, 4)))
 CORPUS = dict(corpus_groups(24))
-SPECS = list(CORPUS) + ["abelian:2,2,2,2,2"]
-AUTOMORPHISMS_SPECS = [spec for spec, _ in corpus_groups(12)]
+SPECS = list(CORPUS) + [Z2_Z4_Z4[0], "abelian:2,2,2,2,2"]
+AUTOMORPHISMS_SPECS = [spec for spec, _ in corpus_groups(12)] + [Z2_Z4_Z4[0]]
 CONSTRUCT_GOLDEN_FILE = Path(__file__).with_name("golden_construct.json")
 ENUMERATE_GOLDEN_FILE = Path(__file__).with_name("golden_enumerate.json")
-CONSTRUCT_GROUPS = corpus_groups(12)
-ENUMERATE_GROUPS = [(spec, g) for spec, g in corpus_groups(8) if g.order <= 8]
+CONSTRUCT_GROUPS = corpus_groups(12) + [Z2_Z4_Z4]
+ENUMERATE_GROUPS = corpus_groups(8)
 MODES = ([], ["--total"])
 PCP_GOLDEN_FILE = Path(__file__).with_name("golden_pcp.json")
 PCP_RUNS = [f"{spec} --pcp" for spec in AUTOMORPHISMS_SPECS] + [
@@ -99,7 +104,7 @@ def construct_digests(g, spec: str) -> dict[str, str]:
     out = {}
     for h in all_subgroups(g):
         for mode in MODES:
-            args = [f"--subgroup={_indices(h.elements)}", *mode]
+            args = [f"--subgroup={_indices(h)}", *mode]
             out[" ".join(args)] = command_digest(
                 ["construct", spec, *args, "--format", "json"]
             )

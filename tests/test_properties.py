@@ -72,7 +72,7 @@ def test_perfect_codes_translate(n, shift):
     from cayleycodes import enumerate_perfect_codes
 
     for c in enumerate_perfect_codes(graph):
-        moved = [g.mul(x, shift % n) for x in c]
+        moved = [g.mult[x][shift % n] for x in c]
         assert is_perfect_code(graph, moved)
 
 

@@ -3,10 +3,17 @@
 A public top-level function or class of a module in `src/cayleycodes/`
 (other than `__init__`), or a public method of one of its classes, must be
 referenced by name -- a `Name`, an `Attribute` or an import -- in some
-library module other than `__init__`.  Code that only tests read is
-deleted rather than kept.  The exceptions are the two test oracles and
-the names the benchmark hooks into (`test_bench_hooks`).  The sources are
-read with the `ast` module only; nothing is imported from the library.
+library module other than `__init__`.  A public annotated class attribute
+(a dataclass field) must be read as an attribute, `obj.field`, in some
+such module.  Code and data that only tests read are deleted rather than
+kept.  The exceptions are the two test oracles and the names the
+benchmark hooks into (`test_bench_hooks`).  The sources are read with the
+`ast` module only; nothing is imported from the library.
+
+Both checks match by name only, so a dead member escapes them while any
+library module reads another member of the same name.  The `generators`
+field of the deleted subgroup class went unnoticed that way: only tests
+read it, but `FiniteGroup.generators` has the same name.
 """
 
 from __future__ import annotations
@@ -48,6 +55,21 @@ def _definitions(modules):
     return out
 
 
+def _fields(modules):
+    """(module, "Class.field") of every public annotated attribute of a
+    top-level class."""
+    return [
+        (module, f"{node.name}.{item.target.id}")
+        for module, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign)
+        and isinstance(item.target, ast.Name)
+        and not item.target.id.startswith("_")
+    ]
+
+
 def _referenced(modules):
     names = set()
     for tree in modules.values():
@@ -65,13 +87,34 @@ def test_allowlist_names_defined():
     assert ORACLES <= set(_definitions(_modules()))
 
 
+def _allowed():
+    return ORACLES | set(_tracing_targets()) | set(_worker_lib_names())
+
+
 def test_every_public_definition_is_used_by_the_library():
     modules = _modules()
     used = _referenced(modules)
-    allowed = ORACLES | set(_tracing_targets()) | set(_worker_lib_names())
+    allowed = _allowed()
     unused = [
         f"{module}.{name}"
         for module, name in _definitions(modules)
         if name.rsplit(".", 1)[-1] not in used and (module, name) not in allowed
     ]
     assert unused == []
+
+
+def test_every_public_field_is_read_by_the_library():
+    modules = _modules()
+    read = {
+        node.attr
+        for tree in modules.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    }
+    allowed = _allowed()
+    unread = [
+        f"{module}.{name}"
+        for module, name in _fields(modules)
+        if name.rsplit(".", 1)[-1] not in read and (module, name) not in allowed
+    ]
+    assert unread == []
