@@ -230,42 +230,3 @@ def enumerate_perfect_codes(graph: CayleyGraph, total: bool = False):
     search(0, full, [])
     solutions.sort()
     return solutions
-
-
-def code_report(
-    g: FiniteGroup,
-    spec: str,
-    s,
-    code,
-    subgroup: tuple[int, ...] | None = None,
-    total: bool = False,
-) -> dict:
-    """The code-report JSON object for one (group, S, C) triple.
-
-    The "checks" sub-object carries the three equivalent tests for the
-    requested mode (perfect by default, total when ``total`` is set); the
-    transversal entry is null unless C is presented as a subgroup.
-    """
-    conn = s if isinstance(s, ConnectionSet) else connection_set(g, s)
-    graph = build_cayley(g, conn)
-    code = sorted(set(code))
-    definition_perfect = is_perfect_code(graph, code)
-    definition_total = is_total_perfect_code(graph, code)
-    definition = definition_total if total else definition_perfect
-    ring_check = group_ring_check_total if total else group_ring_check_perfect
-    ring = ring_check(g, conn, code)
-    transversal = None
-    if subgroup is not None:
-        transversal = subgroup_code_transversal_check(g, subgroup, conn, total)
-    return {
-        "group": spec,
-        "connection_set": list(conn.sorted()),
-        "code": list(code),
-        "perfect": definition_perfect,
-        "total_perfect": definition_total,
-        "checks": {
-            "definition": definition,
-            "group_ring": ring,
-            "transversal": transversal,
-        },
-    }

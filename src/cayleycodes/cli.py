@@ -17,11 +17,13 @@ import time
 from . import __version__
 from .cayley import (
     build_cayley,
-    code_report,
     connection_set,
     enumerate_perfect_codes,
+    group_ring_check_perfect,
+    group_ring_check_total,
     is_perfect_code,
     is_total_perfect_code,
+    subgroup_code_transversal_check,
 )
 from .criteria import construct_connection_set, decide_subgroup_code
 from .errors import (
@@ -85,26 +87,19 @@ def _bounded_group(args):
     return parse_group_spec(args.spec, check)
 
 
-def _report(command: str, spec: str | None, results, started: float) -> dict:
-    return {
-        "command": command,
-        "group": spec,
-        "results": results,
-        "elapsed_seconds": round(time.perf_counter() - started, 3),
-        "version": __version__,
-    }
+def _connection_set(g, elements):
+    """The connection set of `elements`; an invalid one is a usage error."""
+    try:
+        return connection_set(g, elements)
+    except CayleyCodesError as exc:
+        raise GroupSpecError(str(exc)) from exc
 
 
-def _emit(report: dict, fmt: str, text_lines):
-    if fmt == "json":
-        print(json.dumps(report, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+# Each cmd_* returns (results, text lines) or (results, text lines, exit
+# code); `main` prints the lines or the JSON report around the results.
 
 
-def cmd_classify(args) -> int:
-    started = time.perf_counter()
+def cmd_classify(args):
     g = _bounded_group(args)
     if args.subgroup:
         gens = parse_element_list(g, args.subgroup)
@@ -116,14 +111,17 @@ def cmd_classify(args) -> int:
         verdict = decide_subgroup_code(g, h)
         rows.append(
             {
+                "group": args.spec,
                 "subgroup": list(h),
                 "order": len(h),
                 "index": g.order // len(h),
                 "normal": is_normal(g, h),
-                **verdict.to_json(args.spec, h),
+                "perfect": verdict.perfect,
+                "total_perfect": verdict.total,
+                "method": verdict.method,
+                "witness": verdict.witness or {"type": "none", "value": None},
             }
         )
-    report = _report("classify", args.spec, rows, started)
     lines = [
         f"group {args.spec}  order {g.order}  subgroups {len(rows)}",
         f"{'order':>5} {'index':>5} {'normal':>6} {'perfect':>7} {'total':>5}"
@@ -139,67 +137,66 @@ def cmd_classify(args) -> int:
             f" {str(row['perfect']):>7} {str(row['total_perfect']):>5}"
             f" {row['method']:<18} {row['subgroup']}{note}"
         )
-    _emit(report, args.format, lines)
-    return 0
+    return rows, lines
 
 
-def cmd_check(args) -> int:
-    started = time.perf_counter()
+def cmd_check(args):
+    """The three checks of one (S, C) pair in the requested mode; the
+    transversal check is null unless C is a subgroup."""
     g = _bounded_group(args)
     s = parse_element_list(g, args.conn)
     code = parse_element_list(g, args.code)
-    try:
-        connection_set(g, s)
-    except CayleyCodesError as exc:
-        raise GroupSpecError(str(exc)) from exc
-    subgroup = None
-    if is_subgroup(g, set(code) | {g.identity}) and g.identity in code:
-        subgroup = subgroup_generated(g, code)
-    result = code_report(g, args.spec, s, code, subgroup, total=args.total)
-    report = _report("check", args.spec, result, started)
+    conn = _connection_set(g, s)
+    graph = build_cayley(g, conn)
+    code = sorted(set(code))
+    perfect = is_perfect_code(graph, code)
+    total = is_total_perfect_code(graph, code)
+    ring_check = group_ring_check_total if args.total else group_ring_check_perfect
+    ring = ring_check(g, conn, code)
+    transversal = None
+    if g.identity in code and is_subgroup(g, code):
+        transversal = subgroup_code_transversal_check(g, tuple(code), conn, args.total)
+    definition = total if args.total else perfect
+    result = {
+        "group": args.spec,
+        "connection_set": list(conn.sorted()),
+        "code": code,
+        "perfect": perfect,
+        "total_perfect": total,
+        "checks": {
+            "definition": definition,
+            "group_ring": ring,
+            "transversal": transversal,
+        },
+    }
     mode = "total perfect" if args.total else "perfect"
-    checks = result["checks"]
     lines = [
-        f"group {args.spec}  S={result['connection_set']}  C={result['code']}",
-        f"{mode} code: definition={checks['definition']}"
-        f" group_ring={checks['group_ring']} transversal={checks['transversal']}",
+        f"group {args.spec}  S={result['connection_set']}  C={code}",
+        f"{mode} code: definition={definition}"
+        f" group_ring={ring} transversal={transversal}",
     ]
-    _emit(report, args.format, lines)
-    return 0
+    return result, lines
 
 
-def cmd_enumerate(args) -> int:
-    started = time.perf_counter()
+def cmd_enumerate(args):
     g = _bounded_group(args)
     s = parse_element_list(g, args.conn)
-    try:
-        conn = connection_set(g, s)
-    except CayleyCodesError as exc:
-        raise GroupSpecError(str(exc)) from exc
-    graph = build_cayley(g, conn)
+    graph = build_cayley(g, _connection_set(g, s))
     codes = enumerate_perfect_codes(graph, total=args.total)
     results = {"codes": [list(c) for c in codes], "count": len(codes)}
-    report = _report("enumerate", args.spec, results, started)
     mode = "total perfect" if args.total else "perfect"
     lines = [f"group {args.spec}  S={sorted(s)}  {mode} codes: {len(codes)}"]
     lines += [f"  {list(c)}" for c in codes]
-    _emit(report, args.format, lines)
-    return 0
+    return results, lines
 
 
-def cmd_construct(args) -> int:
-    started = time.perf_counter()
+def cmd_construct(args):
     g = _bounded_group(args)
     gens = parse_element_list(g, args.subgroup)
     h = subgroup_generated(g, gens)
     conn = construct_connection_set(g, h, total=args.total)
-    graph = build_cayley(g, conn)
-    verified = (
-        is_total_perfect_code(graph, h)
-        if args.total
-        else is_perfect_code(graph, h)
-    )
-    if not verified:
+    is_code = is_total_perfect_code if args.total else is_perfect_code
+    if not is_code(build_cayley(g, conn), h):
         raise CayleyCodesError("constructed set failed verification; not printed")
     results = {
         "subgroup": list(h),
@@ -207,48 +204,54 @@ def cmd_construct(args) -> int:
         "total": args.total,
         "verified": True,
     }
-    report = _report("construct", args.spec, results, started)
     label = "R" if args.total else "S"
     lines = [
         f"group {args.spec}  H={list(h)}",
-        f"{label} = {list(conn.sorted())}  (verified)",
+        f"{label} = {results['connection_set']}  (verified)",
     ]
-    _emit(report, args.format, lines)
-    return 0
+    return results, lines
 
 
-def cmd_verify(args) -> int:
-    started = time.perf_counter()
+def cmd_verify(args):
     result = run_suite(args.suite, args.seed)
-    report = _report("verify", None, result.to_json(), started)
+    results = {
+        "suite": result.name,
+        "checks": result.checks,
+        "failures": result.failures,
+        "passed": result.passed,
+        "elapsed_seconds": round(result.elapsed, 3),
+    }
     status = "PASS" if result.passed else "FAIL"
     lines = [
         f"suite {result.name}: {status}  checks={result.checks}"
         f" failures={len(result.failures)}  ({result.elapsed:.2f}s)"
     ]
     lines += [f"  FAIL {msg}" for msg in result.failures]
-    _emit(report, args.format, lines)
-    return 0 if result.passed else 1
+    return results, lines, 0 if result.passed else 1
 
 
-def cmd_automorphisms(args) -> int:
-    started = time.perf_counter()
+def cmd_automorphisms(args):
     g = _bounded_group(args)
     sigmas = all_automorphisms(g)
+    rows = [
+        {"sigma": list(s), "power": is_power_automorphism(g, s)} for s in sigmas
+    ]
     if args.pcp:
         sweep = dict(budget=args.budget, seed=args.seed)
-        pcp = preservation_sweep(g, sigmas, **sweep)
-        tpcp = preservation_sweep(g, sigmas, total=True, **sweep)
-        rows = [
-            {**p.to_json(args.spec, g), "total_preserving": t.preserving}
-            for p, t in zip(pcp, tpcp)
-        ]
-    else:
-        rows = [
-            {"sigma": list(s), "power": is_power_automorphism(g, s)}
-            for s in sigmas
-        ]
-    report = _report("automorphisms", args.spec, rows, started)
+        scope, pcp = preservation_sweep(g, sigmas, **sweep)
+        _, tpcp = preservation_sweep(g, sigmas, total=True, **sweep)
+        seed = args.seed if scope == "sampled" else None
+        for row, ce, tce in zip(rows, pcp, tpcp):
+            if ce is not None:
+                ce = {"S": list(ce[0]), "C": list(ce[1])}
+            row.update(
+                group=args.spec,
+                preserving=ce is None,
+                total_preserving=tce is None,
+                scope=scope,
+                seed=seed,
+                counterexample=ce,
+            )
     lines = [f"group {args.spec}  automorphisms: {len(rows)}"]
     for row in rows:
         extra = ""
@@ -257,12 +260,11 @@ def cmd_automorphisms(args) -> int:
                 f"  pcp={row['preserving']} tpcp={row['total_preserving']}"
                 f" scope={row['scope']}"
             )
-            if row.get("counterexample"):
+            if row["counterexample"]:
                 ce = row["counterexample"]
                 extra += f"  counterexample S={ce['S']} C={ce['C']}"
         lines.append(f"  power={str(row['power']):<5} {row['sigma']}{extra}")
-    _emit(report, args.format, lines)
-    return 0
+    return rows, lines
 
 
 def positive_int(text: str) -> int:
@@ -332,8 +334,21 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
+    started = time.perf_counter()
     try:
-        return args.fn(args)
+        results, lines, *status = args.fn(args)
+        if args.format == "json":
+            report = {
+                "command": args.command,
+                "group": getattr(args, "spec", None),
+                "results": results,
+                "elapsed_seconds": round(time.perf_counter() - started, 3),
+                "version": __version__,
+            }
+            lines = [json.dumps(report, sort_keys=True)]
+        for line in lines:
+            print(line)
+        return status[0] if status else 0
     except BoundExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

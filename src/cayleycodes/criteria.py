@@ -33,17 +33,6 @@ class CriterionVerdict:
     method: str
     witness: dict | None = None
 
-    def to_json(self, spec: str, h: tuple[int, ...]) -> dict:
-        w = self.witness or {"type": "none", "value": None}
-        return {
-            "group": spec,
-            "subgroup": list(h),
-            "perfect": self.perfect,
-            "total_perfect": self.total,
-            "method": self.method,
-            "witness": w,
-        }
-
 
 # ---------------------------------------------------------------------------
 # the key property and normal-subgroup criterion

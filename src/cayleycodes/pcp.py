@@ -4,7 +4,7 @@ An automorphism is perfect-code-preserving (PCP) when it maps every
 perfect code of every Cayley graph of the group to a perfect code of the
 same graph; total-PCP likewise.  For small groups the sweep over
 connection sets is exhaustive (inverse-pair orbits halve the exponent);
-beyond that a seeded random sample is used and the report says so.
+beyond that a seeded random sample is used and the sweep says so.
 
 The sweep takes each sigma to be an automorphism of G, and enumerates only
 where a refutation is possible.  Such a sigma is an isomorphism
@@ -17,7 +17,6 @@ no code unless |T| divides |G|.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .cayley import (
     build_cayley,
@@ -39,31 +38,6 @@ from .groups import (
 EXHAUSTIVE_ORDER_BOUND = 12
 DEFAULT_SAMPLE_BUDGET = 200
 DEFAULT_SEED = 0
-
-
-@dataclass(frozen=True)
-class PcpReport:
-    """Outcome of a preservation sweep for one automorphism."""
-
-    automorphism: tuple[int, ...]
-    preserving: bool
-    counterexample: tuple[tuple[int, ...], tuple[int, ...]] | None
-    scope: str  # "exhaustive" | "sampled"
-    seed: int | None = None
-
-    def to_json(self, spec: str, g: FiniteGroup) -> dict:
-        ce = None
-        if self.counterexample is not None:
-            ce = {"S": list(self.counterexample[0]), "C": list(self.counterexample[1])}
-        return {
-            "group": spec,
-            "sigma": list(self.automorphism),
-            "power": is_power_automorphism(g, self.automorphism),
-            "preserving": self.preserving,
-            "scope": self.scope,
-            "seed": self.seed,
-            "counterexample": ce,
-        }
 
 
 def connection_orbits(g: FiniteGroup):
@@ -124,8 +98,11 @@ def preservation_sweep(
     total: bool = False,
     budget: int | None = None,
     seed: int = DEFAULT_SEED,
-) -> list[PcpReport]:
-    """One report per automorphism in sigmas, from one sweep.
+) -> tuple[str, list]:
+    """(scope, counterexamples) of one sweep for every automorphism in
+    sigmas: scope is "exhaustive" or "sampled", and the counterexample of
+    each sigma is an (S, C) whose image under sigma is not a code, or None
+    when the sweep found none.
 
     Every sigma must be an automorphism of g.  A connection set S is
     skipped when |T| does not divide |G| (no code exists), and when every
@@ -140,10 +117,10 @@ def preservation_sweep(
         raise CayleyCodesError(f"sample budget must be positive, got {budget}")
     if g.order <= EXHAUSTIVE_ORDER_BOUND:
         candidates = all_connection_sets(g)
-        scope, used_seed = "exhaustive", None
+        scope = "exhaustive"
     else:
         candidates = _sampled_connection_sets(g, budget or DEFAULT_SAMPLE_BUDGET, seed)
-        scope, used_seed = "sampled", seed
+        scope = "sampled"
     counterexample = [None] * len(sigmas)
     pending = range(len(sigmas))
     images = [sigma.__getitem__ for sigma in sigmas]
@@ -166,10 +143,7 @@ def preservation_sweep(
             lost = (c for c in codes if frozenset(map(image, c)) not in known)
             counterexample[i] = next(((s, c) for c in lost), None)
         pending = [i for i in pending if counterexample[i] is None]
-    return [
-        PcpReport(sigma, ce is None, ce, scope, used_seed)
-        for sigma, ce in zip(sigmas, counterexample)
-    ]
+    return scope, counterexample
 
 
 def is_pcp_automorphism(
@@ -177,9 +151,9 @@ def is_pcp_automorphism(
     sigma: tuple[int, ...],
     budget: int | None = None,
     seed: int = DEFAULT_SEED,
-) -> PcpReport:
-    """The perfect-code sweep of one automorphism."""
-    return preservation_sweep(g, [sigma], False, budget, seed)[0]
+) -> tuple | None:
+    """The counterexample of the perfect-code sweep of one automorphism."""
+    return preservation_sweep(g, [sigma], False, budget, seed)[1][0]
 
 
 def is_tpcp_automorphism(
@@ -187,9 +161,10 @@ def is_tpcp_automorphism(
     sigma: tuple[int, ...],
     budget: int | None = None,
     seed: int = DEFAULT_SEED,
-) -> PcpReport:
-    """The total-perfect-code sweep of one automorphism."""
-    return preservation_sweep(g, [sigma], True, budget, seed)[0]
+) -> tuple | None:
+    """The counterexample of the total-perfect-code sweep of one
+    automorphism."""
+    return preservation_sweep(g, [sigma], True, budget, seed)[1][0]
 
 
 def all_power_automorphisms(g: FiniteGroup):

@@ -69,15 +69,6 @@ class SuiteResult:
         if not ok:
             self.failures.append(message)
 
-    def to_json(self) -> dict:
-        return {
-            "suite": self.name,
-            "checks": self.checks,
-            "failures": list(self.failures),
-            "passed": self.passed,
-            "elapsed_seconds": round(self.elapsed, 3),
-        }
-
 
 def suite_theorem3(seed: int = 0) -> SuiteResult:
     """Normal-subgroup criterion vs generic search on `corpus_groups(24)`

@@ -481,6 +481,70 @@ class TestAutomorphisms:
         assert "--budget" in captured.err and captured.out == ""
 
 
+REPORT_KEYS = {"command", "elapsed_seconds", "group", "results", "version"}
+CLASSIFY_KEYS = {
+    "group", "index", "method", "normal", "order", "perfect", "subgroup",
+    "total_perfect", "witness",
+}
+CHECK_KEYS = {"checks", "code", "connection_set", "group", "perfect", "total_perfect"}
+AUTOMORPHISM_KEYS = {"power", "sigma"}
+PCP_KEYS = AUTOMORPHISM_KEYS | {
+    "counterexample", "group", "preserving", "scope", "seed", "total_preserving",
+}
+
+
+class TestReportSchema:
+    """The exact keys of each command's JSON report and `results` rows."""
+
+    @pytest.mark.parametrize(
+        "argv, keys",
+        [
+            (["classify", "dihedral:4"], CLASSIFY_KEYS),
+            (["classify", "abelian:2,4,4", "--subgroup", "a1*a2^2,a1*a3^2"],
+             CLASSIFY_KEYS),
+            (["check", "cyclic:6", "--conn", "1,5", "--code", "0,3"], CHECK_KEYS),
+            (["check", "cyclic:6", "--conn", "1,5", "--code", "1,4", "--total"],
+             CHECK_KEYS),
+            (["enumerate", "cyclic:6", "--conn", "1,5"], {"codes", "count"}),
+            (["construct", "cyclic:9", "--subgroup", "a^3"],
+             {"connection_set", "subgroup", "total", "verified"}),
+            (["verify", "--suite", "prop3"],
+             {"checks", "elapsed_seconds", "failures", "passed", "suite"}),
+            (["automorphisms", "dihedral:4"], AUTOMORPHISM_KEYS),
+            (["automorphisms", "dihedral:4", "--pcp"], PCP_KEYS),
+            (["automorphisms", "cyclic:16", "--pcp", "--budget", "5"], PCP_KEYS),
+        ],
+    )
+    def test_keys(self, capsys, argv, keys):
+        code, out = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert set(report) == REPORT_KEYS
+        assert report["command"] == argv[0]
+        assert report["group"] == (None if argv[0] == "verify" else argv[1])
+        results = report["results"]
+        for row in results if isinstance(results, list) else [results]:
+            assert set(row) == keys
+        if argv[0] == "check":
+            assert set(results["checks"]) == {"definition", "group_ring", "transversal"}
+        if argv[0] == "classify":
+            assert all(set(row["witness"]) == {"type", "value"} for row in results)
+
+    @pytest.mark.parametrize(
+        "argv, scope, seed",
+        [
+            (["cyclic:4", "--pcp"], "exhaustive", None),
+            (["cyclic:16", "--pcp", "--budget", "5"], "sampled", 0),
+            (["cyclic:16", "--pcp", "--budget", "5", "--seed", "3"], "sampled", 3),
+        ],
+    )
+    def test_pcp_scope_and_seed(self, capsys, argv, scope, seed):
+        code, out = run_cli(capsys, "automorphisms", *argv, "--format", "json")
+        rows = json.loads(out)["results"]
+        assert all(r["power"] for r in rows)
+        assert {(r["scope"], r["seed"]) for r in rows} == {(scope, seed)}
+
+
 class TestDeterminism:
     def test_repeat_runs_identical_modulo_timing(self, capsys):
         outs = []

@@ -32,7 +32,6 @@ from cayleycodes.cayley import connection_set, is_total_perfect_code
 from cayleycodes.pcp import (
     DEFAULT_SAMPLE_BUDGET,
     EXHAUSTIVE_ORDER_BOUND,
-    PcpReport,
     _sampled_connection_sets,
     all_connection_sets,
     connection_orbits,
@@ -58,22 +57,19 @@ class TestConnectionSweep:
 class TestPreservation:
     def test_identity_preserving(self):
         g = symmetric_group(3)
-        report = is_pcp_automorphism(g, tuple(range(6)))
-        assert report.preserving and report.scope == "exhaustive"
-        assert report.counterexample is None
+        identity = tuple(range(6))
+        assert preservation_sweep(g, [identity]) == ("exhaustive", [None])
+        assert is_pcp_automorphism(g, identity) is None
 
     def test_inversion_preserving_on_abelian(self):
         for g in (make_cyclic(8), make_abelian((2, 4))):
-            report = is_pcp_automorphism(g, g.inv)
-            assert report.preserving
-            assert is_tpcp_automorphism(g, g.inv).preserving
+            assert is_pcp_automorphism(g, g.inv) is None
+            assert is_tpcp_automorphism(g, g.inv) is None
 
     def test_s3_conjugation_not_preserving(self):
         g = symmetric_group(3)
         sigma = inner_automorphism(g, 5)  # conjugation by (13)
-        report = is_pcp_automorphism(g, sigma)
-        assert not report.preserving
-        s, code = report.counterexample
+        s, code = is_pcp_automorphism(g, sigma)
         graph = build_cayley(g, s)
         image = tuple(sorted(sigma[c] for c in code))
         assert is_perfect_code(graph, code)
@@ -84,29 +80,11 @@ class TestPreservation:
     def test_tpcp_vacuous_on_odd_order(self):
         g = make_cyclic(5)
         for sigma in all_automorphisms(g):
-            assert is_tpcp_automorphism(g, sigma).preserving
-
-    def test_report_json_schema(self):
-        g = make_cyclic(4)
-        report = is_pcp_automorphism(g, g.inv)
-        payload = report.to_json("cyclic:4", g)
-        assert sorted(payload) == [
-            "counterexample",
-            "group",
-            "power",
-            "preserving",
-            "scope",
-            "seed",
-            "sigma",
-        ]
-        assert payload["power"] is True
-        assert payload["scope"] == "exhaustive"
+            assert is_tpcp_automorphism(g, sigma) is None
 
     def test_sampled_scope_beyond_bound(self):
         g = make_cyclic(16)
-        report = is_pcp_automorphism(g, tuple(range(16)), budget=5)
-        assert report.scope == "sampled" and report.seed == 0
-        assert report.preserving
+        assert preservation_sweep(g, [tuple(range(16))], budget=5) == ("sampled", [None])
 
 
 SWEEP_GROUPS = [(spec, g, None) for spec, g in corpus_groups(12)]
@@ -126,14 +104,14 @@ class TestGroupSweep:
     def test_matches_single_sweeps(self, spec, g, budget, total):
         sigmas = all_automorphisms(g)
         random.Random(spec).shuffle(sigmas)
-        reports = preservation_sweep(g, sigmas, total, budget, seed=7)
-        assert reports == [
-            preservation_sweep(g, [sigma], total, budget, seed=7)[0]
+        scope, found = preservation_sweep(g, sigmas, total, budget, seed=7)
+        assert [(scope, [ce]) for ce in found] == [
+            preservation_sweep(g, [sigma], total, budget, seed=7)
             for sigma in sigmas
         ]
 
     def test_empty_list(self):
-        assert preservation_sweep(make_cyclic(16), []) == []
+        assert preservation_sweep(make_cyclic(16), []) == ("sampled", [])
 
     def test_enumerates_each_connection_set_once_per_mode(self, monkeypatch):
         calls = []
@@ -180,10 +158,10 @@ def _reference_sweep(g, sigmas, total=False, budget=None, seed=0):
     enumerated and its codes checked against every unrefuted sigma."""
     if g.order <= EXHAUSTIVE_ORDER_BOUND:
         candidates = all_connection_sets(g)
-        scope, used_seed = "exhaustive", None
+        scope = "exhaustive"
     else:
         candidates = _sampled_connection_sets(g, budget or DEFAULT_SAMPLE_BUDGET, seed)
-        scope, used_seed = "sampled", seed
+        scope = "sampled"
     counterexample = [None] * len(sigmas)
     pending = range(len(sigmas))
     for s in candidates:
@@ -197,10 +175,7 @@ def _reference_sweep(g, sigmas, total=False, budget=None, seed=0):
             lost = (c for c in codes if frozenset(map(image, c)) not in known)
             counterexample[i] = next(((s, c) for c in lost), None)
         pending = [i for i in pending if counterexample[i] is None]
-    return [
-        PcpReport(sigma, ce is None, ce, scope, used_seed)
-        for sigma, ce in zip(sigmas, counterexample)
-    ]
+    return scope, counterexample
 
 
 MID_GROUPS = [(spec, g) for spec, g in corpus_groups(24) if g.order >= 13]
@@ -260,10 +235,10 @@ class TestSkippingSweep:
             return enumerate_perfect_codes(graph, total)
 
         monkeypatch.setattr(pcp, "enumerate_perfect_codes", recording)
-        reports = preservation_sweep(g, sigmas)
-        assert [r.preserving for r in reports] == [s == tuple(range(g.order)) for s in sigmas]
+        _, found = preservation_sweep(g, sigmas)
+        assert [ce is None for ce in found] == [s == tuple(range(g.order)) for s in sigmas]
         sets = all_connection_sets(g)
-        last_refuted = max(sets.index(r.counterexample[0]) for r in reports[1:])
+        last_refuted = max(sets.index(ce[0]) for ce in found[1:])
         assert sets.index(enumerated[-1]) == last_refuted
         assert last_refuted < len(sets) - 1
 
