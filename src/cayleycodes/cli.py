@@ -65,11 +65,14 @@ def _max_order(command: str) -> int:
     if not value:
         return ORDER_BOUNDS[command]
     try:
-        return int(value)
+        bound = int(value)
     except ValueError:
         raise GroupSpecError(
             f"{ENV_MAX_ORDER} must be an integer, got {value!r}"
         ) from None
+    if bound < 1:
+        raise GroupSpecError(f"{ENV_MAX_ORDER} must be positive, got {value!r}")
+    return bound
 
 
 def _bounded_group(args):

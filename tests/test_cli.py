@@ -238,6 +238,8 @@ class TestClassify:
             ("abelian:1,2", None),
             ("table:NONASSOC", None),
             ("cyclic:4", "abc"),
+            ("cyclic:4", "0"),
+            ("cyclic:4", "-5"),
         ],
     )
     def test_usage_errors_exit_2(self, capsys, monkeypatch, tmp_path, spec, env):
