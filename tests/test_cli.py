@@ -547,6 +547,17 @@ class TestReportSchema:
         assert {(r["scope"], r["seed"]) for r in rows} == {(scope, seed)}
 
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_error_while_printing_exits_2(self, capsys, monkeypatch, fmt):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        assert main(["classify", "cyclic:4", "--format", fmt]) == 2
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+
 class TestDeterminism:
     def test_repeat_runs_identical_modulo_timing(self, capsys):
         outs = []
