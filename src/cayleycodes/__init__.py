@@ -60,9 +60,8 @@ from .spectral import (
 )
 from .pcp import (
     all_power_automorphisms,
+    power_witness,
     preservation_sweep,
-    prop3_witness,
-    verify_trivial_centre_corollary,
 )
 
 __version__ = "0.1.0"

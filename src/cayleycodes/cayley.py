@@ -46,9 +46,6 @@ class ConnectionSet:
                     f"connection set not inverse-closed: {s} without {g.inv[s]}"
                 )
 
-    def __len__(self):
-        return len(self.elements)
-
     def sorted(self) -> tuple[int, ...]:
         return tuple(sorted(self.elements))
 

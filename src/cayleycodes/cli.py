@@ -9,6 +9,7 @@ failure, 2 usage/parse error, 3 bound exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -183,12 +184,13 @@ def cmd_check(args):
 
 def cmd_enumerate(args):
     g = _bounded_group(args)
-    s = parse_element_list(g, args.conn)
-    graph = build_cayley(g, _connection_set(g, s))
-    codes = enumerate_perfect_codes(graph, total=args.total)
+    conn = _connection_set(g, parse_element_list(g, args.conn))
+    codes = enumerate_perfect_codes(build_cayley(g, conn), total=args.total)
     results = {"codes": [list(c) for c in codes], "count": len(codes)}
     mode = "total perfect" if args.total else "perfect"
-    lines = [f"group {args.spec}  S={sorted(s)}  {mode} codes: {len(codes)}"]
+    lines = [
+        f"group {args.spec}  S={list(conn.sorted())}  {mode} codes: {len(codes)}"
+    ]
     lines += [f"  {list(c)}" for c in codes]
     return results, lines
 
@@ -276,6 +278,9 @@ def positive_int(text: str) -> int:
     return int(text)
 
 
+# One parser per process, built at the first `main` call.  It binds each
+# cmd_* then, so code that rebinds a cmd_* must do so before that call.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cayleycodes",

@@ -225,26 +225,33 @@ def dihedral_construct_sets(n: int, t: int, s: int):
 # generic backtracking decision
 
 
-def _search_inverse_closed_transversal(g: FiniteGroup, labels, total: bool):
-    """Find an inverse-closed left transversal of the subgroup whose left
-    cosets are numbered by ``labels`` (`coset_labels`): containing e for
-    the perfect case, identity-free for the total case.  Returns the
-    transversal as a sorted tuple, or None.
+def _search_inverse_closed_transversal(
+    g: FiniteGroup, h: tuple[int, ...], total: bool
+) -> tuple[int, ...] | None:
+    """Find an inverse-closed left transversal of H: containing e for the
+    perfect case, identity-free for the total case.  Returns the
+    transversal as a sorted tuple, or None.  The search is exponential in
+    the index, so the GENERIC_* bounds guard it.
 
     Inverse-closure is enforced on elements, not cosets: choosing x for a
     coset forces x^-1 on the coset that contains it (for non-normal H the
     inverse of a left coset need not be a left coset).
     """
-    k = max(labels) + 1
-    blocks = [[] for _ in range(k)]
+    index = g.order // len(h)
+    if index > GENERIC_INDEX_BOUND and g.order > GENERIC_ORDER_BOUND:
+        raise BoundExceededError(
+            f"generic search bound exceeded: index={index}, |G|={g.order}"
+        )
+    labels = coset_labels(g, h)
+    blocks = [[] for _ in range(index)]
     for x, label in enumerate(labels):
         blocks[label].append(x)
-    chosen: list[int | None] = [None] * k
+    chosen: list[int | None] = [None] * index
     if not total:
         chosen[labels[g.identity]] = g.identity
 
     def backtrack():
-        bi = next((i for i in range(k) if chosen[i] is None), None)
+        bi = next((i for i in range(index) if chosen[i] is None), None)
         if bi is None:
             return True
         for x in blocks[bi]:
@@ -272,29 +279,19 @@ def _search_inverse_closed_transversal(g: FiniteGroup, labels, total: bool):
 
 
 def generic_subgroup_code_decision(
-    g: FiniteGroup,
-    h: tuple[int, ...],
-    total: bool = False,
+    g: FiniteGroup, h: tuple[int, ...]
 ) -> CriterionVerdict:
-    """Decide both modes by exhaustive transversal search; the witness
-    connection set stored is the one for the requested mode."""
-    index = g.order // len(h)
-    if index > GENERIC_INDEX_BOUND and g.order > GENERIC_ORDER_BOUND:
-        raise BoundExceededError(
-            f"generic search bound exceeded: index={index}, |G|={g.order}"
-        )
-    labels = coset_labels(g, h)
-    perfect_l = _search_inverse_closed_transversal(g, labels, total=False)
-    total_l = _search_inverse_closed_transversal(g, labels, total=True)
+    """Decide both modes by exhaustive transversal search; the witness is
+    the connection set S of a perfect code."""
+    perfect = _search_inverse_closed_transversal(g, h, total=False)
+    total = _search_inverse_closed_transversal(g, h, total=True)
     witness = None
-    if total and total_l is not None:
-        witness = {"type": "connection_set", "value": list(total_l)}
-    elif not total and perfect_l is not None:
-        s = [x for x in perfect_l if x != g.identity]
+    if perfect is not None:
+        s = [x for x in perfect if x != g.identity]
         witness = {"type": "connection_set", "value": s}
     return CriterionVerdict(
-        perfect=perfect_l is not None,
-        total=total_l is not None,
+        perfect=perfect is not None,
+        total=total is not None,
         method="generic-search",
         witness=witness,
     )
@@ -333,8 +330,9 @@ def construct_connection_set(
 
     Dihedral subgroups <a^t, a^s b> get the explicit reflection sets,
     normal subgroups the key-property construction, and any other
-    subgroup the witness of the generic transversal search.  Raises
-    CayleyCodesError when the search finds no such set.
+    subgroup an inverse-closed transversal from the generic search in the
+    requested mode, less e.  Raises CayleyCodesError when the search
+    finds none.
     """
     if (
         g.kind == "dihedral"
@@ -350,9 +348,7 @@ def construct_connection_set(
         return connection_set(g, r_set if total else s_set)
     if is_normal(g, h):
         return construct_connection_set_normal(g, h, total=total)
-    verdict = generic_subgroup_code_decision(g, h, total=total)
-    witness = verdict.witness or {}
-    wanted = verdict.total if total else verdict.perfect
-    if not wanted or witness.get("type") != "connection_set":
+    found = _search_inverse_closed_transversal(g, h, total)
+    if found is None:
         raise CayleyCodesError("no construction available for this subgroup")
-    return connection_set(g, witness["value"])
+    return connection_set(g, [x for x in found if x != g.identity])

@@ -12,28 +12,18 @@ Cay(G, S) -> Cay(G, sigma(S)), so it maps the codes of Cay(G, S) onto
 themselves when sigma(S) = S.  And the |C| balls of a code, |T| elements
 each (T = S u {e}, or S for total codes), partition G, so Cay(G, S) has
 no code unless |T| divides |G|.
+
+For an automorphism that is not a power map, `power_witness` builds
+without a sweep a perfect code that it does not carry to a code.
 """
 
 from __future__ import annotations
 
 import random
 
-from .cayley import (
-    build_cayley,
-    connection_set,
-    enumerate_perfect_codes,
-    is_perfect_code,
-)
+from .cayley import build_cayley, connection_set, enumerate_perfect_codes
 from .errors import CayleyCodesError
-from .groups import (
-    FiniteGroup,
-    all_automorphisms,
-    all_subgroups,
-    centre,
-    coset_labels,
-    inner_automorphism,
-    is_power_automorphism,
-)
+from .groups import FiniteGroup, all_automorphisms, coset_labels, is_power_automorphism
 
 EXHAUSTIVE_ORDER_BOUND = 12
 DEFAULT_SAMPLE_BUDGET = 200
@@ -172,59 +162,29 @@ def all_power_automorphisms(g: FiniteGroup):
     return [s for s in all_automorphisms(g) if is_power_automorphism(g, s)]
 
 
-def prop3_witness(g: FiniteGroup, x: int):
-    """A verified non-preservation witness for conjugation by x.
+def power_witness(g: FiniteGroup, sigma: tuple[int, ...]):
+    """A perfect code that the automorphism sigma does not carry to a code.
 
-    When conjugation by x is not a power automorphism there is a subgroup H
-    and h in H whose conjugate leaves H.  With S = H \\ {e}, perfect codes
-    of Cay(G, S) are exactly the right transversals of H.  The returned C
-    is a right transversal containing e and c* = x^-1 h x (so that the
-    sigma-image contains both e and h, two elements of the coset H).  The
+    Returns (S, C), with C a perfect code of Cay(G, S) and sigma(C) not
+    one, or None when sigma is a power automorphism.  Let x be least with
+    sigma(x) not in H = <x>, and S = H \\ {e}; the closed balls of Cay(G, S)
+    are the right cosets Hy, so its perfect codes are the right
+    transversals of H.  As sigma(H) != H, some y outside H has sigma(y) in
+    H; c* is the least.  C is a right transversal containing e and c*, so
+    sigma(C) contains e and sigma(c*), two elements of the coset H.  The
     right cosets are the inverses of the left ones: Hy = (y^-1 H)^-1.
-    Returns None when conjugation by x is a power automorphism.
     """
-    sigma = inner_automorphism(g, x)
-    if is_power_automorphism(g, sigma):
+    x = next((x for x in range(g.order) if sigma[x] not in g.cyclic_span(x)), None)
+    if x is None:
         return None
-    xinv = g.inv[x]
-    for h in sorted(sub for sub in all_subgroups(g) if len(sub) > 1):
-        hs = frozenset(h)
-        moved = [k for k in h if g.conjugate(xinv, k) not in hs]
-        if not moved:
-            continue
-        c_star = g.conjugate(xinv, moved[0])
-        s = [k for k in h if k != g.identity]
-        # Hy is labelled by its inverse y^-1 H; ascending y keeps each
-        # right coset's least element unless e or c* is in it
-        labels = coset_labels(g, h)
-        code = {}
-        for y in range(g.order):
-            code.setdefault(labels[g.inv[y]], y)
-        for y in (c_star, g.identity):
-            code[labels[g.inv[y]]] = y
-        return connection_set(g, s), tuple(sorted(code.values()))
-    raise CayleyCodesError("no subgroup is moved, yet sigma is not a power map")
-
-
-def verify_trivial_centre_corollary(g: FiniteGroup) -> bool:
-    """For a centre-trivial group, no non-identity inner automorphism
-    preserves perfect codes.  Verified directly: each non-identity x gets
-    a constructed counterexample.  Power automorphisms are central in
-    Aut(G) (Cooper, Math. Z. 107, 1968), so when Z(G) = 1 conjugation by
-    x is never one and prop3_witness always returns a witness; a missing
-    witness counts as a failure."""
-    if len(centre(g)) != 1:
-        raise CayleyCodesError("group has nontrivial centre")
-    for x in range(g.order):
-        if x == g.identity:
-            continue
-        witness = prop3_witness(g, x)
-        if witness is None:
-            return False
-        s, code = witness
-        graph = build_cayley(g, s)
-        sigma = inner_automorphism(g, x)
-        image = [sigma[c] for c in code]
-        if not is_perfect_code(graph, code) or is_perfect_code(graph, image):
-            return False
-    return True
+    h = g.cyclic_span(x)
+    c_star = next(y for y in range(g.order) if y not in h and sigma[y] in h)
+    # Hy is labelled by its inverse y^-1 H; ascending y keeps each right
+    # coset's least element unless e or c* is in it
+    labels = coset_labels(g, tuple(sorted(h)))
+    code = {}
+    for y in range(g.order):
+        code.setdefault(labels[g.inv[y]], y)
+    for y in (c_star, g.identity):
+        code[labels[g.inv[y]]] = y
+    return connection_set(g, h - {g.identity}), tuple(sorted(code.values()))

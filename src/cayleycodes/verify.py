@@ -35,6 +35,7 @@ from .criteria import (
 from .errors import CayleyCodesError
 from .groups import (
     all_subgroups,
+    centre,
     inner_automorphism,
     is_normal,
     is_power_automorphism,
@@ -43,12 +44,7 @@ from .groups import (
     make_dihedral,
     subgroup_generated,
 )
-from .pcp import (
-    all_connection_sets,
-    all_power_automorphisms,
-    prop3_witness,
-    verify_trivial_centre_corollary,
-)
+from .pcp import all_connection_sets, all_power_automorphisms, power_witness
 from .specparse import parse_element_expr
 from .spectral import verify_lemma_equivalence
 
@@ -300,6 +296,20 @@ def suite_thm4a(seed: int = 0) -> SuiteResult:
     return res
 
 
+def _witness_holds(g, sigma, witness) -> tuple[bool, bool]:
+    """(C is a perfect code of Cay(G, S), sigma(C) is not) for the witness
+    (S, C) of sigma, each confirmed by both the ball check and the
+    group-ring check."""
+    s, code = witness
+    graph = build_cayley(g, s)
+    image = tuple(sorted(sigma[c] for c in code))
+    return (
+        is_perfect_code(graph, code) and group_ring_check_perfect(g, s, code),
+        not is_perfect_code(graph, image)
+        and not group_ring_check_perfect(g, s, image),
+    )
+
+
 def suite_prop3(seed: int = 0) -> SuiteResult:
     """Constructed witnesses for non-power inner automorphisms of S3, D8,
     D10 and D12, confirmed by both the definitional and group-ring checks."""
@@ -315,37 +325,39 @@ def suite_prop3(seed: int = 0) -> SuiteResult:
             sigma = inner_automorphism(g, x)
             if is_power_automorphism(g, sigma):
                 continue
-            witness = prop3_witness(g, x)
+            witness = power_witness(g, sigma)
             res.check(witness is not None, f"{name} g={x}: no witness produced")
             if witness is None:
                 continue
-            s, code = witness
-            graph = build_cayley(g, s)
-            image = tuple(sorted(sigma[c] for c in code))
+            code_ok, image_broken = _witness_holds(g, sigma, witness)
+            res.check(code_ok, f"{name} g={x}: witness code is not a perfect code")
             res.check(
-                is_perfect_code(graph, code)
-                and group_ring_check_perfect(g, s, code),
-                f"{name} g={x}: witness code is not a perfect code",
-            )
-            res.check(
-                not is_perfect_code(graph, image)
-                and not group_ring_check_perfect(g, s, image),
-                f"{name} g={x}: sigma-image is still a perfect code",
+                image_broken, f"{name} g={x}: sigma-image is still a perfect code"
             )
     return res
 
 
 def suite_trivial_centre(seed: int = 0) -> SuiteResult:
     """Only the identity inner automorphism of a centre-trivial group
-    preserves perfect codes: S3, D10 and S4."""
+    preserves perfect codes: S3, D10 and S4.
+
+    Power automorphisms are central in Aut(G) (Cooper, Math. Z. 107,
+    1968), so when Z(G) = 1 conjugation by x != e is never one, and each
+    gets a witness from `power_witness`; a missing witness is a failure."""
     res = SuiteResult("trivial-centre")
     for name, g in [
         ("S3", symmetric_group(3)),
         ("D10", make_dihedral(5)),
         ("S4", symmetric_group(4)),
     ]:
+        sigmas = [inner_automorphism(g, x) for x in range(g.order) if x != g.identity]
+        witnesses = ((sigma, power_witness(g, sigma)) for sigma in sigmas)
         res.check(
-            verify_trivial_centre_corollary(g),
+            len(centre(g)) == 1
+            and all(
+                w is not None and all(_witness_holds(g, sigma, w))
+                for sigma, w in witnesses
+            ),
             f"{name}: a non-identity inner automorphism preserves codes",
         )
     return res

@@ -36,7 +36,7 @@ class TestGraphs:
     def test_six_cycle(self):
         g = make_cyclic(6)
         graph = build_cayley(g, {1, 5})
-        assert len(graph.conn) == 2
+        assert len(graph.conn.elements) == 2
         for v in range(6):
             assert graph.neighbours(v) == {(v + 1) % 6, (v - 1) % 6}
 

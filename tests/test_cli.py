@@ -312,6 +312,19 @@ class TestEnumerate:
         )
         assert json.loads(out)["results"]["count"] == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "cyclic:6", "--conn", "1,5,1"],
+            ["check", "cyclic:6", "--conn", "1,5,1", "--code", "0,3"],
+        ],
+        ids=["enumerate", "check"],
+    )
+    def test_repeated_connection_element_printed_once(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.startswith("group cyclic:6  S=[1, 5]  ")
+
     def test_dihedral_reflections(self, capsys):
         conn = "b,a*b,a^2*b,a^3*b,a^4*b,a^5*b"
         # closed balls have size 7, which does not divide 12: no perfect codes

@@ -9,6 +9,7 @@ from cayleycodes import (
     CayleyCodesError,
     abelian_criterion,
     build_cayley,
+    construct_connection_set,
     construct_connection_set_normal,
     cyclic_criterion,
     decide_subgroup_code,
@@ -116,14 +117,14 @@ class TestConstruction:
         g = make_cyclic(9)
         h = subgroup_generated(g, {3})
         s = construct_connection_set_normal(g, h)
-        assert len(s) == 2
+        assert len(s.elements) == 2
         assert is_perfect_code(build_cayley(g, s), h)
 
     def test_z12_total_includes_involution(self):
         g = make_cyclic(12)
         h = subgroup_generated(g, {3})
         r = construct_connection_set_normal(g, h, total=True)
-        assert len(r) == 3
+        assert len(r.elements) == 3
         assert 6 in r.elements
         assert is_total_perfect_code(build_cayley(g, r), h)
 
@@ -296,20 +297,24 @@ class TestGeneric:
         v = generic_subgroup_code_decision(g, h)
         assert not v.perfect
 
-    def test_witness_connection_set_verifies(self):
-        g = make_dihedral(5)
+    def test_construct_verifies_exactly_where_search_finds_a_set(self):
+        # S4 is not dihedral, so construct_connection_set takes every
+        # non-normal subgroup to the generic search
+        g = symmetric_group(4)
         for h in all_subgroups(g):
-            for total in (False, True):
-                v = generic_subgroup_code_decision(g, h, total=total)
-                wanted = v.total if total else v.perfect
-                if not wanted:
+            if is_normal(g, h):
+                continue
+            verdict = generic_subgroup_code_decision(g, h)
+            for total, found in ((False, verdict.perfect), (True, verdict.total)):
+                if not found:
+                    with pytest.raises(CayleyCodesError):
+                        construct_connection_set(g, h, total=total)
                     continue
-                s = v.witness["value"]
-                graph = build_cayley(g, s)
-                if total:
-                    assert is_total_perfect_code(graph, h)
-                else:
-                    assert is_perfect_code(graph, h)
+                s = construct_connection_set(g, h, total=total)
+                is_code = is_total_perfect_code if total else is_perfect_code
+                assert is_code(build_cayley(g, s), h)
+                if not total:
+                    assert verdict.witness["value"] == list(s.sorted())
 
     def test_bound(self):
         g = make_abelian((2,) * 6)  # order 64, trivial subgroup: index 64

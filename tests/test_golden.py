@@ -34,7 +34,6 @@ Re-record (only when the output is meant to change):
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
 import io
 import json
@@ -98,16 +97,10 @@ def _resolve(spec: str, check_order=None):
     return parse_group_spec(spec, check_order)
 
 
-# parse_args keeps no state between calls, so one parser serves every run;
-# building it is most of the time of a small `check`
-_parser = functools.cache(cli.build_parser)
-
-
 def _run(argv) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with (
         mock.patch.object(cli, "parse_group_spec", _resolve),
-        mock.patch.object(cli, "build_parser", _parser),
         contextlib.redirect_stdout(out),
         contextlib.redirect_stderr(err),
     ):

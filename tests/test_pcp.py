@@ -11,6 +11,7 @@ from cayleycodes import (
     CayleyCodesError,
     all_power_automorphisms,
     build_cayley,
+    centre,
     enumerate_perfect_codes,
     group_ring_check_perfect,
     inner_automorphism,
@@ -18,14 +19,12 @@ from cayleycodes import (
     make_abelian,
     make_cyclic,
     make_dihedral,
+    power_witness,
     preservation_sweep,
-    prop3_witness,
-    verify_trivial_centre_corollary,
 )
 from cayleycodes.corpus import corpus_groups, symmetric_group
 from cayleycodes.groups import (
     all_automorphisms,
-    all_subgroups,
     is_power_automorphism,
 )
 from cayleycodes.cayley import connection_set, is_total_perfect_code
@@ -273,76 +272,89 @@ class TestPowerAutomorphisms:
         assert len(all_power_automorphisms(g)) == len(all_automorphisms(g))
 
 
+def _refuted(g, sigma, witness):
+    """Is the witness C a perfect code of Cay(G, S) that sigma carries to a
+    non-code?"""
+    s, code = witness
+    graph = build_cayley(g, s)
+    image = [sigma[c] for c in code]
+    return is_perfect_code(graph, code) and not is_perfect_code(graph, image)
+
+
+WITNESS_GROUPS = corpus_groups(16) + [("S4", symmetric_group(4))]
+
+
 class TestWitness:
     def test_abelian_has_no_witness(self):
         g = make_cyclic(6)
         for x in range(6):
-            assert prop3_witness(g, x) is None
+            assert power_witness(g, inner_automorphism(g, x)) is None
 
     def test_s3_witness(self):
         g = symmetric_group(3)
         sigma = inner_automorphism(g, 5)
-        s, code = prop3_witness(g, 5)
-        graph = build_cayley(g, s)
-        image = tuple(sorted(sigma[c] for c in code))
-        assert is_perfect_code(graph, code)
-        assert not is_perfect_code(graph, image)
+        assert _refuted(g, sigma, power_witness(g, sigma))
 
     def test_d8_witness(self):
         g = make_dihedral(4)
         sigma = inner_automorphism(g, 1)  # conjugation by a
-        assert prop3_witness(g, 1) is not None
-        s, code = prop3_witness(g, 1)
-        graph = build_cayley(g, s)
-        image = tuple(sorted(sigma[c] for c in code))
-        assert is_perfect_code(graph, code)
-        assert not is_perfect_code(graph, image)
+        assert _refuted(g, sigma, power_witness(g, sigma))
 
+    @pytest.mark.parametrize(
+        "spec, g", WITNESS_GROUPS, ids=[spec for spec, _ in WITNESS_GROUPS]
+    )
+    def test_every_non_power_automorphism_is_refuted(self, spec, g):
+        for sigma in all_automorphisms(g):
+            witness = power_witness(g, sigma)
+            if is_power_automorphism(g, sigma):
+                assert witness is None
+            else:
+                assert _refuted(g, sigma, witness)
 
     @pytest.mark.parametrize(
         "spec, g",
         [(spec, g) for spec, g in corpus_groups(24) if not g.is_abelian],
     )
     def test_witness_matches_right_coset_reference(self, spec, g):
-        for x in range(g.order):
-            expected = _reference_prop3_witness(g, x)
-            witness = prop3_witness(g, x)
+        for sigma in all_automorphisms(g):
+            expected = _reference_power_witness(g, sigma)
+            witness = power_witness(g, sigma)
             if expected is None:
                 assert witness is None
             else:
                 assert (witness[0].sorted(), witness[1]) == expected
 
 
-def _reference_prop3_witness(g, x):
-    """prop3_witness with the right cosets Hy listed directly as products
+def _reference_power_witness(g, sigma):
+    """power_witness with the right cosets Hy listed directly as products
     ky, not as inverted left cosets."""
-    if is_power_automorphism(g, inner_automorphism(g, x)):
+    moved = [x for x in range(g.order) if sigma[x] not in g.cyclic_span(x)]
+    if not moved:
         return None
-    xinv = g.inv[x]
-    subs = [s for s in all_subgroups(g) if len(s) > 1]
-    for h in sorted(subs):
-        moved = [k for k in h if g.conjugate(xinv, k) not in h]
-        if not moved:
-            continue
-        c_star = g.conjugate(xinv, moved[0])
-        cosets = {frozenset(g.mult[k][y] for k in h) for y in range(g.order)}
-        code = []
-        for block in cosets:
-            if g.identity in block:
-                code.append(g.identity)
-            elif c_star in block:
-                code.append(c_star)
-            else:
-                code.append(min(block))
-        return tuple(sorted(set(h) - {g.identity})), tuple(sorted(code))
-    raise AssertionError("no subgroup is moved")
+    h = g.cyclic_span(moved[0])
+    c_star = min(y for y in range(g.order) if y not in h and sigma[y] in h)
+    cosets = {frozenset(g.mult[k][y] for k in h) for y in range(g.order)}
+    code = []
+    for block in cosets:
+        if g.identity in block:
+            code.append(g.identity)
+        elif c_star in block:
+            code.append(c_star)
+        else:
+            code.append(min(block))
+    return tuple(sorted(h - {g.identity})), tuple(sorted(code))
 
 
 class TestCorollaries:
     def test_trivial_centre(self):
-        assert verify_trivial_centre_corollary(symmetric_group(3))
-        assert verify_trivial_centre_corollary(make_dihedral(5))
-
-    def test_trivial_centre_rejects_abelian(self):
-        with pytest.raises(CayleyCodesError):
-            verify_trivial_centre_corollary(make_cyclic(6))
+        # every non-identity inner automorphism of a centre-trivial group
+        # gets a witness
+        for g in (symmetric_group(3), make_dihedral(5)):
+            assert centre(g) == (g.identity,)
+            for x in range(g.order):
+                sigma = inner_automorphism(g, x)
+                witness = power_witness(g, sigma)
+                if x == g.identity:
+                    assert witness is None
+                else:
+                    assert _refuted(g, sigma, witness)
