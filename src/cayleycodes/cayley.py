@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
-from .errors import BoundExceededError, CayleyCodesError
+from .errors import CayleyCodesError, node_counter
 from .groups import FiniteGroup, coset_labels
 
 # search nodes one enumeration may visit: over 180 times the most (5 461,
@@ -194,16 +194,10 @@ def enumerate_perfect_codes(graph: CayleyGraph, total: bool = False):
     clash = list(map(sum, zip(*(rows[x] for x in range(n) if tt >> x & 1))))
     full = (1 << n) - 1
     solutions = []
-    nodes = 0
+    count = node_counter("enumerate_perfect_codes", ENUMERATION_NODE_BUDGET)
 
     def search(covered, usable, chosen):
-        nonlocal nodes
-        nodes += 1
-        if nodes > ENUMERATION_NODE_BUDGET:
-            raise BoundExceededError(
-                "enumerate_perfect_codes node budget exceeded:"
-                f" more than {ENUMERATION_NODE_BUDGET} search nodes"
-            )
+        count()
         if covered == full:
             solutions.append(tuple(sorted(chosen)))
             return

@@ -49,9 +49,9 @@ ENV_MAX_ORDER = "CAYLEYCODES_MAX_ORDER"
 # The largest |G| each command accepts; ENV_MAX_ORDER, when set, replaces
 # every one of them.  check and construct do little beyond building the
 # n^2 table: at order 2048 each took at most 1.3 s and 192 MB (CPython
-# 3.11, 2-vCPU Xeon).  The library bounds only its work: node budgets on
-# the exact cover and the automorphism search, and an index guard on the
-# generic transversal search.
+# 3.11, 2-vCPU Xeon).  The library bounds only its work: each of its
+# three exponential searches (the exact cover, the automorphism search and
+# the generic transversal search) has a node budget.
 ORDER_BOUNDS = {
     "classify": 64,
     "enumerate": 24,
@@ -101,11 +101,13 @@ def _connection_set(g, elements):
 
 # Each cmd_* returns (results, text lines) or (results, text lines, exit
 # code); `main` prints the lines or the JSON report around the results.
+# Long outputs give their lines as a generator, so that a JSON report
+# never builds them.
 
 
 def cmd_classify(args):
     g = _bounded_group(args)
-    if args.subgroup:
+    if args.subgroup is not None:
         gens = parse_element_list(g, args.subgroup)
         subs = [subgroup_generated(g, gens)]
     else:
@@ -126,22 +128,25 @@ def cmd_classify(args):
                 "witness": verdict.witness or {"type": "none", "value": None},
             }
         )
-    lines = [
-        f"group {args.spec}  order {g.order}  subgroups {len(rows)}",
-        f"{'order':>5} {'index':>5} {'normal':>6} {'perfect':>7} {'total':>5}"
-        f" {'method':<18} elements",
-    ]
-    for row in rows:
-        witness = row["witness"]
-        note = ""
-        if witness["type"] == "failing_g":
-            note = f"  witness g={witness['value']}"
-        lines.append(
-            f"{row['order']:>5} {row['index']:>5} {str(row['normal']):>6}"
-            f" {str(row['perfect']):>7} {str(row['total_perfect']):>5}"
-            f" {row['method']:<18} {row['subgroup']}{note}"
+
+    def lines():
+        yield f"group {args.spec}  order {g.order}  subgroups {len(rows)}"
+        yield (
+            f"{'order':>5} {'index':>5} {'normal':>6} {'perfect':>7} {'total':>5}"
+            f" {'method':<18} elements"
         )
-    return rows, lines
+        for row in rows:
+            witness = row["witness"]
+            note = ""
+            if witness["type"] == "failing_g":
+                note = f"  witness g={witness['value']}"
+            yield (
+                f"{row['order']:>5} {row['index']:>5} {str(row['normal']):>6}"
+                f" {str(row['perfect']):>7} {str(row['total_perfect']):>5}"
+                f" {row['method']:<18} {row['subgroup']}{note}"
+            )
+
+    return rows, lines()
 
 
 def cmd_check(args):
@@ -188,11 +193,14 @@ def cmd_enumerate(args):
     codes = enumerate_perfect_codes(build_cayley(g, conn), total=args.total)
     results = {"codes": [list(c) for c in codes], "count": len(codes)}
     mode = "total perfect" if args.total else "perfect"
-    lines = [
-        f"group {args.spec}  S={list(conn.sorted())}  {mode} codes: {len(codes)}"
-    ]
-    lines += [f"  {list(c)}" for c in codes]
-    return results, lines
+
+    def lines():
+        yield (
+            f"group {args.spec}  S={list(conn.sorted())}  {mode} codes: {len(codes)}"
+        )
+        yield from (f"  {list(c)}" for c in codes)
+
+    return results, lines()
 
 
 def cmd_construct(args):
@@ -257,19 +265,22 @@ def cmd_automorphisms(args):
                 seed=seed,
                 counterexample=ce,
             )
-    lines = [f"group {args.spec}  automorphisms: {len(rows)}"]
-    for row in rows:
-        extra = ""
-        if args.pcp:
-            extra = (
-                f"  pcp={row['preserving']} tpcp={row['total_preserving']}"
-                f" scope={row['scope']}"
-            )
-            if row["counterexample"]:
-                ce = row["counterexample"]
-                extra += f"  counterexample S={ce['S']} C={ce['C']}"
-        lines.append(f"  power={str(row['power']):<5} {row['sigma']}{extra}")
-    return rows, lines
+
+    def lines():
+        yield f"group {args.spec}  automorphisms: {len(rows)}"
+        for row in rows:
+            extra = ""
+            if args.pcp:
+                extra = (
+                    f"  pcp={row['preserving']} tpcp={row['total_preserving']}"
+                    f" scope={row['scope']}"
+                )
+                if row["counterexample"]:
+                    ce = row["counterexample"]
+                    extra += f"  counterexample S={ce['S']} C={ce['C']}"
+            yield f"  power={str(row['power']):<5} {row['sigma']}{extra}"
+
+    return rows, lines()
 
 
 def positive_int(text: str) -> int:

@@ -13,11 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cayley import ConnectionSet, connection_set
-from .errors import BoundExceededError, CayleyCodesError
+from .errors import CayleyCodesError, node_counter
 from .groups import FiniteGroup, coset_labels, is_normal
 
-GENERIC_INDEX_BOUND = 16
-GENERIC_ORDER_BOUND = 32
+# search nodes one transversal search may visit: over 60 times the most
+# seen (1 536, an order-2 subgroup of D4 x Z2^8 at the construct bound of
+# 2048); on D16 x Z2, D8 x Z2^2, D4 x Z2^3 and D4 x D4 the most is 111
+TRANSVERSAL_NODE_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -230,18 +232,17 @@ def _search_inverse_closed_transversal(
 ) -> tuple[int, ...] | None:
     """Find an inverse-closed left transversal of H: containing e for the
     perfect case, identity-free for the total case.  Returns the
-    transversal as a sorted tuple, or None.  The search is exponential in
-    the index, so the GENERIC_* bounds guard it.
+    transversal as a sorted tuple, or None.  More than
+    TRANSVERSAL_NODE_BUDGET nodes raise BoundExceededError.
 
     Inverse-closure is enforced on elements, not cosets: choosing x for a
     coset forces x^-1 on the coset that contains it (for non-normal H the
-    inverse of a left coset need not be a left coset).
+    inverse of a left coset need not be a left coset).  That coset lies in
+    Hx^-1H = (HxH)^-1, so the cosets of each pair {HxH, Hx^-1H} are
+    searched on their own, pairs in order of their least label, and the
+    first pair with no solution decides.
     """
     index = g.order // len(h)
-    if index > GENERIC_INDEX_BOUND and g.order > GENERIC_ORDER_BOUND:
-        raise BoundExceededError(
-            f"generic search bound exceeded: index={index}, |G|={g.order}"
-        )
     labels = coset_labels(g, h)
     blocks = [[] for _ in range(index)]
     for x, label in enumerate(labels):
@@ -249,9 +250,11 @@ def _search_inverse_closed_transversal(
     chosen: list[int | None] = [None] * index
     if not total:
         chosen[labels[g.identity]] = g.identity
+    count = node_counter("transversal search", TRANSVERSAL_NODE_BUDGET)
 
-    def backtrack():
-        bi = next((i for i in range(index) if chosen[i] is None), None)
+    def backtrack(pair):
+        count()
+        bi = next((i for i in pair if chosen[i] is None), None)
         if bi is None:
             return True
         for x in blocks[bi]:
@@ -266,16 +269,23 @@ def _search_inverse_closed_transversal(
             fresh = chosen[bj] is None
             chosen[bi] = x
             chosen[bj] = xi
-            if backtrack():
+            if backtrack(pair):
                 return True
             chosen[bi] = None
             if fresh:
                 chosen[bj] = None
         return False
 
-    if backtrack():
-        return tuple(sorted(x for x in chosen))
-    return None
+    paired = [False] * index
+    for label, (x, *_) in enumerate(blocks):
+        if paired[label]:
+            continue
+        pair = sorted({labels[g.mult[k][y]] for k in h for y in (x, g.inv[x])})
+        for i in pair:
+            paired[i] = True
+        if not backtrack(pair):
+            return None
+    return tuple(sorted(chosen))
 
 
 def generic_subgroup_code_decision(

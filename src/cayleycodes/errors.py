@@ -21,7 +21,21 @@ class GroupTableError(CayleyCodesError):
 
 
 class BoundExceededError(CayleyCodesError):
-    """An enumeration was requested beyond its configured size bound."""
+    """A group over its order bound, or a search past its node budget."""
+
+
+def node_counter(search: str, budget: int):
+    """A function to call once per node of `search`; the call that goes
+    past `budget` nodes raises BoundExceededError."""
+    nodes = iter(range(budget))
+
+    def count():
+        if next(nodes, None) is None:
+            raise BoundExceededError(
+                f"{search} node budget exceeded: more than {budget} search nodes"
+            )
+
+    return count
 
 
 class GroupSpecError(CayleyCodesError):

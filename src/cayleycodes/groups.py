@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 
-from .errors import BoundExceededError, CayleyCodesError, GroupTableError
+from .errors import CayleyCodesError, GroupTableError, node_counter
 
 # search nodes one automorphism listing may visit: over 4 times the most
 # (22 906, Z2^4) of any group in corpus_groups(24) or S4
@@ -498,16 +498,10 @@ def all_automorphisms(g: FiniteGroup):
         [y for y in range(g.order) if orders[y] == orders[x]] for x in gens
     ]
     out = []
-    nodes = 0
+    count = node_counter("all_automorphisms", AUTOMORPHISM_NODE_BUDGET)
 
     def choose(images):
-        nonlocal nodes
-        nodes += 1
-        if nodes > AUTOMORPHISM_NODE_BUDGET:
-            raise BoundExceededError(
-                "all_automorphisms node budget exceeded:"
-                f" more than {AUTOMORPHISM_NODE_BUDGET} search nodes"
-            )
+        count()
         if len(images) == len(gens):
             image = _extend_images(g, gens, images)
             if image is not None and len(set(image)) == g.order:

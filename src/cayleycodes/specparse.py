@@ -132,8 +132,11 @@ def load_table_file(path: str) -> FiniteGroup:
     The entries are parsed in one pass, O(n^2); on a bad token they are
     parsed again one by one, so the error names the first bad token.
     """
-    with open(path) as fh:
-        tokens = fh.read().split()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            tokens = fh.read().split()
+    except UnicodeDecodeError:
+        raise GroupSpecError(f"table file {path!r} is not UTF-8 text") from None
     if not tokens:
         raise GroupSpecError(f"empty table file {path!r}")
     n = _int(tokens[0])

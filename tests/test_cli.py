@@ -6,9 +6,12 @@ import json
 
 import pytest
 
-from cayleycodes import groups, specparse, verify
+from cayleycodes import criteria, groups, specparse, verify
+from cayleycodes.cayley import build_cayley, is_perfect_code, is_total_perfect_code
 from cayleycodes.cli import main
-from cayleycodes.errors import GroupSpecError, GroupTableError
+from cayleycodes.corpus import symmetric_group
+from cayleycodes.criteria import construct_connection_set
+from cayleycodes.errors import CayleyCodesError, GroupSpecError, GroupTableError
 from cayleycodes.specparse import (
     parse_element_expr,
     parse_element_list,
@@ -220,6 +223,14 @@ class TestClassify:
         assert row["perfect"] is False
         assert row["witness"] == {"type": "failing_g", "value": 5}
 
+    @pytest.mark.parametrize("subgroup", ["", " , "])
+    def test_empty_generator_list_is_the_trivial_subgroup(self, capsys, subgroup):
+        code, out = run_cli(
+            capsys, "classify", "dihedral:4", "--subgroup", subgroup, "--format", "json"
+        )
+        assert code == 0
+        assert [row["subgroup"] for row in json.loads(out)["results"]] == [[0]]
+
     def test_bound_exceeded(self, capsys):
         assert main(["classify", "cyclic:200"]) == 3
 
@@ -237,6 +248,7 @@ class TestClassify:
             ("cyclic:0", None),
             ("abelian:1,2", None),
             ("table:NONASSOC", None),
+            ("table:NOTUTF8", None),
             ("cyclic:4", "abc"),
             ("cyclic:4", "0"),
             ("cyclic:4", "-5"),
@@ -249,6 +261,10 @@ class TestClassify:
             path.write_text(
                 "5\n0 1 2 3 4\n1 0 3 4 2\n2 4 0 1 3\n3 2 4 0 1\n4 3 1 2 0\n"
             )
+            spec = f"table:{path}"
+        if spec == "table:NOTUTF8":
+            path = tmp_path / "notutf8.txt"
+            path.write_bytes(b"\xff\xfe")
             spec = f"table:{path}"
         if env is not None:
             monkeypatch.setenv("CAYLEYCODES_MAX_ORDER", env)
@@ -375,23 +391,57 @@ class TestConstruct:
         assert json.loads(out)["results"]["verified"] is True
 
 
-class TestGenericSearchGuard:
-    """The transversal search refuses index > 16 on |G| > 32; D32 x Z2 has
-    index-32 subgroups that no specialized criterion decides."""
+class TestGenericSearch:
+    """Non-normal subgroups that no specialized criterion decides go to
+    the transversal search, bounded by its node budget alone."""
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["classify", "product:(dihedral:16)x(abelian:2)"],
-            ["classify", "product:(dihedral:16)x(abelian:2)", "--subgroup", "32"],
-            ["construct", "product:(dihedral:16)x(abelian:2)", "--subgroup", "32"],
-        ],
-        ids=["classify", "classify-subgroup", "construct"],
-    )
-    def test_exits_3(self, capsys, argv):
+    SPEC = "product:(dihedral:16)x(abelian:2)"
+
+    def test_classify_order_64(self, capsys):
+        code, out = run_cli(capsys, "classify", self.SPEC, "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["results"]
+        assert len(rows) == 137
+        assert any(row["method"] == "generic-search" for row in rows)
+        g = parse_group_spec(self.SPEC)
+        for row in rows:
+            h = tuple(row["subgroup"])
+            for total, key, is_code in (
+                (False, "perfect", is_perfect_code),
+                (True, "total_perfect", is_total_perfect_code),
+            ):
+                if not row[key]:
+                    with pytest.raises(CayleyCodesError):
+                        construct_connection_set(g, h, total=total)
+                    continue
+                conn = construct_connection_set(g, h, total=total)
+                assert is_code(build_cayley(g, conn), h), (row, total)
+
+    def test_construct_refuses_at_index_768(self, capsys, tmp_path):
+        # H = <(s, 0)> in S4 x Z64, s the involution at index 16 of S4:
+        # its double-coset pairs are searched one at a time
+        s4 = symmetric_group(4)
+        path = tmp_path / "s4.txt"
+        path.write_text(
+            f"{s4.order}\n" + "".join(" ".join(map(str, row)) + "\n" for row in s4.mult)
+        )
+        spec = f"product:(table:{path})x(cyclic:64)"
+        assert main(["construct", spec, "--subgroup", "1024"]) == 1
+        assert capsys.readouterr().err == (
+            "error: no construction available for this subgroup\n"
+        )
+
+    def test_node_budget_exits_3(self, capsys, monkeypatch):
+        # the order-2 subgroup <32> takes 35 nodes in perfect mode, 36 in total
+        argv = ["classify", self.SPEC, "--subgroup", "32"]
+        monkeypatch.setattr(criteria, "TRANSVERSAL_NODE_BUDGET", 36)
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(criteria, "TRANSVERSAL_NODE_BUDGET", 35)
         assert main(argv) == 3
         assert capsys.readouterr().err == (
-            "error: generic search bound exceeded: index=32, |G|=64\n"
+            "error: transversal search node budget exceeded:"
+            " more than 35 search nodes\n"
         )
 
 

@@ -29,9 +29,13 @@ from cayleycodes import (
 )
 from cayleycodes.basis import abelian_basis
 from cayleycodes.corpus import corpus_groups, quaternion_group, symmetric_group
-from cayleycodes.criteria import abelian_sylow_reduction
-from cayleycodes.groups import all_subgroups, is_normal
-from cayleycodes.specparse import parse_element_expr
+from cayleycodes import criteria
+from cayleycodes.criteria import (
+    _search_inverse_closed_transversal,
+    abelian_sylow_reduction,
+)
+from cayleycodes.groups import all_subgroups, coset_labels, is_normal
+from cayleycodes.specparse import parse_element_expr, parse_group_spec
 
 
 class TestPropertyOne:
@@ -316,11 +320,76 @@ class TestGeneric:
                 if not total:
                     assert verdict.witness["value"] == list(s.sorted())
 
-    def test_bound(self):
-        g = make_abelian((2,) * 6)  # order 64, trivial subgroup: index 64
-        h = subgroup_generated(g, set())
-        with pytest.raises(BoundExceededError):
-            generic_subgroup_code_decision(g, h)
+    def test_node_budget(self, monkeypatch):
+        # a non-normal order-2 subgroup of S3 x Z2: 9 nodes in perfect mode
+        g = direct_product(symmetric_group(3), make_cyclic(2))
+        h = subgroup_generated(g, {2})
+        assert not is_normal(g, h)
+        monkeypatch.setattr(criteria, "TRANSVERSAL_NODE_BUDGET", 9)
+        assert _search_inverse_closed_transversal(g, h, total=False) is not None
+        monkeypatch.setattr(criteria, "TRANSVERSAL_NODE_BUDGET", 8)
+        with pytest.raises(BoundExceededError, match="transversal search node"):
+            _search_inverse_closed_transversal(g, h, total=False)
+
+
+def _whole_coset_search(g, h, total):
+    """The transversal search over all cosets at once, as it was before
+    the search split into double-coset pairs: the lowest coset without a
+    representative is always the next to branch on."""
+    index = g.order // len(h)
+    labels = coset_labels(g, h)
+    blocks = [[] for _ in range(index)]
+    for x, label in enumerate(labels):
+        blocks[label].append(x)
+    chosen = [None] * index
+    if not total:
+        chosen[labels[g.identity]] = g.identity
+
+    def backtrack():
+        bi = next((i for i in range(index) if chosen[i] is None), None)
+        if bi is None:
+            return True
+        for x in blocks[bi]:
+            if x == g.identity:
+                continue
+            xi = g.inv[x]
+            bj = labels[xi]
+            if chosen[bj] is not None and chosen[bj] != xi:
+                continue
+            if bj == bi and xi != x:
+                continue
+            fresh = chosen[bj] is None
+            chosen[bi] = x
+            chosen[bj] = xi
+            if backtrack():
+                return True
+            chosen[bi] = None
+            if fresh:
+                chosen[bj] = None
+        return False
+
+    return tuple(sorted(chosen)) if backtrack() else None
+
+
+# corpus_groups(32) holds abelian:2,4,4
+REFERENCE_GROUPS = [
+    *corpus_groups(32),
+    ("table:S4", symmetric_group(4)),
+    ("D16xZ2", parse_group_spec("product:(dihedral:16)x(abelian:2)")),
+    ("D4xD4", parse_group_spec("product:(dihedral:4)x(dihedral:4)")),
+    ("Q8xQ8", direct_product(quaternion_group(), quaternion_group())),
+    ("S4xZ2", direct_product(symmetric_group(4), make_cyclic(2))),
+]
+
+
+@pytest.mark.parametrize(
+    "g", [g for _, g in REFERENCE_GROUPS], ids=[spec for spec, _ in REFERENCE_GROUPS]
+)
+def test_pairwise_search_finds_the_whole_coset_transversal(g):
+    for h in all_subgroups(g):
+        for total in (False, True):
+            found = _search_inverse_closed_transversal(g, h, total)
+            assert found == _whole_coset_search(g, h, total), (h, total)
 
 
 class TestDispatcher:
