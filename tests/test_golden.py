@@ -12,8 +12,9 @@ exit code and stderr instead.  The corpus's `table:S3` and `table:Q8` are
 resolved to the corpus groups rather than read from files.
 
 `classify` runs for every `corpus_groups(24)` group, Z2 x Z4 x Z4
-(`abelian:2,4,4`, the order-32 group of the paper's counterexample) and
-Z2^5.  `construct` runs for every subgroup of every `corpus_groups(12)`
+(`abelian:2,4,4`, the order-32 group of the paper's counterexample),
+Z2^5 and five groups at the default bound of 64: Z2^6, D16 x Z2,
+D8 x Z2^2, D4 x Z2^3 and D4 x D4.  `construct` runs for every subgroup of every `corpus_groups(12)`
 group and of Z2 x Z4 x Z4, given by its element indices, in both modes.
 `enumerate` runs for every connection set of every `corpus_groups(8)`
 group, in both modes.  `automorphisms` and `automorphisms --pcp` run for
@@ -56,7 +57,14 @@ AUTOMORPHISMS_GOLDEN_FILE = Path(__file__).with_name("golden_automorphisms.json"
 # the order-32 group of the paper's counterexample, added to each corpus
 Z2_Z4_Z4 = ("abelian:2,4,4", make_abelian((2, 4, 4)))
 CORPUS = dict(corpus_groups(24))
-SPECS = list(CORPUS) + [Z2_Z4_Z4[0], "abelian:2,2,2,2,2"]
+ORDER_64_SPECS = [
+    "abelian:2,2,2,2,2,2",
+    "product:(dihedral:16)x(abelian:2)",
+    "product:(dihedral:8)x(abelian:2,2)",
+    "product:(dihedral:4)x(abelian:2,2,2)",
+    "product:(dihedral:4)x(dihedral:4)",
+]
+SPECS = list(CORPUS) + [Z2_Z4_Z4[0], "abelian:2,2,2,2,2", *ORDER_64_SPECS]
 AUTOMORPHISMS_SPECS = [spec for spec, _ in corpus_groups(12)] + [Z2_Z4_Z4[0]]
 CONSTRUCT_GOLDEN_FILE = Path(__file__).with_name("golden_construct.json")
 ENUMERATE_GOLDEN_FILE = Path(__file__).with_name("golden_enumerate.json")
