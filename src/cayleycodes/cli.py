@@ -114,14 +114,15 @@ def cmd_classify(args):
         subs = all_subgroups(g)
     rows = []
     for h in subs:
-        verdict = decide_subgroup_code(g, h)
+        normal = is_normal(g, h)
+        verdict = decide_subgroup_code(g, h, normal)
         rows.append(
             {
                 "group": args.spec,
                 "subgroup": list(h),
                 "order": len(h),
                 "index": g.order // len(h),
-                "normal": is_normal(g, h),
+                "normal": normal,
                 "perfect": verdict.perfect,
                 "total_perfect": verdict.total,
                 "method": verdict.method,

@@ -44,26 +44,33 @@ def property_one_holds(g: FiniteGroup, h: tuple[int, ...]):
     """For every x with x^2 in H, is there k in H with (xk)^2 = e?
 
     That is, does every left coset xH with x^2 in H hold some y with
-    y^2 = e?  Returns (True, None) or (False, least failing x).  O(n).
+    y^2 = e?  Returns (True, None) or (False, least failing x).  The mask
+    of {x : x^2 in H} is the sum of the group's `square_roots` masks over
+    H; an x with x^2 = e passes at once (k = e).  The left cosets of the
+    other x are walked by least remaining x, one mask each, so the first
+    coset that misses the involutions gives the least failing x.  O(|H|)
+    per coset walked, O(n) at most.
     """
-    mult, e, hs = g.mult, g.identity, frozenset(h)
-    labels = coset_labels(g, h)
-    fixed = {labels[y] for y, row in enumerate(mult) if row[y] == e}
-    bad = next(
-        (
-            x
-            for x, row in enumerate(mult)
-            if row[x] in hs and labels[x] not in fixed
-        ),
-        None,
-    )
-    return bad is None, bad
+    roots, bits = g.square_roots, g.bits
+    involutions = roots[g.identity]
+    pending = sum(map(roots.__getitem__, h)) & ~involutions
+    while pending:
+        x = (pending & -pending).bit_length() - 1
+        coset = sum(map(bits.__getitem__, map(g.mult[x].__getitem__, h)))
+        if not coset & involutions:
+            return False, x
+        pending &= ~coset
+    return True, None
 
 
 def normal_subgroup_code(g: FiniteGroup, h: tuple[int, ...]) -> CriterionVerdict:
     """Perfect iff the key property holds; total additionally needs |H| even."""
     if not is_normal(g, h):
         raise CayleyCodesError("normal_subgroup_code requires a normal subgroup")
+    return _normal_subgroup_code(g, h)
+
+
+def _normal_subgroup_code(g: FiniteGroup, h: tuple[int, ...]) -> CriterionVerdict:
     ok, bad = property_one_holds(g, h)
     witness = None if ok else {"type": "failing_g", "value": bad}
     return CriterionVerdict(
@@ -80,6 +87,12 @@ def parity_criterion(g: FiniteGroup, h: tuple[int, ...]) -> CriterionVerdict | N
     """
     if not is_normal(g, h):
         raise CayleyCodesError("parity_criterion requires a normal subgroup")
+    return _parity_criterion(g, h)
+
+
+def _parity_criterion(
+    g: FiniteGroup, h: tuple[int, ...]
+) -> CriterionVerdict | None:
     index = g.order // len(h)
     if len(h) % 2 == 1:
         return CriterionVerdict(perfect=True, total=False, method="parity")
@@ -146,7 +159,7 @@ def _is_cyclic(g: FiniteGroup, elements) -> bool:
 
 def cyclic_criterion(g: FiniteGroup, h: tuple[int, ...]) -> CriterionVerdict:
     """Pure arithmetic on |H| and [G:H] for cyclic G."""
-    if not _is_cyclic(g, range(g.order)):
+    if not g.is_cyclic:
         raise CayleyCodesError("cyclic_criterion requires a cyclic group")
     index = g.order // len(h)
     perfect = len(h) % 2 == 1 or index % 2 == 1
@@ -181,8 +194,7 @@ def abelian_criterion(g: FiniteGroup, h: tuple[int, ...]) -> CriterionVerdict:
         raise CayleyCodesError(
             "abelian_criterion requires H n P cyclic; use normal_subgroup_code"
         )
-    squares = {row[x] for x, row in enumerate(g.mult)}
-    projects = not squares.issuperset(hp)
+    projects = not all(map(g.square_roots.__getitem__, hp))
     perfect = len(hp) == 1 or projects
     return CriterionVerdict(
         perfect=perfect, total=projects, method="abelian-projection"
@@ -227,55 +239,27 @@ def dihedral_construct_sets(n: int, t: int, s: int):
 # generic backtracking decision
 
 
-def _search_inverse_closed_transversal(
-    g: FiniteGroup, h: tuple[int, ...], total: bool
-) -> tuple[int, ...] | None:
-    """Find an inverse-closed left transversal of H: containing e for the
-    perfect case, identity-free for the total case.  Returns the
-    transversal as a sorted tuple, or None.  More than
-    TRANSVERSAL_NODE_BUDGET nodes raise BoundExceededError.
+def _transversal_search(g: FiniteGroup, h: tuple[int, ...]):
+    """The search for an inverse-closed left transversal of H, as a
+    function of the mode: ``search(total)`` finds one containing e for
+    the perfect case, identity-free for the total case, as a sorted
+    tuple, or None.  More than TRANSVERSAL_NODE_BUDGET nodes in one call
+    raise BoundExceededError.
 
     Inverse-closure is enforced on elements, not cosets: choosing x for a
     coset forces x^-1 on the coset that contains it (for non-normal H the
     inverse of a left coset need not be a left coset).  That coset lies in
     Hx^-1H = (HxH)^-1, so the cosets of each pair {HxH, Hx^-1H} are
     searched on their own, pairs in order of their least label, and the
-    first pair with no solution decides.
+    first pair with no solution decides.  The coset labels, blocks and
+    pairs are built once, in O(n), and serve both modes.
     """
     index = g.order // len(h)
     labels = coset_labels(g, h)
     blocks = [[] for _ in range(index)]
     for x, label in enumerate(labels):
         blocks[label].append(x)
-    chosen: list[int | None] = [None] * index
-    if not total:
-        chosen[labels[g.identity]] = g.identity
-    count = node_counter("transversal search", TRANSVERSAL_NODE_BUDGET)
-
-    def backtrack(pair):
-        count()
-        bi = next((i for i in pair if chosen[i] is None), None)
-        if bi is None:
-            return True
-        for x in blocks[bi]:
-            if x == g.identity:
-                continue  # e represents its coset (perfect) or is excluded (total)
-            xi = g.inv[x]
-            bj = labels[xi]
-            if chosen[bj] is not None and chosen[bj] != xi:
-                continue
-            if bj == bi and xi != x:
-                continue
-            fresh = chosen[bj] is None
-            chosen[bi] = x
-            chosen[bj] = xi
-            if backtrack(pair):
-                return True
-            chosen[bi] = None
-            if fresh:
-                chosen[bj] = None
-        return False
-
+    pairs = []
     paired = [False] * index
     for label, (x, *_) in enumerate(blocks):
         if paired[label]:
@@ -283,9 +267,43 @@ def _search_inverse_closed_transversal(
         pair = sorted({labels[g.mult[k][y]] for k in h for y in (x, g.inv[x])})
         for i in pair:
             paired[i] = True
-        if not backtrack(pair):
-            return None
-    return tuple(sorted(chosen))
+        pairs.append(pair)
+
+    def search(total):
+        chosen: list[int | None] = [None] * index
+        if not total:
+            chosen[labels[g.identity]] = g.identity
+        count = node_counter("transversal search", TRANSVERSAL_NODE_BUDGET)
+
+        def backtrack(pair):
+            count()
+            bi = next((i for i in pair if chosen[i] is None), None)
+            if bi is None:
+                return True
+            for x in blocks[bi]:
+                if x == g.identity:
+                    continue  # e represents its coset (perfect) or is excluded (total)
+                xi = g.inv[x]
+                bj = labels[xi]
+                if chosen[bj] is not None and chosen[bj] != xi:
+                    continue
+                if bj == bi and xi != x:
+                    continue
+                fresh = chosen[bj] is None
+                chosen[bi] = x
+                chosen[bj] = xi
+                if backtrack(pair):
+                    return True
+                chosen[bi] = None
+                if fresh:
+                    chosen[bj] = None
+            return False
+
+        if all(map(backtrack, pairs)):
+            return tuple(sorted(chosen))
+        return None
+
+    return search
 
 
 def generic_subgroup_code_decision(
@@ -293,8 +311,9 @@ def generic_subgroup_code_decision(
 ) -> CriterionVerdict:
     """Decide both modes by exhaustive transversal search; the witness is
     the connection set S of a perfect code."""
-    perfect = _search_inverse_closed_transversal(g, h, total=False)
-    total = _search_inverse_closed_transversal(g, h, total=True)
+    search = _transversal_search(g, h)
+    perfect = search(False)
+    total = search(True)
     witness = None
     if perfect is not None:
         s = [x for x in perfect if x != g.identity]
@@ -311,25 +330,29 @@ def generic_subgroup_code_decision(
 # dispatcher
 
 
-def decide_subgroup_code(g: FiniteGroup, h: tuple[int, ...]) -> CriterionVerdict:
+def decide_subgroup_code(
+    g: FiniteGroup, h: tuple[int, ...], normal: bool | None = None
+) -> CriterionVerdict:
     """Fastest-first dispatch: parity shortcut, then the specialized
     criterion for cyclic/abelian/dihedral groups, then the normal-subgroup
-    criterion, then generic search."""
-    if _is_cyclic(g, range(g.order)):
+    criterion, then generic search.  ``normal`` is `is_normal(g, h)` when
+    the caller has it already; otherwise it is computed here, once."""
+    if g.is_cyclic:
         return cyclic_criterion(g, h)
-    normal = is_normal(g, h)
+    if normal is None:
+        normal = is_normal(g, h)
     if normal:
-        verdict = parity_criterion(g, h)
+        verdict = _parity_criterion(g, h)
         if verdict is not None:
             return verdict
     if g.is_abelian:
         if _is_cyclic(g, abelian_sylow_reduction(g, h)):
             return abelian_criterion(g, h)
-        return normal_subgroup_code(g, h)
+        return _normal_subgroup_code(g, h)
     if g.kind == "dihedral" and len(h) < g.order:
         return dihedral_criterion(g.order // 2, h)
     if normal:
-        return normal_subgroup_code(g, h)
+        return _normal_subgroup_code(g, h)
     return generic_subgroup_code_decision(g, h)
 
 
@@ -358,7 +381,7 @@ def construct_connection_set(
         return connection_set(g, r_set if total else s_set)
     if is_normal(g, h):
         return construct_connection_set_normal(g, h, total=total)
-    found = _search_inverse_closed_transversal(g, h, total)
+    found = _transversal_search(g, h)(total)
     if found is None:
         raise CayleyCodesError("no construction available for this subgroup")
     return connection_set(g, [x for x in found if x != g.identity])

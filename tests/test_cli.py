@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from cayleycodes import criteria, groups, specparse, verify
+from cayleycodes import cli, criteria, groups, specparse, verify
 from cayleycodes.cayley import build_cayley, is_perfect_code, is_total_perfect_code
 from cayleycodes.cli import main
 from cayleycodes.corpus import symmetric_group
@@ -230,6 +230,24 @@ class TestClassify:
         )
         assert code == 0
         assert [row["subgroup"] for row in json.loads(out)["results"]] == [[0]]
+
+    @pytest.mark.parametrize(
+        "spec", ["product:(dihedral:4)x(abelian:2,2)", "dihedral:16", "cyclic:12"]
+    )
+    def test_normality_tested_once_per_row(self, capsys, monkeypatch, spec):
+        # counted as a tracer counts it: at every module that imports it
+        calls = []
+
+        def counted(g, h):
+            calls.append(h)
+            return groups.is_normal(g, h)
+
+        for module in (cli, criteria):
+            monkeypatch.setattr(module, "is_normal", counted)
+        code, out = run_cli(capsys, "classify", spec, "--format", "json")
+        rows = json.loads(out)["results"]
+        assert code == 0
+        assert calls == [tuple(row["subgroup"]) for row in rows]
 
     def test_bound_exceeded(self, capsys):
         assert main(["classify", "cyclic:200"]) == 3

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from cayleycodes import (
@@ -16,6 +18,7 @@ from cayleycodes import (
     dihedral_construct_sets,
     direct_product,
     dihedral_criterion,
+    from_table,
     generic_subgroup_code_decision,
     is_perfect_code,
     is_total_perfect_code,
@@ -31,11 +34,26 @@ from cayleycodes.basis import abelian_basis
 from cayleycodes.corpus import corpus_groups, quaternion_group, symmetric_group
 from cayleycodes import criteria
 from cayleycodes.criteria import (
-    _search_inverse_closed_transversal,
+    _transversal_search,
     abelian_sylow_reduction,
 )
 from cayleycodes.groups import all_subgroups, coset_labels, is_normal
 from cayleycodes.specparse import parse_element_expr, parse_group_spec
+
+
+def _relabeled(g, seed):
+    """g as a validated table under a seeded relabeling that moves the
+    identity off index 0."""
+    perm = list(range(g.order))
+    random.Random(seed).shuffle(perm)
+    if perm[g.identity] == 0:
+        k = (g.identity + 1) % g.order
+        perm[g.identity], perm[k] = perm[k], perm[g.identity]
+    table = [[0] * g.order for _ in range(g.order)]
+    for x, row in enumerate(g.mult):
+        for y, z in enumerate(row):
+            table[perm[x]][perm[y]] = perm[z]
+    return from_table(table)
 
 
 class TestPropertyOne:
@@ -67,6 +85,7 @@ class TestPropertyOne:
             make_dihedral(4),
             symmetric_group(4),
             direct_product(make_dihedral(4), make_abelian((2,))),
+            _relabeled(symmetric_group(4), 4),
         ]
         for g in groups:
             e = g.identity
@@ -100,6 +119,8 @@ class TestNormalCriterion:
         g = symmetric_group(3)
         with pytest.raises(CayleyCodesError):
             normal_subgroup_code(g, subgroup_generated(g, {2}))
+        with pytest.raises(CayleyCodesError):
+            parity_criterion(g, subgroup_generated(g, {2}))
 
     def test_parity_shortcut(self):
         g = make_cyclic(12)
@@ -320,16 +341,32 @@ class TestGeneric:
                 if not total:
                     assert verdict.witness["value"] == list(s.sorted())
 
+    def test_both_modes_share_one_set_up(self, monkeypatch):
+        # the coset labels, blocks and double-coset pairs of H are built
+        # once and serve the perfect and the total search
+        g = direct_product(symmetric_group(3), make_cyclic(2))
+        h = subgroup_generated(g, {2})
+        calls = []
+
+        def counted(g, h):
+            calls.append(h)
+            return coset_labels(g, h)
+
+        monkeypatch.setattr(criteria, "coset_labels", counted)
+        verdict = generic_subgroup_code_decision(g, h)
+        assert calls == [h]
+        assert (verdict.perfect, verdict.total) == (True, True)
+
     def test_node_budget(self, monkeypatch):
         # a non-normal order-2 subgroup of S3 x Z2: 9 nodes in perfect mode
         g = direct_product(symmetric_group(3), make_cyclic(2))
         h = subgroup_generated(g, {2})
         assert not is_normal(g, h)
         monkeypatch.setattr(criteria, "TRANSVERSAL_NODE_BUDGET", 9)
-        assert _search_inverse_closed_transversal(g, h, total=False) is not None
+        assert _transversal_search(g, h)(False) is not None
         monkeypatch.setattr(criteria, "TRANSVERSAL_NODE_BUDGET", 8)
         with pytest.raises(BoundExceededError, match="transversal search node"):
-            _search_inverse_closed_transversal(g, h, total=False)
+            _transversal_search(g, h)(False)
 
 
 def _whole_coset_search(g, h, total):
@@ -388,7 +425,7 @@ REFERENCE_GROUPS = [
 def test_pairwise_search_finds_the_whole_coset_transversal(g):
     for h in all_subgroups(g):
         for total in (False, True):
-            found = _search_inverse_closed_transversal(g, h, total)
+            found = _transversal_search(g, h)(total)
             assert found == _whole_coset_search(g, h, total), (h, total)
 
 

@@ -296,17 +296,65 @@ def _reference_lattice(g):
 ORACLE_GROUPS = corpus_groups(32)
 
 
-class TestLatticeOracle:
-    """The coset-join lattice against the pairwise-worklist reference."""
+def _relabel(mult, perm):
+    """The table of the same operation with element x renamed perm[x]."""
+    out = [[0] * len(mult) for _ in mult]
+    for i, row in enumerate(mult):
+        for j, v in enumerate(row):
+            out[perm[i]][perm[j]] = perm[v]
+    return out
 
-    @pytest.mark.parametrize("spec, g", ORACLE_GROUPS, ids=[s for s, _ in ORACLE_GROUPS])
+
+def _relabeled(g, seed):
+    """g as a validated table under a seeded relabeling of all its
+    elements that moves the identity off index 0."""
+    perm = list(range(g.order))
+    random.Random(seed).shuffle(perm)
+    if perm[g.identity] == 0:
+        k = (g.identity + 1) % g.order
+        perm[g.identity], perm[k] = perm[k], perm[g.identity]
+    return from_table(_relabel(g.mult, perm))
+
+
+# the canonical order of the lattice search depends on the indices
+LATTICE_GROUPS = ORACLE_GROUPS + [
+    (f"{spec}@relabeled", _relabeled(g, spec)) for spec, g in ORACLE_GROUPS if g.order > 1
+]
+
+
+class TestLatticeOracle:
+    """The canonical-augmentation lattice against the pairwise-worklist
+    reference, on the corpus and on relabelings whose identity is not
+    index 0."""
+
+    @pytest.mark.parametrize("spec, g", LATTICE_GROUPS, ids=[s for s, _ in LATTICE_GROUPS])
     def test_all_subgroups_match_reference(self, spec, g):
         assert all_subgroups(g) == _reference_lattice(g)
 
+    @pytest.mark.parametrize("k, count", enumerate([1, 2, 5, 16, 67, 374, 2825]))
+    def test_elementary_abelian_counts(self, k, count):
+        # OEIS A006116: the number of subspaces of GF(2)^k
+        g = make_abelian((2,) * k) if k else make_cyclic(1)
+        assert len(all_subgroups(g)) == count
+
+    def test_one_join_per_subgroup(self, monkeypatch):
+        # in Z2^k every join is kept, so the search joins once for each
+        # subgroup other than {e}
+        joins = []
+        join = groups._join
+
+        def counted(*args):
+            joins.append(args)
+            return join(*args)
+
+        monkeypatch.setattr(groups, "_join", counted)
+        subs = groups._all_subgroups_cached.__wrapped__(make_abelian((2,) * 6))
+        assert len(subs) == 2825 and len(joins) == 2824
+
     @pytest.mark.parametrize(
         "spec, g",
-        [(s, g) for s, g in ORACLE_GROUPS if not g.is_abelian],
-        ids=[s for s, g in ORACLE_GROUPS if not g.is_abelian],
+        [(s, g) for s, g in LATTICE_GROUPS if not g.is_abelian],
+        ids=[s for s, g in LATTICE_GROUPS if not g.is_abelian],
     )
     def test_is_normal_matches_all_conjugates(self, spec, g):
         for h in all_subgroups(g):
@@ -319,12 +367,12 @@ class TestLatticeOracle:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_closure_matches_reference(self, data):
-        spec, g = data.draw(st.sampled_from(ORACLE_GROUPS))
+        spec, g = data.draw(st.sampled_from(LATTICE_GROUPS))
         seed = data.draw(st.lists(st.integers(0, g.order - 1), max_size=4))
         assert closure(g, seed) == _reference_closure(g, seed)
 
     def test_generating_set_is_greedy(self):
-        for spec, g in ORACLE_GROUPS:
+        for spec, g in LATTICE_GROUPS:
             span, want = frozenset({g.identity}), []
             for x in range(g.order):
                 if x not in span:
@@ -389,15 +437,6 @@ def _assert_same_outcome(table):
     want = _outcome(_reference_from_table, table)
     assert _outcome(from_table, table) == want
     return want
-
-
-def _relabel(mult, perm):
-    """The table of the same operation with element x renamed perm[x]."""
-    out = [[0] * len(mult) for _ in mult]
-    for i, row in enumerate(mult):
-        for j, v in enumerate(row):
-            out[perm[i]][perm[j]] = perm[v]
-    return out
 
 
 def _table_product(a, b):
