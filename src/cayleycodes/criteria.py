@@ -17,7 +17,7 @@ from .errors import CayleyCodesError, node_counter
 from .groups import FiniteGroup, coset_labels, is_normal
 
 # search nodes one transversal search may visit: over 60 times the most
-# seen (1 536, an order-2 subgroup of D4 x Z2^8 at the construct bound of
+# seen (1 535, an order-2 subgroup of D4 x Z2^8 at the construct bound of
 # 2048); on D16 x Z2, D8 x Z2^2, D4 x Z2^3 and D4 x D4 the most is 111
 TRANSVERSAL_NODE_BUDGET = 100_000
 
@@ -105,6 +105,15 @@ def _parity_criterion(
 # constructive connection sets (normal case)
 
 
+def _least_involution(g: FiniteGroup, h: tuple[int, ...]) -> int | None:
+    """The least involution h0 of H, or None when |H| is odd.  If H is a
+    perfect code of Cay(G, S), it is a total one of Cay(G, S u {h0}); if it
+    is a total one of Cay(G, R), the one element of R in H is an involution.
+    So H is total perfect for some R iff perfect for some S and |H| even."""
+    mult, e = g.mult, g.identity
+    return next((k for k in h if k != e and mult[k][k] == e), None)
+
+
 def construct_connection_set_normal(
     g: FiniteGroup, h: tuple[int, ...], total: bool = False
 ) -> ConnectionSet:
@@ -112,8 +121,8 @@ def construct_connection_set_normal(
 
     Quotient cosets whose square is H contribute one involution y_i = x_i h_i
     with (x_i h_i)^2 = e; the remaining cosets are paired with their inverse
-    cosets and contribute {g_j, g_j^-1}.  The total case appends an
-    involution g_0 from H.  Representatives and fixers are least-index, so
+    cosets and contribute {g_j, g_j^-1}.  The total case appends the least
+    involution h_0 of H.  Representatives and fixers are least-index, so
     the output is deterministic.
     """
     if not is_normal(g, h):
@@ -140,10 +149,10 @@ def construct_connection_set_normal(
             out.extend([rep, rinv])
             done.add(labels[rinv])
     if total:
-        involutions = [k for k in h if k != e and g.mult[k][k] == e]
-        if not involutions:
+        h0 = _least_involution(g, h)
+        if h0 is None:
             raise CayleyCodesError("total construction requires |H| even")
-        out.append(involutions[0])
+        out.append(h0)
     return connection_set(g, out)
 
 
@@ -240,26 +249,48 @@ def dihedral_construct_sets(n: int, t: int, s: int):
 
 
 def _transversal_search(g: FiniteGroup, h: tuple[int, ...]):
-    """The search for an inverse-closed left transversal of H, as a
-    function of the mode: ``search(total)`` finds one containing e for
-    the perfect case, identity-free for the total case, as a sorted
-    tuple, or None.  More than TRANSVERSAL_NODE_BUDGET nodes in one call
-    raise BoundExceededError.
+    """An inverse-closed left transversal of H containing e, as a sorted
+    tuple, or None.  More than TRANSVERSAL_NODE_BUDGET nodes raise
+    BoundExceededError.
 
     Inverse-closure is enforced on elements, not cosets: choosing x for a
     coset forces x^-1 on the coset that contains it (for non-normal H the
     inverse of a left coset need not be a left coset).  That coset lies in
     Hx^-1H = (HxH)^-1, so the cosets of each pair {HxH, Hx^-1H} are
-    searched on their own, pairs in order of their least label, and the
-    first pair with no solution decides.  The coset labels, blocks and
-    pairs are built once, in O(n), and serve both modes.
+    searched on their own, pairs in order of their least label, each as
+    soon as it is found, and the first pair with no solution decides.
     """
     index = g.order // len(h)
     labels = coset_labels(g, h)
     blocks = [[] for _ in range(index)]
     for x, label in enumerate(labels):
         blocks[label].append(x)
-    pairs = []
+    chosen: list[int | None] = [None] * index
+    chosen[labels[g.identity]] = g.identity
+    count = node_counter("transversal search", TRANSVERSAL_NODE_BUDGET)
+
+    def backtrack(pair):
+        count()
+        bi = next((i for i in pair if chosen[i] is None), None)
+        if bi is None:
+            return True
+        for x in blocks[bi]:
+            xi = g.inv[x]
+            bj = labels[xi]
+            if chosen[bj] is not None and chosen[bj] != xi:
+                continue
+            if bj == bi and xi != x:
+                continue
+            fresh = chosen[bj] is None
+            chosen[bi] = x
+            chosen[bj] = xi
+            if backtrack(pair):
+                return True
+            chosen[bi] = None
+            if fresh:
+                chosen[bj] = None
+        return False
+
     paired = [False] * index
     for label, (x, *_) in enumerate(blocks):
         if paired[label]:
@@ -267,62 +298,26 @@ def _transversal_search(g: FiniteGroup, h: tuple[int, ...]):
         pair = sorted({labels[g.mult[k][y]] for k in h for y in (x, g.inv[x])})
         for i in pair:
             paired[i] = True
-        pairs.append(pair)
-
-    def search(total):
-        chosen: list[int | None] = [None] * index
-        if not total:
-            chosen[labels[g.identity]] = g.identity
-        count = node_counter("transversal search", TRANSVERSAL_NODE_BUDGET)
-
-        def backtrack(pair):
-            count()
-            bi = next((i for i in pair if chosen[i] is None), None)
-            if bi is None:
-                return True
-            for x in blocks[bi]:
-                if x == g.identity:
-                    continue  # e represents its coset (perfect) or is excluded (total)
-                xi = g.inv[x]
-                bj = labels[xi]
-                if chosen[bj] is not None and chosen[bj] != xi:
-                    continue
-                if bj == bi and xi != x:
-                    continue
-                fresh = chosen[bj] is None
-                chosen[bi] = x
-                chosen[bj] = xi
-                if backtrack(pair):
-                    return True
-                chosen[bi] = None
-                if fresh:
-                    chosen[bj] = None
-            return False
-
-        if all(map(backtrack, pairs)):
-            return tuple(sorted(chosen))
-        return None
-
-    return search
+        if not backtrack(pair):
+            return None
+    return tuple(sorted(chosen))
 
 
 def generic_subgroup_code_decision(
     g: FiniteGroup, h: tuple[int, ...]
 ) -> CriterionVerdict:
-    """Decide both modes by exhaustive transversal search; the witness is
-    the connection set S of a perfect code."""
-    search = _transversal_search(g, h)
-    perfect = search(False)
-    total = search(True)
-    witness = None
-    if perfect is not None:
-        s = [x for x in perfect if x != g.identity]
-        witness = {"type": "connection_set", "value": s}
+    """Decide by one exhaustive transversal search; H is total perfect
+    iff it is perfect and |H| is even (see `_least_involution`).  The
+    witness is the connection set S of a perfect code."""
+    found = _transversal_search(g, h)
+    if found is None:
+        return CriterionVerdict(perfect=False, total=False, method="generic-search")
+    s = [x for x in found if x != g.identity]
     return CriterionVerdict(
-        perfect=perfect is not None,
-        total=total is not None,
+        perfect=True,
+        total=len(h) % 2 == 0,
         method="generic-search",
-        witness=witness,
+        witness={"type": "connection_set", "value": s},
     )
 
 
@@ -363,9 +358,10 @@ def construct_connection_set(
 
     Dihedral subgroups <a^t, a^s b> get the explicit reflection sets,
     normal subgroups the key-property construction, and any other
-    subgroup an inverse-closed transversal from the generic search in the
-    requested mode, less e.  Raises CayleyCodesError when the search
-    finds none.
+    subgroup an inverse-closed transversal from the generic search, with
+    e dropped (perfect) or replaced by the least involution of H (total).
+    Raises CayleyCodesError when there is none; an odd-order H needs no
+    search for that.
     """
     if (
         g.kind == "dihedral"
@@ -381,7 +377,9 @@ def construct_connection_set(
         return connection_set(g, r_set if total else s_set)
     if is_normal(g, h):
         return construct_connection_set_normal(g, h, total=total)
-    found = _transversal_search(g, h)(total)
+    h0 = _least_involution(g, h)
+    found = None if total and h0 is None else _transversal_search(g, h)
     if found is None:
         raise CayleyCodesError("no construction available for this subgroup")
-    return connection_set(g, [x for x in found if x != g.identity])
+    s = [x for x in found if x != g.identity]
+    return connection_set(g, s + [h0] if total else s)

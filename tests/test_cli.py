@@ -450,16 +450,35 @@ class TestGenericSearch:
         )
 
     def test_node_budget_exits_3(self, capsys, monkeypatch):
-        # the order-2 subgroup <32> takes 35 nodes in perfect mode, 36 in total
+        # the order-2 subgroup <32> takes 35 nodes, in one search for both
+        # modes
         argv = ["classify", self.SPEC, "--subgroup", "32"]
-        monkeypatch.setattr(criteria, "TRANSVERSAL_NODE_BUDGET", 36)
+        monkeypatch.setattr(criteria, "TRANSVERSAL_NODE_BUDGET", 35)
         assert main(argv) == 0
         capsys.readouterr()
-        monkeypatch.setattr(criteria, "TRANSVERSAL_NODE_BUDGET", 35)
+        monkeypatch.setattr(criteria, "TRANSVERSAL_NODE_BUDGET", 34)
         assert main(argv) == 3
         assert capsys.readouterr().err == (
             "error: transversal search node budget exceeded:"
-            " more than 35 search nodes\n"
+            " more than 34 search nodes\n"
+        )
+
+    def test_total_construct_without_involution_needs_no_search(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # a 3-cycle generates a non-normal subgroup of S4 with no
+        # involution: no total construction, and no search to find that out
+        s4 = symmetric_group(4)
+        path = tmp_path / "s4.txt"
+        path.write_text(
+            f"{s4.order}\n" + "".join(" ".join(map(str, row)) + "\n" for row in s4.mult)
+        )
+        three_cycle = s4.element_orders.index(3)
+        monkeypatch.setattr(criteria, "TRANSVERSAL_NODE_BUDGET", 0)
+        argv = ["construct", f"table:{path}", "--subgroup", str(three_cycle), "--total"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: no construction available for this subgroup\n"
         )
 
 

@@ -341,9 +341,9 @@ class TestGeneric:
                 if not total:
                     assert verdict.witness["value"] == list(s.sorted())
 
-    def test_both_modes_share_one_set_up(self, monkeypatch):
-        # the coset labels, blocks and double-coset pairs of H are built
-        # once and serve the perfect and the total search
+    def test_one_coset_labels_call_per_decision(self, monkeypatch):
+        # one search decides both modes, so the coset labels of H are
+        # computed once per generic decision
         g = direct_product(symmetric_group(3), make_cyclic(2))
         h = subgroup_generated(g, {2})
         calls = []
@@ -357,16 +357,32 @@ class TestGeneric:
         assert calls == [h]
         assert (verdict.perfect, verdict.total) == (True, True)
 
+    def test_one_search_per_decision(self, monkeypatch):
+        # the total verdict is derived from the perfect search: no second
+        # search, whatever the parity of |H|
+        g = symmetric_group(4)
+        calls = []
+
+        def counted(g, h):
+            calls.append(h)
+            return _transversal_search(g, h)
+
+        monkeypatch.setattr(criteria, "_transversal_search", counted)
+        for h in all_subgroups(g):
+            calls.clear()
+            generic_subgroup_code_decision(g, h)
+            assert calls == [h]
+
     def test_node_budget(self, monkeypatch):
         # a non-normal order-2 subgroup of S3 x Z2: 9 nodes in perfect mode
         g = direct_product(symmetric_group(3), make_cyclic(2))
         h = subgroup_generated(g, {2})
         assert not is_normal(g, h)
         monkeypatch.setattr(criteria, "TRANSVERSAL_NODE_BUDGET", 9)
-        assert _transversal_search(g, h)(False) is not None
+        assert _transversal_search(g, h) is not None
         monkeypatch.setattr(criteria, "TRANSVERSAL_NODE_BUDGET", 8)
         with pytest.raises(BoundExceededError, match="transversal search node"):
-            _transversal_search(g, h)(False)
+            _transversal_search(g, h)
 
 
 def _whole_coset_search(g, h, total):
@@ -408,7 +424,8 @@ def _whole_coset_search(g, h, total):
     return tuple(sorted(chosen)) if backtrack() else None
 
 
-# corpus_groups(32) holds abelian:2,4,4
+# corpus_groups(32) holds abelian:2,4,4; in the relabeled groups the
+# identity is not index 0, so H's own coset is not always searched first
 REFERENCE_GROUPS = [
     *corpus_groups(32),
     ("table:S4", symmetric_group(4)),
@@ -416,6 +433,11 @@ REFERENCE_GROUPS = [
     ("D4xD4", parse_group_spec("product:(dihedral:4)x(dihedral:4)")),
     ("Q8xQ8", direct_product(quaternion_group(), quaternion_group())),
     ("S4xZ2", direct_product(symmetric_group(4), make_cyclic(2))),
+    ("S4@relabeled", _relabeled(symmetric_group(4), 4)),
+    (
+        "S4xZ2@relabeled",
+        _relabeled(direct_product(symmetric_group(4), make_cyclic(2)), 5),
+    ),
 ]
 
 
@@ -423,10 +445,17 @@ REFERENCE_GROUPS = [
     "g", [g for _, g in REFERENCE_GROUPS], ids=[spec for spec, _ in REFERENCE_GROUPS]
 )
 def test_pairwise_search_finds_the_whole_coset_transversal(g):
+    # the whole-coset search in total mode finds the perfect transversal
+    # with e replaced by the least involution of H
+    e = g.identity
     for h in all_subgroups(g):
-        for total in (False, True):
-            found = _transversal_search(g, h)(total)
-            assert found == _whole_coset_search(g, h, total), (h, total)
+        found = _transversal_search(g, h)
+        assert found == _whole_coset_search(g, h, False), h
+        h0 = min((k for k in h if k != e and g.mult[k][k] == e), default=None)
+        total = None
+        if found is not None and h0 is not None:
+            total = tuple(sorted(h0 if x == e else x for x in found))
+        assert total == _whole_coset_search(g, h, True), h
 
 
 class TestDispatcher:
