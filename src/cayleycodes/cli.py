@@ -49,9 +49,9 @@ ENV_MAX_ORDER = "CAYLEYCODES_MAX_ORDER"
 # The largest |G| each command accepts; ENV_MAX_ORDER, when set, replaces
 # every one of them.  check and construct do little beyond building the
 # n^2 table: at order 2048 each took at most 1.3 s and 192 MB (CPython
-# 3.11, 2-vCPU Xeon).  The library bounds only its work: each of its
-# three exponential searches (the exact cover, the automorphism search and
-# the generic transversal search) has a node budget.
+# 3.11, 2-vCPU Xeon).  The library bounds only its work: each of its two
+# exponential searches (the exact cover and the automorphism search) has a
+# node budget; the generic transversal pass is linear and needs none.
 ORDER_BOUNDS = {
     "classify": 64,
     "enumerate": 24,

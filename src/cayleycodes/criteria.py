@@ -4,8 +4,8 @@ Implements the key property for normal subgroups -- for every g with
 g^2 in H there is h in H with (gh)^2 = e -- together with the parity
 shortcut, the cyclic and dihedral classifications, the abelian Sylow-2
 reduction and projection criterion, the constructive connection sets, and
-a generic backtracking search for an inverse-closed transversal that works
-for arbitrary subgroups.
+for arbitrary subgroups a greedy pass that builds an inverse-closed left
+transversal, or proves there is none.
 """
 
 from __future__ import annotations
@@ -13,14 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cayley import ConnectionSet, connection_set
-from .errors import CayleyCodesError, node_counter
+from .errors import CayleyCodesError
 from .groups import FiniteGroup, coset_labels, is_normal
-
-# search nodes one transversal search may visit: over 60 times the most
-# seen (1 535, an order-2 subgroup of D4 x Z2^8 at the construct bound of
-# 2048); on D16 x Z2, D8 x Z2^2, D4 x Z2^3 and D4 x D4 the most is 111
-TRANSVERSAL_NODE_BUDGET = 100_000
-
 
 @dataclass(frozen=True)
 class CriterionVerdict:
@@ -245,70 +239,61 @@ def dihedral_construct_sets(n: int, t: int, s: int):
 
 
 # ---------------------------------------------------------------------------
-# generic backtracking decision
+# generic decision: the greedy inverse-closed transversal
 
 
 def _transversal_search(g: FiniteGroup, h: tuple[int, ...]):
     """An inverse-closed left transversal of H containing e, as a sorted
-    tuple, or None.  More than TRANSVERSAL_NODE_BUDGET nodes raise
-    BoundExceededError.
+    tuple, or None.
 
-    Inverse-closure is enforced on elements, not cosets: choosing x for a
-    coset forces x^-1 on the coset that contains it (for non-normal H the
-    inverse of a left coset need not be a left coset).  That coset lies in
-    Hx^-1H = (HxH)^-1, so the cosets of each pair {HxH, Hx^-1H} are
-    searched on their own, pairs in order of their least label, each as
-    soon as it is found, and the first pair with no solution decides.
+    One pass over the left cosets in label order: each coset still open
+    takes its least x such that the coset of x^-1 is open too, and that
+    coset takes x^-1; x may serve its own coset only when x^2 = e.  (For
+    non-normal H the inverse of a left coset need not be a left coset.)
+    A coset of D = HxH pairs with one of Hx^-1H = D^-1, so each pair
+    {D, D^-1} is matched on its own, and the pass never needs to undo a
+    choice:
+    (1) every left coset k1xH of D meets every right coset Hxk2 of D, at
+        k1xk2, and the right cosets of D are the inverses of the left
+        cosets of D^-1; so an open coset of D can be matched with any
+        open coset of D^-1 (other than itself, when D = D^-1);
+    (2) an involution in D forces D = D^-1, and conjugation by H fixes D
+        and permutes its left cosets transitively, so it carries that
+        involution into every left coset of D.
+    When D != D^-1 each choice closes one coset of D and one of D^-1, so
+    an open coset always has a partner.  When D = D^-1 != H, only the last
+    open coset of D can lack one, and by (2) it holds an involution unless
+    D holds none.  So the pass returns None exactly when some self-inverse
+    D != H has an odd number of left cosets and no involution; then every
+    choice in D closes two cosets, and no transversal exists.
     """
-    index = g.order // len(h)
+    inv = g.inv
     labels = coset_labels(g, h)
-    blocks = [[] for _ in range(index)]
+    blocks = [[] for _ in range(g.order // len(h))]
     for x, label in enumerate(labels):
         blocks[label].append(x)
-    chosen: list[int | None] = [None] * index
+    chosen: list[int | None] = [None] * len(blocks)
     chosen[labels[g.identity]] = g.identity
-    count = node_counter("transversal search", TRANSVERSAL_NODE_BUDGET)
-
-    def backtrack(pair):
-        count()
-        bi = next((i for i in pair if chosen[i] is None), None)
-        if bi is None:
-            return True
-        for x in blocks[bi]:
-            xi = g.inv[x]
-            bj = labels[xi]
-            if chosen[bj] is not None and chosen[bj] != xi:
-                continue
-            if bj == bi and xi != x:
-                continue
-            fresh = chosen[bj] is None
-            chosen[bi] = x
-            chosen[bj] = xi
-            if backtrack(pair):
-                return True
-            chosen[bi] = None
-            if fresh:
-                chosen[bj] = None
-        return False
-
-    paired = [False] * index
-    for label, (x, *_) in enumerate(blocks):
-        if paired[label]:
+    for label, block in enumerate(blocks):
+        if chosen[label] is not None:
             continue
-        pair = sorted({labels[g.mult[k][y]] for k in h for y in (x, g.inv[x])})
-        for i in pair:
-            paired[i] = True
-        if not backtrack(pair):
+        for x in block:
+            j = labels[inv[x]]
+            if chosen[j] is None and (j != label or inv[x] == x):
+                break
+        else:
             return None
+        chosen[label], chosen[j] = x, inv[x]
     return tuple(sorted(chosen))
 
 
 def generic_subgroup_code_decision(
     g: FiniteGroup, h: tuple[int, ...]
 ) -> CriterionVerdict:
-    """Decide by one exhaustive transversal search; H is total perfect
-    iff it is perfect and |H| is even (see `_least_involution`).  The
-    witness is the connection set S of a perfect code."""
+    """Decide by the greedy transversal pass, which finds a transversal
+    whenever one exists; H is total perfect iff it is perfect and |H| is
+    even (see `_least_involution`).  The witness is the connection set S
+    of a perfect code."""
     found = _transversal_search(g, h)
     if found is None:
         return CriterionVerdict(perfect=False, total=False, method="generic-search")
@@ -330,8 +315,9 @@ def decide_subgroup_code(
 ) -> CriterionVerdict:
     """Fastest-first dispatch: parity shortcut, then the specialized
     criterion for cyclic/abelian/dihedral groups, then the normal-subgroup
-    criterion, then generic search.  ``normal`` is `is_normal(g, h)` when
-    the caller has it already; otherwise it is computed here, once."""
+    criterion, then the generic transversal pass.  ``normal`` is
+    `is_normal(g, h)` when the caller has it already; otherwise it is
+    computed here, once."""
     if g.is_cyclic:
         return cyclic_criterion(g, h)
     if normal is None:
@@ -358,10 +344,10 @@ def construct_connection_set(
 
     Dihedral subgroups <a^t, a^s b> get the explicit reflection sets,
     normal subgroups the key-property construction, and any other
-    subgroup an inverse-closed transversal from the generic search, with
-    e dropped (perfect) or replaced by the least involution of H (total).
+    subgroup the inverse-closed transversal of the generic pass, with e
+    dropped (perfect) or replaced by the least involution of H (total).
     Raises CayleyCodesError when there is none; an odd-order H needs no
-    search for that.
+    pass for that.
     """
     if (
         g.kind == "dihedral"

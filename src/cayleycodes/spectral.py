@@ -27,7 +27,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .basis import abelian_basis
 from .cayley import group_ring_check_total as group_ring_tiling_check
 from .errors import CayleyCodesError
 from .groups import FiniteGroup
@@ -133,21 +132,23 @@ class Character:
 
 
 def _decomposition(g: FiniteGroup):
-    if not g.is_abelian:
-        raise CayleyCodesError("characters require an abelian group")
-    if g.decomposition is not None and g.kind in ("cyclic", "abelian-product"):
-        # canonical factors are the stored ones; recover their generators
-        strides = g.strides
-        orders = g.decomposition
-        exps = {}
-        for x in range(g.order):
-            exps[x] = tuple((x // s) % m for s, m in zip(strides, orders))
-        return strides, orders, exps
-    return abelian_basis(g)
+    """The stored cyclic factor orders of g and the exponents of each
+    element over them; only cyclic and abelian-product groups store them."""
+    if g.decomposition is None:
+        raise CayleyCodesError(
+            "characters require a cyclic or abelian-product group"
+        )
+    orders = g.decomposition
+    exps = {
+        x: tuple((x // s) % m for s, m in zip(g.strides, orders))
+        for x in range(g.order)
+    }
+    return orders, exps
 
 
 def characters(g: FiniteGroup):
-    """All |G| characters, trivial first, then sorted by exponent tuple.
+    """All |G| characters of a cyclic or abelian-product group, trivial
+    first, then sorted by exponent tuple over its stored factors.
 
     The table is built once per group and cached; each call returns a
     fresh list of the cached (immutable) characters.
@@ -161,7 +162,7 @@ def _characters_cached(g: FiniteGroup):
 
 
 def _build_characters(g: FiniteGroup):
-    _, orders, exps = _decomposition(g)
+    orders, exps = _decomposition(g)
     m = g.order
     out = []
     tuples = sorted(itertools.product(*(range(o) for o in orders)))

@@ -411,7 +411,7 @@ class TestConstruct:
 
 class TestGenericSearch:
     """Non-normal subgroups that no specialized criterion decides go to
-    the transversal search, bounded by its node budget alone."""
+    the greedy transversal pass, which needs no node budget."""
 
     SPEC = "product:(dihedral:16)x(abelian:2)"
 
@@ -436,8 +436,8 @@ class TestGenericSearch:
                 assert is_code(build_cayley(g, conn), h), (row, total)
 
     def test_construct_refuses_at_index_768(self, capsys, tmp_path):
-        # H = <(s, 0)> in S4 x Z64, s the involution at index 16 of S4:
-        # its double-coset pairs are searched one at a time
+        # H = <(s, 0)> in S4 x Z64, s the involution at index 16 of S4, has
+        # index 768 and no inverse-closed transversal
         s4 = symmetric_group(4)
         path = tmp_path / "s4.txt"
         path.write_text(
@@ -447,20 +447,6 @@ class TestGenericSearch:
         assert main(["construct", spec, "--subgroup", "1024"]) == 1
         assert capsys.readouterr().err == (
             "error: no construction available for this subgroup\n"
-        )
-
-    def test_node_budget_exits_3(self, capsys, monkeypatch):
-        # the order-2 subgroup <32> takes 35 nodes, in one search for both
-        # modes
-        argv = ["classify", self.SPEC, "--subgroup", "32"]
-        monkeypatch.setattr(criteria, "TRANSVERSAL_NODE_BUDGET", 35)
-        assert main(argv) == 0
-        capsys.readouterr()
-        monkeypatch.setattr(criteria, "TRANSVERSAL_NODE_BUDGET", 34)
-        assert main(argv) == 3
-        assert capsys.readouterr().err == (
-            "error: transversal search node budget exceeded:"
-            " more than 34 search nodes\n"
         )
 
     def test_total_construct_without_involution_needs_no_search(
@@ -474,7 +460,11 @@ class TestGenericSearch:
             f"{s4.order}\n" + "".join(" ".join(map(str, row)) + "\n" for row in s4.mult)
         )
         three_cycle = s4.element_orders.index(3)
-        monkeypatch.setattr(criteria, "TRANSVERSAL_NODE_BUDGET", 0)
+
+        def refuse(g, h):
+            raise AssertionError("the transversal pass ran")
+
+        monkeypatch.setattr(criteria, "_transversal_search", refuse)
         argv = ["construct", f"table:{path}", "--subgroup", str(three_cycle), "--total"]
         assert main(argv) == 1
         assert capsys.readouterr().err == (

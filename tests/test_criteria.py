@@ -7,7 +7,6 @@ import random
 import pytest
 
 from cayleycodes import (
-    BoundExceededError,
     CayleyCodesError,
     abelian_criterion,
     build_cayley,
@@ -373,17 +372,6 @@ class TestGeneric:
             generic_subgroup_code_decision(g, h)
             assert calls == [h]
 
-    def test_node_budget(self, monkeypatch):
-        # a non-normal order-2 subgroup of S3 x Z2: 9 nodes in perfect mode
-        g = direct_product(symmetric_group(3), make_cyclic(2))
-        h = subgroup_generated(g, {2})
-        assert not is_normal(g, h)
-        monkeypatch.setattr(criteria, "TRANSVERSAL_NODE_BUDGET", 9)
-        assert _transversal_search(g, h) is not None
-        monkeypatch.setattr(criteria, "TRANSVERSAL_NODE_BUDGET", 8)
-        with pytest.raises(BoundExceededError, match="transversal search node"):
-            _transversal_search(g, h)
-
 
 def _whole_coset_search(g, h, total):
     """The transversal search over all cosets at once, as it was before
@@ -445,8 +433,9 @@ REFERENCE_GROUPS = [
     "g", [g for _, g in REFERENCE_GROUPS], ids=[spec for spec, _ in REFERENCE_GROUPS]
 )
 def test_pairwise_search_finds_the_whole_coset_transversal(g):
-    # the whole-coset search in total mode finds the perfect transversal
-    # with e replaced by the least involution of H
+    # the greedy pass makes the first choices of the backtracking search,
+    # and the whole-coset search in total mode finds the perfect
+    # transversal with e replaced by the least involution of H
     e = g.identity
     for h in all_subgroups(g):
         found = _transversal_search(g, h)
@@ -456,6 +445,97 @@ def test_pairwise_search_finds_the_whole_coset_transversal(g):
         if found is not None and h0 is not None:
             total = tuple(sorted(h0 if x == e else x for x in found))
         assert total == _whole_coset_search(g, h, True), h
+
+
+def _mask(elements):
+    return sum(1 << x for x in set(elements))
+
+
+def _inverse(g, mask):
+    return _mask(g.inv[y] for y in range(g.order) if mask >> y & 1)
+
+
+def _squares_e(g):
+    """The mask of the x with x^2 = e, e included."""
+    return _mask(x for x in range(g.order) if g.mult[x][x] == g.identity)
+
+
+def _double_cosets(g, h):
+    """The double cosets HxH of H, each as (D, its left cosets, its right
+    cosets), all as int masks."""
+    mult, out, seen = g.mult, [], 0
+    for x in range(g.order):
+        if seen >> x & 1:
+            continue
+        d = _mask(mult[mult[k][x]][j] for k in h for j in h)
+        seen |= d
+        members = [y for y in range(g.order) if d >> y & 1]
+        lefts = {_mask(mult[y][k] for k in h) for y in members}
+        rights = {_mask(mult[k][y] for k in h) for y in members}
+        out.append((d, lefts, rights))
+    return out
+
+
+@pytest.mark.parametrize(
+    "g", [g for _, g in REFERENCE_GROUPS], ids=[spec for spec, _ in REFERENCE_GROUPS]
+)
+def test_double_coset_lemmas(g):
+    # (1) every left coset of D = HxH meets every right coset of D, and the
+    # right cosets of D are the inverses of the left cosets of D^-1;
+    # (2) an x with x^2 = e in D forces D = D^-1, and every left coset of D
+    # holds one
+    squares_e = _squares_e(g)
+    for h in all_subgroups(g):
+        cosets = _double_cosets(g, h)
+        lefts_of = {d: lefts for d, lefts, _ in cosets}
+        for d, lefts, rights in cosets:
+            assert all(a & b for a in lefts for b in rights), h
+            inverses = {_inverse(g, c) for c in lefts_of[_inverse(g, d)]}
+            assert inverses == rights, h
+            if d & squares_e:
+                assert _inverse(g, d) == d, h
+                assert all(c & squares_e for c in lefts), h
+
+
+def _no_transversal(g, h):
+    """Some self-inverse HxH != H is an odd number of left cosets of H
+    and holds no x with x^2 = e."""
+    squares_e, own = _squares_e(g), _mask(h)
+    return any(
+        d != own and _inverse(g, d) == d and len(lefts) % 2 == 1 and not d & squares_e
+        for d, lefts, _ in _double_cosets(g, h)
+    )
+
+
+S5 = symmetric_group(5)
+CRITERION_GROUPS = [
+    *corpus_groups(32),
+    ("table:S4", symmetric_group(4)),
+    ("table:S5", S5),
+    ("S5@relabeled", _relabeled(S5, 6)),
+]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [g for _, g in CRITERION_GROUPS],
+    ids=[spec for spec, _ in CRITERION_GROUPS],
+)
+def test_search_fails_exactly_on_the_double_coset_criterion(g):
+    refuted = 0
+    for h in all_subgroups(g):
+        found = _transversal_search(g, h)
+        assert (found is None) == _no_transversal(g, h), h
+        if found is None:
+            refuted += 1
+            continue
+        cosets = {_mask(g.mult[x][k] for k in h) for x in found}
+        assert len(cosets) == len(found) == g.order // len(h), h
+        assert g.identity in found, h
+        assert sorted(g.inv[x] for x in found) == list(found), h
+    if g.order == 120:
+        # 31 of the 156 subgroups of S5 are not perfect codes
+        assert refuted == 31
 
 
 class TestDispatcher:

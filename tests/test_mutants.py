@@ -12,7 +12,7 @@ import dataclasses
 
 import pytest
 
-from cayleycodes import cayley, criteria, verify
+from cayleycodes import cayley, criteria, groups, verify
 from cayleycodes.errors import CayleyCodesError
 
 
@@ -26,6 +26,44 @@ def _total_is_perfect(g, h):
 def _any_element(g, h):
     """Any non-identity element of H in place of its least involution."""
     return next((k for k in h if k != g.identity), None)
+
+
+def _greedy_pass(g, h, involution_rule=True, stuck=None):
+    """A copy of the greedy transversal pass.  Without `involution_rule`
+    an x may serve its own coset whenever x^-1 lies there; a coset with no
+    match takes `stuck(block)` where the pass returns None."""
+    inv = g.inv
+    labels = groups.coset_labels(g, h)
+    blocks = [[] for _ in range(g.order // len(h))]
+    for x, label in enumerate(labels):
+        blocks[label].append(x)
+    chosen = [None] * len(blocks)
+    chosen[labels[g.identity]] = g.identity
+    for label, block in enumerate(blocks):
+        if chosen[label] is not None:
+            continue
+        for x in block:
+            j = labels[inv[x]]
+            own = inv[x] == x or not involution_rule
+            if chosen[j] is None and (j != label or own):
+                break
+        else:
+            if stuck is None:
+                return None
+            chosen[label] = stuck(block)
+            continue
+        chosen[label], chosen[j] = x, inv[x]
+    return tuple(sorted(chosen))
+
+
+def _no_involution_rule(g, h):
+    """The pass with any x whose inverse shares its coset taken for it."""
+    return _greedy_pass(g, h, involution_rule=False)
+
+
+def _fills_unmatched_coset(g, h):
+    """The pass that gives a coset with no match its least element."""
+    return _greedy_pass(g, h, stuck=min)
 
 
 def _swapped_abelian(g, h):
@@ -44,6 +82,12 @@ MUTANTS = [
     ("cor3", verify, "generic_subgroup_code_decision", _total_is_perfect),
     ("dihedral", verify, "generic_subgroup_code_decision", _total_is_perfect),
     ("theorem3", criteria, "_least_involution", _any_element),
+    ("theorem3", criteria, "_transversal_search", _no_involution_rule),
+    ("cor3", criteria, "_transversal_search", _no_involution_rule),
+    ("dihedral", criteria, "_transversal_search", _no_involution_rule),
+    ("theorem3", criteria, "_transversal_search", _fills_unmatched_coset),
+    ("cor3", criteria, "_transversal_search", _fills_unmatched_coset),
+    ("dihedral", criteria, "_transversal_search", _fills_unmatched_coset),
     ("abelian", verify, "abelian_criterion", _swapped_abelian),
     ("thm4a", verify, "enumerate_perfect_codes", _drops_last_code),
 ]
