@@ -1,7 +1,8 @@
 """Perfect codes and total perfect codes in Cayley graphs of finite groups.
 
-The library works with dense multiplication tables at desk scale (orders up
-to 64 for most operations, 128 for the cyclic/dihedral fast paths).  It
+The library works with dense multiplication tables at desk scale: the CLI
+accepts groups of order up to 64 for classify, 24 for enumerate and
+automorphisms, and 2048 for check and construct (`cli.ORDER_BOUNDS`).  It
 provides three equivalent ways of deciding whether a vertex subset is a
 (total) perfect code in a Cayley graph -- the definitional ball check, the
 group-ring product check, and (for subgroups) the transversal check -- plus

@@ -173,13 +173,14 @@ def enumerate_perfect_codes(graph: CayleyGraph, total: bool = False):
     (perfect) or T = S (total), ball[c] is the mask of T c; T is
     inverse-closed, so ball[v] is also the mask of the centres whose balls
     hold v.  clash[c] masks the centres whose balls meet c's.  A node is
-    (covered, usable): it branches on the uncovered vertex with the fewest
-    usable centres (the least such vertex on a tie), and choosing c covers
-    ball[c] and drops clash[c] from usable.  More than
-    ENUMERATION_NODE_BUDGET nodes raise BoundExceededError.  Output is
-    sorted lexicographically as tuples.  A code's |C| balls of |T|
-    elements each partition G, so when |T| does not divide |G| the answer
-    is [] without a search.
+    (covered, usable, chosen), and nodes wait on an explicit stack, so a
+    code of |G| centres needs no recursion.  A node branches on the
+    uncovered vertex with the fewest usable centres (the least such vertex
+    on a tie), and choosing c covers ball[c] and drops clash[c] from
+    usable.  More than ENUMERATION_NODE_BUDGET nodes raise
+    BoundExceededError.  Output is sorted lexicographically as tuples.  A
+    code's |C| balls of |T| elements each partition G, so when |T| does
+    not divide |G| the answer is [] without a search.
     """
     g = graph.group
     n = g.order
@@ -196,11 +197,13 @@ def enumerate_perfect_codes(graph: CayleyGraph, total: bool = False):
     solutions = []
     count = node_counter("enumerate_perfect_codes", ENUMERATION_NODE_BUDGET)
 
-    def search(covered, usable, chosen):
+    stack = [(0, full, ())]
+    while stack:
+        covered, usable, chosen = stack.pop()
         count()
         if covered == full:
             solutions.append(tuple(sorted(chosen)))
-            return
+            continue
         best, fewest = 0, n + 1
         rest = full ^ covered
         while rest:
@@ -208,16 +211,15 @@ def enumerate_perfect_codes(graph: CayleyGraph, total: bool = False):
             cands = ball[low.bit_length() - 1] & usable
             k = cands.bit_count()
             if k < fewest:
-                if not k:
-                    return
                 best, fewest = cands, k
+                if not k:
+                    break
             rest ^= low
         while best:
             low = best & -best
             c = low.bit_length() - 1
-            search(covered | ball[c], usable & ~clash[c], chosen + [c])
+            stack.append((covered | ball[c], usable & ~clash[c], chosen + (c,)))
             best ^= low
 
-    search(0, full, [])
     solutions.sort()
     return solutions

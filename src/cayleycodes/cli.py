@@ -369,20 +369,17 @@ def main(argv=None) -> int:
         for line in lines:
             print(line)
         return status[0] if status else 0
-    except BoundExceededError as exc:
+    except (CayleyCodesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (GroupSpecError, GroupTableError) as exc:
-        # a malformed spec, or a table file that is not a group
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CayleyCodesError as exc:
-        # mathematical failures (no construction, failed verification)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # the most specific type first: a bound exceeded, then a malformed
+        # spec, a table file that is not a group or an I/O failure, then a
+        # mathematical failure (no construction, failed verification)
+        exit_codes = (
+            (BoundExceededError, 3),
+            ((GroupSpecError, GroupTableError, OSError), 2),
+            (CayleyCodesError, 1),
+        )
+        return next(code for kind, code in exit_codes if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -17,7 +17,12 @@ from __future__ import annotations
 
 import re
 
-from .errors import CayleyCodesError, GroupSpecError, GroupTableError
+from .errors import (
+    BoundExceededError,
+    CayleyCodesError,
+    GroupSpecError,
+    GroupTableError,
+)
 from .groups import (
     FiniteGroup,
     constructed_order,
@@ -29,72 +34,59 @@ from .groups import (
 )
 
 
+# The deepest product nesting a spec may have.  65 nested products of
+# nontrivial groups have order at least 2^66, over every default order
+# bound, and 64 keeps the spec walk's recursion far from the interpreter's
+# limit.
+MAX_PRODUCT_DEPTH = 64
+
+
 def parse_group_spec(spec: str, check_order=None) -> FiniteGroup:
     """The group a spec names.
 
-    Table files are read first.  Then `check_order`, when given, is called
-    with |G| before any multiplication table is built from a constructor
-    or a product, so it can refuse a spec without an n^2 table.
+    The spec is walked once: table files are read and validated, and
+    constructor parameters checked, on the way down.  Then `check_order`,
+    when given, is called with |G| before any multiplication table is
+    built from a constructor or a product, so it can refuse a spec without
+    an n^2 table.  Products nested deeper than MAX_PRODUCT_DEPTH raise
+    BoundExceededError.
     """
-    tree = _tree(spec)
-    order = _order(tree)  # raises on a parameter a constructor rejects
+    order, build = _plan(spec, 0)
     if check_order is not None:
         check_order(order)
-    return _build(tree)
+    return build()
 
 
-def _tree(spec: str):
-    """The spec as (kind, parameter) or ("product", left tree, right tree);
-    a table file is ("table", its group)."""
-    kind, *args = _parse(spec)
+def _plan(spec: str, depth: int):
+    """(|G|, a function that builds G) for a spec inside `depth` products."""
+    kind, colon, param = spec.strip().partition(":")
+    kind = kind.lower() if colon else None
     if kind == "product":
-        return ("product", *map(_tree, args))
+        if depth == MAX_PRODUCT_DEPTH:
+            raise BoundExceededError(
+                f"product nesting exceeds bound {MAX_PRODUCT_DEPTH}"
+            )
+        factors = (_plan(arg, depth + 1) for arg in _split_product(param, spec))
+        (m, left), (n, right) = factors
+        return m * n, lambda: direct_product(left(), right())
     if kind == "table":
-        return ("table", load_table_file(args[0]))
-    return (kind, args[0])
-
-
-def _order(tree) -> int:
-    """|G| of a tree, without building a table."""
-    kind, *args = tree
-    if kind == "product":
-        return _order(args[0]) * _order(args[1])
-    if kind == "table":
-        return args[0].order
-    try:
-        return constructed_order(kind, args[0])
-    except CayleyCodesError as exc:
-        raise GroupSpecError(str(exc)) from exc
-
-
-def _build(tree) -> FiniteGroup:
-    kind, *args = tree
-    if kind == "product":
-        return direct_product(*map(_build, args))
-    if kind == "table":
-        return args[0]
-    make = {"cyclic": make_cyclic, "dihedral": make_dihedral, "abelian": make_abelian}
-    return make[kind](args[0])
-
-
-def _parse(spec: str):
-    """The spec's grammar: (kind, parameter), or ("product", left, right)."""
-    text = spec.strip()
-    low = text.lower()
-    if low.startswith("cyclic:"):
-        return "cyclic", _int(text[7:])
-    if low.startswith("dihedral:"):
-        return "dihedral", _int(text[9:])
-    if low.startswith("abelian:"):
-        parts = [p for p in text[8:].split(",") if p.strip()]
+        g = load_table_file(param)
+        return g.order, lambda: g
+    if kind == "abelian":
+        parts = [p for p in param.split(",") if p.strip()]
         if not parts:
             raise GroupSpecError(f"empty abelian factor list in {spec!r}")
-        return "abelian", tuple(_int(p) for p in parts)
-    if low.startswith("product:"):
-        return ("product", *_split_product(text[8:], spec))
-    if low.startswith("table:"):
-        return "table", text[6:]
-    raise GroupSpecError(f"unrecognized group spec {spec!r}")
+        param = tuple(map(_int, parts))
+    elif kind in ("cyclic", "dihedral"):
+        param = _int(param)
+    else:
+        raise GroupSpecError(f"unrecognized group spec {spec!r}")
+    try:
+        order = constructed_order(kind, param)
+    except CayleyCodesError as exc:
+        raise GroupSpecError(str(exc)) from exc
+    make = {"cyclic": make_cyclic, "dihedral": make_dihedral, "abelian": make_abelian}
+    return order, lambda: make[kind](param)
 
 
 def _int(text: str) -> int:
@@ -203,15 +195,4 @@ def parse_element_expr(g: FiniteGroup, expr: str) -> int:
 
 def parse_element_list(g: FiniteGroup, text: str) -> list[int]:
     """Comma-separated element indices or generator expressions."""
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        return []
-    if all(p.isdecimal() for p in parts):
-        out = []
-        for p in parts:
-            idx = int(p)
-            if not 0 <= idx < g.order:
-                raise GroupSpecError(f"element index {idx} out of range")
-            out.append(idx)
-        return out
-    return [parse_element_expr(g, p) for p in parts]
+    return [parse_element_expr(g, p) for p in text.split(",") if p.strip()]

@@ -246,6 +246,13 @@ class TestEnumeration:
         )
         assert enumerate_perfect_codes(graph) == expected
 
+    def test_code_of_every_vertex_needs_no_recursion(self):
+        # with S empty the only code is G itself: one chosen centre per
+        # search level, 1100 levels, far past the interpreter's default
+        # recursion limit of 1000
+        graph = build_cayley(make_cyclic(1100), ())
+        assert enumerate_perfect_codes(graph) == [tuple(range(1100))]
+
 
 def _frozenset_search(graph, total=False):
     """The exact cover as it was before the int bitmasks, kept as the

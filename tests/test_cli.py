@@ -11,7 +11,12 @@ from cayleycodes.cayley import build_cayley, is_perfect_code, is_total_perfect_c
 from cayleycodes.cli import main
 from cayleycodes.corpus import symmetric_group
 from cayleycodes.criteria import construct_connection_set
-from cayleycodes.errors import CayleyCodesError, GroupSpecError, GroupTableError
+from cayleycodes.errors import (
+    BoundExceededError,
+    CayleyCodesError,
+    GroupSpecError,
+    GroupTableError,
+)
 from cayleycodes.specparse import (
     parse_element_expr,
     parse_element_list,
@@ -167,6 +172,60 @@ class TestSpecOrder:
         _refuse_tables(monkeypatch)
         assert main(["classify", f"product:(cyclic:100000)x(table:{path})"]) == 3
         assert capsys.readouterr().err == "error: |G|=200000 exceeds bound 64\n"
+
+
+def _tower(depth):
+    """cyclic:1 inside `depth` nested products with cyclic:1."""
+    spec = "cyclic:1"
+    for _ in range(depth):
+        spec = f"product:({spec})x(cyclic:1)"
+    return spec
+
+
+class TestSpecNesting:
+    """A spec is walked once, and its products nest at most 64 deep."""
+
+    def test_deep_product_exits_3_without_a_traceback(self, capsys):
+        assert main(["classify", _tower(1000)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: product nesting exceeds bound 64\n"
+
+    @pytest.mark.parametrize("depth, code", [(64, 0), (65, 3)])
+    def test_nesting_bound(self, capsys, depth, code):
+        assert specparse.MAX_PRODUCT_DEPTH == 64
+        assert main(["classify", _tower(depth)]) == code
+
+    def test_leftmost_error_is_reported(self, capsys, tmp_path):
+        missing = tmp_path / "missing.txt"
+        assert main(["classify", f"product:(cyclic:0)x(table:{missing})"]) == 2
+        assert capsys.readouterr().err == "error: cyclic order must be >= 1\n"
+        assert main(["classify", f"product:(table:{missing})x(cyclic:0)"]) == 2
+        assert "No such file" in capsys.readouterr().err
+
+
+class TestExitCodes:
+    """`main` maps each error type to the README's exit code."""
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (BoundExceededError("over"), 3),
+            (GroupSpecError("malformed"), 2),
+            (GroupTableError("not-latin-square", (0, 1)), 2),
+            (OSError("unreadable"), 2),
+            (CayleyCodesError("failed"), 1),
+        ],
+    )
+    def test_error_types(self, capsys, monkeypatch, error, code):
+        def fail(*args):
+            raise error
+
+        monkeypatch.setattr(cli, "parse_group_spec", fail)
+        assert main(["classify", "cyclic:4"]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {error}\n"
 
 
 def _refuse_tables(monkeypatch):
