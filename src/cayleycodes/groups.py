@@ -12,6 +12,7 @@ import functools
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import CayleyCodesError, GroupTableError, node_counter
 
@@ -150,7 +151,8 @@ def _inverses_from_table(mult, identity):
     Row i holds the identity once, at j = row.index(identity); j is i's
     inverse when mult[j][i] is the identity too, and otherwise i has no
     two-sided inverse ("missing-inverse", witness (i,)).  O(n^2), with one
-    C-level `index` scan per row.
+    C-level `index` scan per row.  A row without the identity raises the
+    ValueError of `index`.
     """
     inv = []
     for i, row in enumerate(mult):
@@ -233,57 +235,84 @@ def from_table(table) -> FiniteGroup:
     """Validate an arbitrary n x n index matrix as a group table.
 
     Rejections report the first failing witness under a lexicographic scan,
-    with distinct reasons for shape, identity, Latin-square, inverse and
-    associativity failures.
+    with one reason per check, in this order: shape ("not-square",
+    "bad-index"), "no-identity", "not-latin-square" (rows, then columns),
+    "missing-inverse", "non-associative".
 
-    The shape, identity, Latin-square and inverse checks are O(n^2)
-    passes over whole rows and columns.  Associativity is Light's test in
-    O(n^2*|gens|): the set T of z with (xy)z = x(yz) for
-    all x, y holds the identity and is closed under products, so the
-    table is associative once T holds a set of generators, here the
-    greedy `generating_set` (its right-multiplication closure from the
-    identity reaches every element of any Latin square with an identity).
-    Each (row x, generator s) is one comparison of (xy)s with x(ys) over
-    all y.  Only a table that fails it pays the O(n^3) lexicographic scan
+    Associativity is Light's test on the middle nucleus
+    N = {a : (xa)y = x(ay) for all x, y}.  N holds the identity and is
+    closed under products: for a, b in N,
+    (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).
+    The greedy `generating_set` reaches every element as a product of
+    generators (its right-multiplication closure from the identity), so
+    the table is associative once N holds those generators.  For a
+    generator s, ``itemgetter(*mult[s])`` maps row x to x(sy) over all y
+    in one C call, and that is compared with the row of xs, which is
+    (xs)y: one composition of n entries per (row, generator), O(n^2*|gens|)
+    in all.  Only a table that fails it pays the O(n^3) lexicographic scan
     for the (x, y, z) witness.
+
+    A table with a two-sided identity, two-sided inverses and an
+    associative product is a group, whose rows and columns are
+    permutations.  So the Latin-square scans wait until a later check
+    fails (a row without the identity, a one-sided inverse or Light's
+    test); they run then, before that failure is reported, so that every
+    table gets the reason of the first check in the order above.
     """
     n = len(table)
     if n == 0:
         raise GroupTableError("not-square")
+    indices = frozenset(range(n))
     for i, row in enumerate(table):
         if len(row) != n:
             raise GroupTableError("not-square", (i,))
-        if set(map(type, row)) == {int} and min(row) >= 0 and max(row) < n:
+        if set(map(type, row)) == {int} and indices.issuperset(row):
             continue
         for j, v in enumerate(row):
             if not isinstance(v, int) or not 0 <= v < n:
                 raise GroupTableError("bad-index", (i, j))
-    mult = tuple(tuple(row) for row in table)
-    columns = list(zip(*mult))
+    mult = tuple(map(tuple, table))
 
     base = tuple(range(n))
+    # column e is read only when row e is the identity row
     identity = next(
-        (e for e in range(n) if mult[e] == base and columns[e] == base), None
+        (
+            e
+            for e in base
+            if mult[e] == base and tuple(map(itemgetter(e), mult)) == base
+        ),
+        None,
     )
     if identity is None:
         raise GroupTableError("no-identity")
 
-    for i, row in enumerate(mult):
-        if len(set(row)) != n:
-            raise GroupTableError("not-latin-square", ("row", i))
-    for j, column in enumerate(columns):
-        if len(set(column)) != n:
-            raise GroupTableError("not-latin-square", ("column", j))
-
-    inv = _inverses_from_table(mult, identity)
+    try:
+        inv = _inverses_from_table(mult, identity)
+    except (GroupTableError, ValueError):
+        # ValueError: a row without the identity, which no Latin row is
+        _check_latin_square(mult)
+        raise
     g = FiniteGroup(n, mult, identity, inv, "table")
 
     for s in g.generators:
-        col = columns[s]
+        compose = itemgetter(*mult[s])
         for row in mult:
-            if [col[v] for v in row] != [row[v] for v in col]:
+            if compose(row) != mult[row[s]]:
+                _check_latin_square(mult)
                 raise GroupTableError("non-associative", _first_non_associative(mult))
     return g
+
+
+def _check_latin_square(mult):
+    """Reject the first row, then the first column, that is not a
+    permutation."""
+    n = len(mult)
+    for i, row in enumerate(mult):
+        if len(set(row)) != n:
+            raise GroupTableError("not-latin-square", ("row", i))
+    for j, column in enumerate(zip(*mult)):
+        if len(set(column)) != n:
+            raise GroupTableError("not-latin-square", ("column", j))
 
 
 def _first_non_associative(mult):

@@ -121,8 +121,13 @@ def _split_product(body: str, spec: str):
 def load_table_file(path: str) -> FiniteGroup:
     """Read a Cayley-table file and validate it with `from_table`.
 
-    The entries are parsed in one pass, O(n^2); on a bad token they are
-    parsed again one by one, so the error names the first bad token.
+    The entries are parsed in one pass, O(n^2), by looking each token up
+    in a dict from the plain spellings "0" .. "n-1" to their indices.  A
+    token outside it (another spelling int() reads, such as "007", "+1",
+    "1_0" or a non-ASCII digit, an out-of-range index or a word) sends the
+    whole body through int(), which `from_table` then range-checks; on a
+    token int() rejects it is parsed again one by one, so the error names
+    the first bad token.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -138,9 +143,12 @@ def load_table_file(path: str) -> FiniteGroup:
             f"table file {path!r}: expected {n * n} entries, got {len(body)}"
         )
     try:
-        cells = list(map(int, body))
-    except ValueError:
-        cells = [_int(token) for token in body]
+        cells = list(map({str(i): i for i in range(n)}.__getitem__, body))
+    except KeyError:
+        try:
+            cells = list(map(int, body))
+        except ValueError:
+            cells = [_int(token) for token in body]
     table = [cells[i * n : (i + 1) * n] for i in range(n)]
     g = from_table(table)
     if g.identity != 0:

@@ -349,6 +349,13 @@ class TestClassify:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_table_word_names_the_first_bad_token(self, capsys, tmp_path):
+        # the out-of-range 9 and the other spelling 007 come before the word
+        path = tmp_path / "words.txt"
+        path.write_text("3\n0 1 9\n1 007 y\n2 0 z\n")
+        assert main(["classify", f"table:{path}"]) == 2
+        assert capsys.readouterr().err == "error: expected an integer, got 'y'\n"
+
 
 class TestCheck:
     def test_perfect(self, capsys):

@@ -30,6 +30,10 @@ TABLES = {
     "words": "2\nzero one\none zero\n",
     "identity1": "2\n1 0\n0 1\n",
     "empty": "",
+    # identity 0, but row 1 holds no 0
+    "row_without_identity": "3\n0 1 2\n1 1 1\n2 0 1\n",
+    # identity 0 and Latin rows, but column 1 repeats 0
+    "latin_rows_only": "3\n0 1 2\n1 0 2\n2 0 1\n",
 }
 HUGE = [10**6, 10**12, 2**64, 10**40]
 
@@ -158,3 +162,15 @@ def test_every_command_line_exits_0_to_3_without_a_traceback(table_files):
         assert "Traceback" not in err.getvalue(), (argv, env)
 
     run()
+
+
+@pytest.mark.parametrize("name", [name for name in TABLES if name != "z3"])
+@pytest.mark.parametrize("command", ["classify", "check", "construct", "enumerate"])
+def test_every_malformed_table_exits_2_without_a_traceback(table_files, name, command):
+    path = table_files[list(TABLES).index(name)]
+    options = {"check": ["--conn", "1", "--code", "0"], "enumerate": ["--conn", "1"],
+               "construct": ["--subgroup", "0"]}.get(command, [])
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main([command, f"table:{path}"] + options) == 2
+    assert err.getvalue().startswith("error:") and "Traceback" not in err.getvalue()

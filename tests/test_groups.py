@@ -535,6 +535,41 @@ class TestTableOracle:
                       [3, 4, 1, 2, 0], [4, 0, 3, 1, 2]]
         assert _assert_same_outcome(no_inverse) == ("rejected", "missing-inverse", (1,))
 
+    def test_latin_failures_found_after_a_later_check_fails(self):
+        # identity 0, but row 1 holds no 0, so no inverse of 1 can be read off it
+        assert _assert_same_outcome([[0, 1, 2], [1, 1, 1], [2, 0, 1]]) == (
+            "rejected", "not-latin-square", ("row", 1))
+        # Latin rows; column 1 repeats 0 and 2*1 = 0 but 1*2 = 2
+        assert _assert_same_outcome([[0, 1, 2], [1, 0, 2], [2, 0, 1]]) == (
+            "rejected", "not-latin-square", ("column", 1))
+        # Latin rows; column 1 repeats 1, every inverse is two-sided, and
+        # (1*2)*1 = 1 but 1*(2*1) = 0
+        non_associative = [[0, 1, 2, 3], [1, 0, 2, 3], [2, 1, 0, 3], [3, 1, 2, 0]]
+        assert _assert_same_outcome(non_associative) == (
+            "rejected", "not-latin-square", ("column", 1))
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            direct_product(quaternion_group(), make_dihedral(4)),
+            direct_product(make_dihedral(16), make_abelian((2, 2))),
+        ],
+        ids=["Q8xD4", "D16xV4"],
+    )
+    def test_one_cell_mutations_of_large_tables(self, g):
+        n = g.order
+        rng = random.Random(n)
+        perm = rng.sample(range(n), n)
+        e = perm[g.identity]
+        cells = [(rng.randrange(n), rng.randrange(n)) for _ in range(12)]
+        cells += [(e, rng.randrange(n)), (rng.randrange(n), e)]
+        reasons = collections.Counter()
+        for i, j in cells:
+            table = _relabel(g.mult, perm)
+            table[i][j] = rng.choice([v for v in range(n) if v != table[i][j]])
+            reasons[_assert_same_outcome(table)[1]] += 1
+        assert reasons["not-latin-square"] >= 10 and reasons["no-identity"] >= 2
+
 
 def _reference_abelian(orders):
     """The abelian product built cell by cell from mixed-radix digits."""
@@ -596,6 +631,24 @@ class TestTableConstruction:
             path.write_text(f"{g.order}\n{rows}\n")
             h = load_table_file(str(path))
             assert (h.mult, h.inv, h.identity) == (g.mult, g.inv, 0), spec
+
+    def test_load_table_file_reads_every_integer_spelling(self, tmp_path):
+        g = make_dihedral(6)
+        spelled = {0: "-0", 1: "+1", 3: "٣", 7: "007", 10: "1_0"}
+        for name, spell in (("plain", str), ("spelled", lambda v: spelled.get(v, str(v)))):
+            rows = "\n".join(" ".join(map(spell, row)) for row in g.mult)
+            (tmp_path / name).write_text(f"{g.order}\n{rows}\n")
+        plain = load_table_file(str(tmp_path / "plain"))
+        h = load_table_file(str(tmp_path / "spelled"))
+        assert (h.mult, h.inv) == (plain.mult, plain.inv) == (g.mult, g.inv)
+
+    @pytest.mark.parametrize("token", ["4", "-1", "+4", "04", "1_2"])
+    def test_load_table_file_out_of_range_token(self, tmp_path, token):
+        path = tmp_path / "z4.txt"
+        path.write_text(f"4\n0 1 2 3\n1 2 3 0\n2 {token} 0 1\n3 0 1 2\n")
+        with pytest.raises(GroupTableError) as err:
+            load_table_file(str(path))
+        assert (err.value.reason, err.value.witness) == ("bad-index", (2, 1))
 
     def test_load_table_file_names_first_bad_token(self, tmp_path):
         path = tmp_path / "bad.txt"
