@@ -274,15 +274,8 @@ def from_table(table) -> FiniteGroup:
     mult = tuple(map(tuple, table))
 
     base = tuple(range(n))
-    # column e is read only when row e is the identity row
-    identity = next(
-        (
-            e
-            for e in base
-            if mult[e] == base and tuple(map(itemgetter(e), mult)) == base
-        ),
-        None,
-    )
+    identity = next((e for e in base if mult[e] == base
+                     and tuple(map(itemgetter(e), mult)) == base), None)
     if identity is None:
         raise GroupTableError("no-identity")
 

@@ -125,9 +125,8 @@ def load_table_file(path: str) -> FiniteGroup:
     in a dict from the plain spellings "0" .. "n-1" to their indices.  A
     token outside it (another spelling int() reads, such as "007", "+1",
     "1_0" or a non-ASCII digit, an out-of-range index or a word) sends the
-    whole body through int(), which `from_table` then range-checks; on a
-    token int() rejects it is parsed again one by one, so the error names
-    the first bad token.
+    body through int() token by token: `from_table` range-checks the
+    result, and the first token int() rejects is named in the error.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -145,10 +144,7 @@ def load_table_file(path: str) -> FiniteGroup:
     try:
         cells = list(map({str(i): i for i in range(n)}.__getitem__, body))
     except KeyError:
-        try:
-            cells = list(map(int, body))
-        except ValueError:
-            cells = [_int(token) for token in body]
+        cells = [_int(token) for token in body]
     table = [cells[i * n : (i + 1) * n] for i in range(n)]
     g = from_table(table)
     if g.identity != 0:
