@@ -54,11 +54,7 @@ from .criteria import (
     parity_criterion,
     property_one_holds,
 )
-from .spectral import (
-    characters,
-    spectral_tiling_check,
-    verify_lemma_equivalence,
-)
+from .spectral import characters, spectral_tiling_check
 from .pcp import (
     all_power_automorphisms,
     power_witness,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
@@ -39,15 +39,6 @@ class FiniteGroup:
     inv: tuple[int, ...]
     kind: str = "table"
     decomposition: tuple[int, ...] | None = None
-
-    def __hash__(self):
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        # The per-group caches look a group up on every call; the table is
-        # immutable, so it is hashed once instead of in O(n^2) each time.
-        return hash(tuple(getattr(self, f.name) for f in fields(self)))
 
     def power(self, i: int, k: int) -> int:
         """i^k for any integer k.  Since i^|G| = e, k is taken mod |G|
@@ -123,6 +114,11 @@ class FiniteGroup:
     def generators(self) -> tuple[int, ...]:
         """The greedy generating set of the whole group (`generating_set`)."""
         return generating_set(self)
+
+    @cached_property
+    def subgroups(self) -> tuple[tuple[int, ...], ...]:
+        """Every subgroup, sorted by (order, elements) (`all_subgroups`)."""
+        return _build_subgroups(self)
 
     @cached_property
     def strides(self) -> tuple[int, ...]:
@@ -394,15 +390,15 @@ def all_subgroups(g: FiniteGroup):
     K = <H, x> is kept only if x = min(K \\ H).  Listing the right cosets
     of H costs O(|G|), and each join (`_join`) O(|K| + |K:H|*k).  On Z2^k
     every join is kept, so Z2^6 takes 2 824 joins for its 2 825
-    subgroups.  One O(|G|^2) table of column masks is built per call.
-    Each subgroup is returned as its ascending element tuple.  Results are
-    memoized per group (the types are immutable).
+    subgroups.  One O(|G|^2) table of column masks is built per lattice.
+    Each subgroup is returned as its ascending element tuple.  The lattice
+    is kept on its group (`FiniteGroup.subgroups`) and freed with it; each
+    call returns a fresh list.
     """
-    return list(_all_subgroups_cached(g))
+    return list(g.subgroups)
 
 
-@functools.lru_cache(maxsize=64)
-def _all_subgroups_cached(g: FiniteGroup):
+def _build_subgroups(g: FiniteGroup):
     bits = g.bits
     columns = tuple(zip(*g.mult))
     # the right coset Hy is the sum of bit_columns[y] over the elements of H

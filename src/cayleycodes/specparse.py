@@ -16,6 +16,7 @@ integers are read as element indices for any group kind.
 from __future__ import annotations
 
 import re
+from itertools import chain
 
 from .errors import (
     BoundExceededError,
@@ -122,31 +123,38 @@ def load_table_file(path: str) -> FiniteGroup:
     """Read a Cayley-table file and validate it with `from_table`.
 
     The entries are parsed in one pass, O(n^2), by looking each token up
-    in a dict from the plain spellings "0" .. "n-1" to their indices.  A
-    token outside it (another spelling int() reads, such as "007", "+1",
-    "1_0" or a non-ASCII digit, an out-of-range index or a word) sends the
-    body through int() token by token: `from_table` range-checks the
-    result, and the first token int() rejects is named in the error.
+    in a dict from the plain spellings "0" .. "n-1" to their indices.  The
+    file is split one line at a time, so that its n^2 token strings are
+    never held at once.  A token outside the dict (another spelling int()
+    reads, such as "007", "+1", "1_0" or a non-ASCII digit, an
+    out-of-range index or a word) sends the body through int() token by
+    token once the entry count is checked: `from_table` range-checks the
+    result, and the first token int() rejects is named in the error.  The
+    rows are built as tuples, which `from_table` keeps as they are.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            tokens = fh.read().split()
+            lines = fh.read().splitlines()
     except UnicodeDecodeError:
         raise GroupSpecError(f"table file {path!r} is not UTF-8 text") from None
-    if not tokens:
+    tokens = chain.from_iterable(map(str.split, lines))
+    head = next(tokens, None)
+    if head is None:
         raise GroupSpecError(f"empty table file {path!r}")
-    n = _int(tokens[0])
-    body = tokens[1:]
-    if len(body) != n * n:
-        raise GroupSpecError(
-            f"table file {path!r}: expected {n * n} entries, got {len(body)}"
-        )
+    n = _int(head)
+    lookup = {str(i): i for i in range(n)}.__getitem__
     try:
-        cells = list(map({str(i): i for i in range(n)}.__getitem__, body))
+        cells, spelled = list(map(lookup, tokens)), False
     except KeyError:
-        cells = [_int(token) for token in body]
-    table = [cells[i * n : (i + 1) * n] for i in range(n)]
-    g = from_table(table)
+        cells, spelled = " ".join(lines).split()[1:], True
+    del lines  # the text is not read again
+    if len(cells) != n * n:
+        raise GroupSpecError(
+            f"table file {path!r}: expected {n * n} entries, got {len(cells)}"
+        )
+    if spelled:
+        cells = list(map(_int, cells))
+    g = from_table([tuple(cells[i * n : (i + 1) * n]) for i in range(n)])
     if g.identity != 0:
         raise GroupTableError("no-identity", ("identity must be index 0", g.identity))
     return g

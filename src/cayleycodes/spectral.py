@@ -16,7 +16,8 @@ Z[zeta_d], an integral domain (Phi_d is irreducible).  So the image of
 the product is zero exactly when the image of one factor is, and
 "chi(A) is zero or chi(B) is zero" is as exact as the zero test itself.
 
-Each group's character table is built once and cached (`characters`).
+The character table is built once per decomposition and cached
+(`characters`).
 """
 
 from __future__ import annotations
@@ -114,14 +115,12 @@ class CyclotomicSum:
 class Character:
     """An irreducible character of an abelian group.
 
-    ``exponents`` are taken relative to a fixed decomposition of the group
-    into cyclic factors; ``value_exponents`` precomputes, for every group
-    element, the exponent k with value zeta_m^k (m = group order).
-    ``order`` is the character's order d, which divides m: every value is
-    a d-th root of unity, zeta_m^k = zeta_d^(k*d/m).
+    ``value_exponents`` precomputes, for every group element, the
+    exponent k with value zeta_m^k (m = group order).  ``order`` is the
+    character's order d, which divides m: every value is a d-th root of
+    unity, zeta_m^k = zeta_d^(k*d/m).
     """
 
-    exponents: tuple[int, ...]
     m: int
     value_exponents: tuple[int, ...]
     order: int
@@ -131,50 +130,41 @@ class Character:
         return self.order == 1
 
 
-def _decomposition(g: FiniteGroup):
-    """The stored cyclic factor orders of g and the exponents of each
-    element over them; only cyclic and abelian-product groups store them."""
+def characters(g: FiniteGroup):
+    """All |G| characters of a cyclic or abelian-product group, indexed
+    like the elements: over the stored factor orders m_j, with i_j and x_j
+    the digits of i and x, character i sends x to the product of the
+    zeta_{m_j}^(i_j*x_j), so character 0 is the trivial one.
+
+    The table depends only on the factor orders, so it is built once per
+    decomposition and cached; each call returns a fresh list of the cached
+    (immutable) characters.
+    """
     if g.decomposition is None:
         raise CayleyCodesError(
             "characters require a cyclic or abelian-product group"
         )
-    orders = g.decomposition
-    exps = {
-        x: tuple((x // s) % m for s, m in zip(g.strides, orders))
-        for x in range(g.order)
-    }
-    return orders, exps
-
-
-def characters(g: FiniteGroup):
-    """All |G| characters of a cyclic or abelian-product group, trivial
-    first, then sorted by exponent tuple over its stored factors.
-
-    The table is built once per group and cached; each call returns a
-    fresh list of the cached (immutable) characters.
-    """
-    return list(_characters_cached(g))
+    return list(_characters_cached(g.decomposition))
 
 
 @functools.lru_cache(maxsize=64)
-def _characters_cached(g: FiniteGroup):
-    return tuple(_build_characters(g))
+def _characters_cached(orders):
+    return tuple(_build_characters(orders))
 
 
-def _build_characters(g: FiniteGroup):
-    orders, exps = _decomposition(g)
-    m = g.order
+def _build_characters(orders):
+    """The characters over the cyclic factor orders.  Elements are indexed
+    mixed-radix, the first factor most significant (`FiniteGroup.strides`),
+    so the digit tuples in ascending order are the elements' in index
+    order."""
+    m = math.prod(orders)
+    steps = [m // o for o in orders]
+    digits = list(itertools.product(*map(range, orders)))
     out = []
-    tuples = sorted(itertools.product(*(range(o) for o in orders)))
-    for nt in tuples:
-        vals = []
-        for x in range(g.order):
-            ax = exps[x]
-            k = sum(n * a * (m // o) for n, a, o in zip(nt, ax, orders)) % m
-            vals.append(k)
-        d = m // math.gcd(m, *vals)
-        out.append(Character(nt, m, tuple(vals), d))
-    out.sort(key=lambda c: (not c.is_trivial, c.exponents))
+    for nt in digits:
+        scaled = [n * step for n, step in zip(nt, steps)]
+        vals = tuple(sum(map(int.__mul__, scaled, ax)) % m for ax in digits)
+        out.append(Character(m, vals, m // math.gcd(m, *vals)))
     return out
 
 
@@ -203,16 +193,3 @@ def spectral_tiling_check(g: FiniteGroup, a, b) -> bool:
         if not (char_sum(rho, a).is_zero() or char_sum(rho, b).is_zero()):
             return False
     return True
-
-
-def verify_lemma_equivalence(g: FiniteGroup, a, b) -> bool:
-    """Both tiling tests must agree; a discrepancy is a defect, not a result."""
-    spectral = spectral_tiling_check(g, a, b)
-    ring = group_ring_tiling_check(g, a, b)
-    if spectral != ring:
-        raise CayleyCodesError(
-            f"tiling-check discrepancy: spectral={spectral} ring={ring} "
-            f"A={sorted(a)} B={sorted(b)}"
-        )
-    return spectral
-

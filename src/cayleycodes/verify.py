@@ -46,7 +46,7 @@ from .groups import (
 )
 from .pcp import all_connection_sets, all_power_automorphisms, power_witness
 from .specparse import parse_element_expr
-from .spectral import verify_lemma_equivalence
+from .spectral import group_ring_tiling_check, spectral_tiling_check
 
 
 @dataclass
@@ -232,11 +232,16 @@ def suite_lemma_equivalence(seed: int = 0) -> SuiteResult:
     res = SuiteResult("lemma-equivalence")
 
     def check(g, a, b):
-        try:
-            verify_lemma_equivalence(g, a, b)
-            res.checks += 1
-        except CayleyCodesError as exc:
-            res.check(False, str(exc))
+        spectral = spectral_tiling_check(g, a, b)
+        ring = group_ring_tiling_check(g, a, b)
+        if spectral == ring:
+            res.checks += 1  # the message is formatted only for a mismatch
+        else:
+            res.check(
+                False,
+                f"tiling-check discrepancy: spectral={spectral} ring={ring} "
+                f"A={sorted(a)} B={sorted(b)}",
+            )
 
     small = [make_cyclic(n) for n in range(1, 9)]
     small += [make_abelian(t) for n in range(4, 9) for t in abelian_types(n)]

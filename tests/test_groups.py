@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from cayleycodes import (
     all_automorphisms,
     all_subgroups,
     centre,
+    characters,
     coset_labels,
     direct_product,
     from_table,
@@ -348,8 +350,28 @@ class TestLatticeOracle:
             return join(*args)
 
         monkeypatch.setattr(groups, "_join", counted)
-        subs = groups._all_subgroups_cached.__wrapped__(make_abelian((2,) * 6))
+        subs = all_subgroups(make_abelian((2,) * 6))
         assert len(subs) == 2825 and len(joins) == 2824
+
+    def test_second_call_on_a_group_makes_no_join(self, monkeypatch):
+        g = make_abelian((2, 2, 4))
+        first = all_subgroups(g)
+        first.clear()
+
+        def refuse(*args):
+            raise AssertionError("the lattice was built again")
+
+        monkeypatch.setattr(groups, "_join", refuse)
+        assert all_subgroups(g) == _reference_lattice(g)
+
+    def test_group_is_freed_with_its_tables(self):
+        # the lattice lives on its group and the character table is cached
+        # by factor orders, so no cache keeps the group alive
+        g = make_abelian((2, 6))
+        assert all_subgroups(g) and characters(g)
+        ref = weakref.ref(g)
+        del g
+        assert ref() is None
 
     @pytest.mark.parametrize(
         "spec, g",

@@ -12,7 +12,7 @@ import dataclasses
 
 import pytest
 
-from cayleycodes import cayley, criteria, groups, verify
+from cayleycodes import cayley, criteria, groups, spectral, verify
 from cayleycodes.errors import CayleyCodesError
 
 
@@ -77,6 +77,31 @@ def _drops_last_code(graph, total=False):
     return cayley.enumerate_perfect_codes(graph, total=total)[:-1]
 
 
+_is_zero = spectral.CyclotomicSum.is_zero
+
+
+def _equal_coefficients(value):
+    """The zero test as "all coefficients equal" for order 9 and above,
+    which holds at a prime order but misses 1 + zeta^3 + zeta^6 at 9."""
+    return _is_zero(value) if value.m < 9 else len(set(value.coeffs)) == 1
+
+
+def _c_star_ignores_sigma(g, sigma):
+    """`power_witness` with c* the least y outside H, whatever sigma(y)."""
+    x = next((x for x in range(g.order) if sigma[x] not in g.cyclic_span(x)), None)
+    if x is None:
+        return None
+    h = g.cyclic_span(x)
+    c_star = next(y for y in range(g.order) if y not in h)
+    labels = groups.coset_labels(g, tuple(sorted(h)))
+    code = {}
+    for y in range(g.order):
+        code.setdefault(labels[g.inv[y]], y)
+    for y in (c_star, g.identity):
+        code[labels[g.inv[y]]] = y
+    return cayley.connection_set(g, h - {g.identity}), tuple(sorted(code.values()))
+
+
 MUTANTS = [
     ("theorem3", verify, "generic_subgroup_code_decision", _total_is_perfect),
     ("cor3", verify, "generic_subgroup_code_decision", _total_is_perfect),
@@ -90,6 +115,9 @@ MUTANTS = [
     ("dihedral", criteria, "_transversal_search", _fills_unmatched_coset),
     ("abelian", verify, "abelian_criterion", _swapped_abelian),
     ("thm4a", verify, "enumerate_perfect_codes", _drops_last_code),
+    ("lemma-equivalence", spectral.CyclotomicSum, "is_zero", _equal_coefficients),
+    ("prop3", verify, "power_witness", _c_star_ignores_sigma),
+    ("trivial-centre", verify, "power_witness", _c_star_ignores_sigma),
 ]
 
 
