@@ -129,8 +129,10 @@ def load_table_file(path: str) -> FiniteGroup:
     reads, such as "007", "+1", "1_0" or a non-ASCII digit, an
     out-of-range index or a word) sends the body through int() token by
     token once the entry count is checked: `from_table` range-checks the
-    result, and the first token int() rejects is named in the error.  The
-    rows are built as tuples, which `from_table` keeps as they are.
+    result, and the first token int() rejects is named in the error.  A
+    header n whose n^2 entries cannot fit in the file takes that path too,
+    so the dict is never larger than the file.  The rows are built as
+    tuples, which `from_table` keeps as they are.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -142,12 +144,15 @@ def load_table_file(path: str) -> FiniteGroup:
     if head is None:
         raise GroupSpecError(f"empty table file {path!r}")
     n = _int(head)
-    lookup = {str(i): i for i in range(n)}.__getitem__
-    try:
-        cells, spelled = list(map(lookup, tokens)), False
-    except KeyError:
+    if n * n > sum(map(len, lines)):  # each entry takes one character or more
         cells, spelled = " ".join(lines).split()[1:], True
-    del lines  # the text is not read again
+    else:
+        lookup = {str(i): i for i in range(n)}.__getitem__
+        try:
+            cells, spelled = list(map(lookup, tokens)), False
+        except KeyError:
+            cells, spelled = " ".join(lines).split()[1:], True
+    del tokens, lines  # the text is not read again
     if len(cells) != n * n:
         raise GroupSpecError(
             f"table file {path!r}: expected {n * n} entries, got {len(cells)}"

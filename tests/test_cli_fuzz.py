@@ -34,6 +34,8 @@ TABLES = {
     "row_without_identity": "3\n0 1 2\n1 1 1\n2 0 1\n",
     # identity 0 and Latin rows, but column 1 repeats 0
     "latin_rows_only": "3\n0 1 2\n1 0 2\n2 0 1\n",
+    # a header whose n^2 entries cannot fit in the file
+    "huge_header": "1000000000\n0\n",
 }
 HUGE = [10**6, 10**12, 2**64, 10**40]
 
@@ -174,3 +176,13 @@ def test_every_malformed_table_exits_2_without_a_traceback(table_files, name, co
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         assert main([command, f"table:{path}"] + options) == 2
     assert err.getvalue().startswith("error:") and "Traceback" not in err.getvalue()
+
+
+def test_huge_header_reports_the_entry_count(table_files):
+    path = table_files[list(TABLES).index("huge_header")]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(["check", f"table:{path}", "--conn", "1", "--code", "0"]) == 2
+    assert err.getvalue() == (
+        f"error: table file {path!r}: expected {10**18} entries, got 1\n"
+    )
