@@ -5,7 +5,7 @@ accepts groups of order up to 64 for classify, 24 for enumerate and
 automorphisms, and 2048 for check and construct (`cli.ORDER_BOUNDS`).  It
 provides three equivalent ways of deciding whether a vertex subset is a
 (total) perfect code in a Cayley graph -- the definitional ball check, the
-group-ring product check, and (for subgroups) the transversal check -- plus
+group-ring (tiling) check, and (for subgroups) the transversal check -- plus
 criteria and explicit connection-set constructions for normal, cyclic,
 abelian and dihedral subgroups, exact cyclotomic Fourier tests for tilings
 of abelian groups, and a brute-force analysis of (total-)perfect-code-

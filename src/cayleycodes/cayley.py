@@ -2,16 +2,19 @@
 
 x and y are adjacent in Cay(G, S) iff y x^-1 in S, so the neighbourhood of
 a vertex x is S x.  The module provides the definitional ball check, the
-group-ring product check, the transversal check for subgroups, and an
+group-ring check, the transversal check for subgroups, and an
 exact-cover enumeration of all (total) perfect codes on int bitmasks.
 
 Each check has one body for both modes.  C is a perfect code when the
 closed balls (S u {e}) c partition G, and a total perfect code when the
 open balls S c do; so with T = S u {e} or T = S, the ball check counts
-either kind of ball in one loop, the group-ring check is the tiling
-equation indicator(T) * indicator(C) = all-ones, and the transversal
-check asks T to be a left transversal of H.  The ball check shares no
-code with the group-ring form, so each stays an oracle for the other.
+either kind of ball in one loop, the group-ring check tests the tiling
+equation indicator(T) * indicator(C) = all-ones as the statement that
+the |T||C| products tc are the |G| elements, each once, and the
+transversal check asks T to be a left transversal of H.  The ball check
+shares no code with the group-ring form, so each stays an oracle for the
+other.  A `ConnectionSet` iterates over its elements, so every check
+takes it or a plain set of elements alike.
 """
 
 from __future__ import annotations
@@ -45,6 +48,9 @@ class ConnectionSet:
                 raise CayleyCodesError(
                     f"connection set not inverse-closed: {s} without {g.inv[s]}"
                 )
+
+    def __iter__(self):
+        return iter(self.elements)
 
     def sorted(self) -> tuple[int, ...]:
         return tuple(sorted(self.elements))
@@ -98,47 +104,23 @@ def is_total_perfect_code(graph: CayleyGraph, code) -> bool:
 # group-ring form
 
 
-def group_ring_indicator(g: FiniteGroup, subset) -> list[int]:
-    coeffs = [0] * g.order
-    for x in subset:
-        coeffs[x] = 1
-    return coeffs
-
-
-def group_ring_product(g: FiniteGroup, u, v) -> list[int]:
-    """Convolution over the group: coefficient of x is sum_h u(h) v(h^-1 x).
-
-    Each row of u's support runs over the support of v, found once."""
-    out = [0] * g.order
-    mult = g.mult
-    support = [(k, vk) for k, vk in enumerate(v) if vk]
-    for h, uh in enumerate(u):
-        if uh == 0:
-            continue
-        row = mult[h]
-        for k, vk in support:
-            out[row[k]] += uh * vk
-    return out
-
-
 def group_ring_check_total(g: FiniteGroup, s, code) -> bool:
-    """True iff indicator(S) * indicator(C) is the all-ones vector.
+    """True iff indicator(S) * indicator(C) is the all-ones vector: the
+    |S||C| products hk (h in S, k in C) are the elements of G, each once.
 
     This is the tiling equation S C = G with every product distinct; it
     is also `spectral.group_ring_tiling_check` for any two subsets.
     """
-    if isinstance(s, ConnectionSet):
-        s = s.elements
-    u = group_ring_indicator(g, s)
-    v = group_ring_indicator(g, code)
-    return group_ring_product(g, u, v) == [1] * g.order
+    s, code = set(s), set(code)
+    if len(s) * len(code) != g.order:
+        return False
+    mult = g.mult
+    return len({mult[h][k] for h in s for k in code}) == g.order
 
 
 def group_ring_check_perfect(g: FiniteGroup, s, code) -> bool:
     """True iff indicator(S u {e}) * indicator(C) is the all-ones vector."""
-    if isinstance(s, ConnectionSet):
-        s = s.elements
-    return group_ring_check_total(g, set(s) | {g.identity}, code)
+    return group_ring_check_total(g, {*s, g.identity}, code)
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +138,7 @@ def subgroup_code_transversal_check(
 ) -> bool:
     """H is a perfect code in Cay(G,S) iff S u {e} is a left transversal of
     H in G; a total perfect code iff S itself is."""
-    if isinstance(s, ConnectionSet):
-        s = s.elements
-    probe = set(s) if total else set(s) | {g.identity}
+    probe = set(s) if total else {*s, g.identity}
     return is_left_transversal(g, h, probe)
 
 

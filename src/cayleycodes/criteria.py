@@ -2,10 +2,11 @@
 
 Implements the key property for normal subgroups -- for every g with
 g^2 in H there is h in H with (gh)^2 = e -- together with the parity
-shortcut, the cyclic and dihedral classifications, the abelian Sylow-2
-reduction and projection criterion, the constructive connection sets, and
-for arbitrary subgroups a greedy pass that builds an inverse-closed left
-transversal, or proves there is none.
+shortcut, the cyclic and dihedral classifications, the abelian projection
+criterion (read off the involutions and squares of H, with no Sylow
+subgroup built), the constructive connection sets, and for arbitrary
+subgroups a greedy pass that builds an inverse-closed left transversal,
+or proves there is none.
 """
 
 from __future__ import annotations
@@ -154,12 +155,6 @@ def construct_connection_set_normal(
 # cyclic, abelian and dihedral specializations
 
 
-def _is_cyclic(g: FiniteGroup, elements) -> bool:
-    """Is the subgroup K with these elements cyclic, i.e. does one of them
-    have order |K|?"""
-    return len(elements) in map(g.element_orders.__getitem__, elements)
-
-
 def cyclic_criterion(g: FiniteGroup, h: tuple[int, ...]) -> CriterionVerdict:
     """Pure arithmetic on |H| and [G:H] for cyclic G."""
     if not g.is_cyclic:
@@ -170,35 +165,35 @@ def cyclic_criterion(g: FiniteGroup, h: tuple[int, ...]) -> CriterionVerdict:
     return CriterionVerdict(perfect=perfect, total=total, method="cyclic")
 
 
-def abelian_sylow_reduction(g: FiniteGroup, h: tuple[int, ...]) -> tuple[int, ...]:
-    """H n P for the Sylow 2-subgroup P of abelian G, ascending: the
-    elements of H whose order is a power of 2.  In an abelian group these
-    are closed under products, so they form a subgroup as they stand."""
-    if not g.is_abelian:
-        raise CayleyCodesError("Sylow reduction requires an abelian group")
-    orders = g.element_orders
-    return tuple(x for x in h if orders[x] & (orders[x] - 1) == 0)
+def abelian_criterion(
+    g: FiniteGroup, h: tuple[int, ...]
+) -> CriterionVerdict | None:
+    """Projection criterion for abelian G, read off H alone.
 
-
-def abelian_criterion(g: FiniteGroup, h: tuple[int, ...]) -> CriterionVerdict:
-    """Projection criterion for abelian G with cyclic H n P.
-
-    Perfect iff H n P is trivial or projects onto some cyclic factor of a
-    decomposition of P; total iff it projects (which forces |H| even).
-    No decomposition is needed: an element of P projects onto some factor
-    iff one of its exponents is odd, iff it is not a square in P.  And an
-    element x of P is a square in G iff it is a square in P: split a root
-    y = y2*y' with y2 in P and y' of odd order; then y'^2 = x*y2^-2 lies
-    in P and has odd order, so it is e and x = y2^2.  Hence H n P projects
-    iff one of its elements is not y^2 for any y in G.
+    With P the Sylow 2-subgroup of G, the paper's criterion for cyclic
+    H n P reads: perfect iff H n P is trivial or projects onto some cyclic
+    factor of a decomposition of P; total iff it projects (which forces
+    |H| even).  Each clause is a fact about H:
+    - H n P is cyclic iff it holds at most one involution (an abelian
+      2-group with one involution is cyclic), and every involution of H
+      lies in H n P; so this returns None when H holds two or more, and
+      `normal_subgroup_code` must decide, as for `parity_criterion`;
+    - H n P is trivial iff |H| is odd;
+    - an element of P projects onto some factor iff one of its exponents
+      is odd, iff it is not a square in P, and an element x of P is a
+      square in G iff it is a square in P: split a root y = y2*y' with y2
+      in P and y' of odd order; then y'^2 = x*y2^-2 lies in P and has odd
+      order, so it is e and x = y2^2.  An element of odd order is a
+      square, so the 2-part of a non-square of G is a non-square too;
+      hence H n P projects iff some element of H is not y^2 for any y in
+      G.
     """
-    hp = abelian_sylow_reduction(g, h)
-    if not _is_cyclic(g, hp):
-        raise CayleyCodesError(
-            "abelian_criterion requires H n P cyclic; use normal_subgroup_code"
-        )
-    projects = not all(map(g.square_roots.__getitem__, hp))
-    perfect = len(hp) == 1 or projects
+    if not g.is_abelian:
+        raise CayleyCodesError("abelian_criterion requires an abelian group")
+    if list(map(g.element_orders.__getitem__, h)).count(2) > 1:
+        return None
+    projects = not all(map(g.square_roots.__getitem__, h))
+    perfect = len(h) % 2 == 1 or projects
     return CriterionVerdict(
         perfect=perfect, total=projects, method="abelian-projection"
     )
@@ -327,9 +322,7 @@ def decide_subgroup_code(
         if verdict is not None:
             return verdict
     if g.is_abelian:
-        if _is_cyclic(g, abelian_sylow_reduction(g, h)):
-            return abelian_criterion(g, h)
-        return _normal_subgroup_code(g, h)
+        return abelian_criterion(g, h) or _normal_subgroup_code(g, h)
     if g.kind == "dihedral" and len(h) < g.order:
         return dihedral_criterion(g.order // 2, h)
     if normal:

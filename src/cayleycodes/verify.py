@@ -188,11 +188,12 @@ def suite_abelian(seed: int = 0) -> SuiteResult:
             if h in seen:
                 continue
             seen.add(h)
-            proj = abelian_criterion(g, h)
+            verdict = abelian_criterion(g, h)  # None fails: H is cyclic
+            proj = verdict and (verdict.perfect, verdict.total)
             prop = normal_subgroup_code(g, h)
             res.check(
-                (proj.perfect, proj.total) == (prop.perfect, prop.total),
-                f"{typ} H={h}: projection {proj.perfect}/{proj.total}"
+                proj == (prop.perfect, prop.total),
+                f"{typ} H={h}: projection {proj}"
                 f" != property {prop.perfect}/{prop.total}",
             )
             # H projects onto a cyclic factor iff some exponent is odd
@@ -201,12 +202,8 @@ def suite_abelian(seed: int = 0) -> SuiteResult:
                 for exponents in bases
             ]
             res.check(
-                all(
-                    (proj.perfect, proj.total) == (len(h) == 1 or p, p)
-                    for p in by_basis
-                ),
-                f"{typ} H={h}: criterion {proj.perfect}/{proj.total}"
-                f" != basis projections {by_basis}",
+                all(proj == (len(h) == 1 or p, p) for p in by_basis),
+                f"{typ} H={h}: criterion {proj} != basis projections {by_basis}",
             )
     # the order-32 counterexample: H = <a1*a2^2, a1*a3^2>
     g = make_abelian((2, 4, 4))

@@ -23,7 +23,7 @@ from cayleycodes import (
     subgroup_code_transversal_check,
     subgroup_generated,
 )
-from cayleycodes.cayley import connection_set, group_ring_indicator, group_ring_product
+from cayleycodes.cayley import connection_set
 from cayleycodes.corpus import corpus_groups, quaternion_group, symmetric_group
 from cayleycodes.pcp import _sampled_connection_sets, all_connection_sets
 from cayleycodes.specparse import parse_group_spec
@@ -102,31 +102,37 @@ class TestDefinitionalChecks:
 
 
 class TestGroupRing:
-    def test_indicator_basics(self):
-        g = make_cyclic(4)
-        assert group_ring_indicator(g, []) == [0, 0, 0, 0]
-        assert group_ring_indicator(g, range(4)) == [1, 1, 1, 1]
-        assert group_ring_indicator(g, [0]) == [1, 0, 0, 0]
-
-    def test_identity_of_algebra(self):
-        g = make_cyclic(5)
-        rng = random.Random(1)
-        v = [rng.randrange(3) for _ in range(5)]
-        e = group_ring_indicator(g, [0])
-        assert group_ring_product(g, e, v) == v
-        assert group_ring_product(g, v, e) == v
-
     def test_z4_product_all_ones(self):
+        # {0, 1} + {0, 2} gives each element of Z4 once
         g = make_cyclic(4)
-        u = group_ring_indicator(g, [0, 1])
-        v = group_ring_indicator(g, [0, 2])
-        assert group_ring_product(g, u, v) == [1, 1, 1, 1]
+        assert group_ring_check_total(g, [0, 1], [0, 2])
+        assert not group_ring_check_total(g, [0, 2], [0, 2])
 
     def test_noncommutative_in_s3(self):
+        # H = {e, (23)} and B = {e, (12), (123)}: B is a right transversal
+        # of H but not a left one, so H B tiles S3 and B H does not
         g = symmetric_group(3)
-        u = group_ring_indicator(g, [2])  # (12)
-        v = group_ring_indicator(g, [5])  # (13)
-        assert group_ring_product(g, u, v) != group_ring_product(g, v, u)
+        h, b = {0, 1}, {0, 2, 3}
+        assert group_ring_check_total(g, h, b)
+        assert not group_ring_check_total(g, b, h)
+
+    def test_connection_set_and_its_elements_agree(self):
+        g = make_cyclic(6)
+        h = subgroup_generated(g, {3})
+        verdicts = set()
+        for s in ({1, 5}, {2, 4}, {1, 2, 4, 5}):
+            conn = connection_set(g, s)
+            for bits in range(1 << g.order):
+                code = {x for x in range(g.order) if bits >> x & 1}
+                for check in (group_ring_check_perfect, group_ring_check_total):
+                    verdict = check(g, conn, code)
+                    assert verdict == check(g, s, code)
+                    verdicts.add(verdict)
+            for total in (False, True):
+                assert subgroup_code_transversal_check(
+                    g, h, conn, total
+                ) == subgroup_code_transversal_check(g, h, s, total)
+        assert verdicts == {False, True}
 
     def test_check_perfect_example(self):
         g = make_cyclic(6)

@@ -32,10 +32,7 @@ from cayleycodes import (
 from cayleycodes.basis import abelian_basis
 from cayleycodes.corpus import corpus_groups, quaternion_group, symmetric_group
 from cayleycodes import criteria
-from cayleycodes.criteria import (
-    _transversal_search,
-    abelian_sylow_reduction,
-)
+from cayleycodes.criteria import _transversal_search
 from cayleycodes.groups import all_subgroups, coset_labels, is_normal
 from cayleycodes.specparse import parse_element_expr, parse_group_spec
 
@@ -179,14 +176,16 @@ class TestCyclic:
 
 class TestAbelian:
     def test_sylow_reduction(self):
-        g = make_cyclic(12)
-        assert abelian_sylow_reduction(g, subgroup_generated(g, {3})) == (0, 3, 6, 9)
-        assert abelian_sylow_reduction(g, subgroup_generated(g, {2})) == (0, 6)
-        g = make_cyclic(9)
-        assert abelian_sylow_reduction(g, subgroup_generated(g, {3})) == (0,)
+        """H gets the verdict of its Sylow-2 part H n P, the elements of
+        2-power order, which the criterion never builds."""
+        for g in (make_cyclic(12), make_cyclic(9), make_abelian((2, 4, 6))):
+            orders = g.element_orders
+            for h in all_subgroups(g):
+                hp = tuple(x for x in h if orders[x] & (orders[x] - 1) == 0)
+                assert abelian_criterion(g, h) == abelian_criterion(g, hp)
         g = symmetric_group(3)
         with pytest.raises(CayleyCodesError):
-            abelian_sylow_reduction(g, subgroup_generated(g, set()))
+            abelian_criterion(g, subgroup_generated(g, set()))
 
     def test_basis_orders(self):
         assert sorted(abelian_basis(make_abelian((2, 4, 4)))[1]) == [2, 4, 4]
@@ -195,22 +194,26 @@ class TestAbelian:
     def test_matches_projection_over_two_bases(self):
         """On every subgroup with cyclic H n P of every abelian group of
         order <= 64, the squares test equals the projection of H n P onto
-        a cyclic factor, read off the exponents of two bases of P."""
+        a cyclic factor, read off the exponents of two bases of P; on
+        every other subgroup the criterion declines."""
         cases = 0
         for _, g in corpus_groups(64):
             if not g.is_abelian:
                 continue
-            p = abelian_sylow_reduction(g, subgroup_generated(g, g.generators))
+            orders = g.element_orders
+            # P: the elements of 2-power order
+            p = {x for x in range(g.order) if orders[x] & (orders[x] - 1) == 0}
             bases = [
                 abelian_basis(g, p)[2],
                 abelian_basis(g, p, scan_key=lambda x: -x)[2],
             ]
             for h in all_subgroups(g):
-                hp = abelian_sylow_reduction(g, h)
-                if len(hp) not in [g.element_orders[x] for x in hp]:
+                hp = [x for x in h if x in p]
+                v = abelian_criterion(g, h)
+                if len(hp) not in [orders[x] for x in hp]:
+                    assert v is None
                     continue
                 cases += 1
-                v = abelian_criterion(g, h)
                 for exponents in bases:
                     projects = any(e % 2 for x in hp for e in exponents[x])
                     assert (v.perfect, v.total) == (len(hp) == 1 or projects, projects)
@@ -238,10 +241,9 @@ class TestAbelian:
         assert not ok and witness == 5  # (1,1)
 
     def test_requires_cyclic_intersection(self):
-        g = make_abelian((2, 2))
-        h = subgroup_generated(g, {1, 2})
-        with pytest.raises(CayleyCodesError):
-            abelian_criterion(g, h)
+        # H n P = Z2^2 is not cyclic: the criterion declines, and the key
+        # property must decide
+        assert abelian_criterion(make_abelian((2, 2)), (0, 1, 2, 3)) is None
 
 
 class TestDihedral:

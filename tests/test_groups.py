@@ -42,7 +42,6 @@ from cayleycodes.corpus import (
     quaternion_group,
     symmetric_group,
 )
-from cayleycodes.criteria import abelian_sylow_reduction
 from cayleycodes.errors import GroupSpecError
 from cayleycodes.specparse import load_table_file
 
@@ -245,7 +244,8 @@ class TestSubgroups:
 
     def test_sylow_two(self):
         def sylow_two(g):
-            return abelian_sylow_reduction(g, subgroup_generated(g, g.generators))
+            orders = g.element_orders
+            return tuple(x for x in range(g.order) if orders[x] & (orders[x] - 1) == 0)
 
         assert sylow_two(make_cyclic(12)) == (0, 3, 6, 9)
         assert sylow_two(make_cyclic(9)) == (0,)

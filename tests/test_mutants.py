@@ -72,6 +72,20 @@ def _swapped_abelian(g, h):
     return dataclasses.replace(verdict, perfect=verdict.total, total=verdict.perfect)
 
 
+def _declines_any_involution(g, h):
+    """The abelian criterion returning None whenever H holds an
+    involution, though it decides every H with one."""
+    if any(k != g.identity and g.mult[k][k] == g.identity for k in h):
+        return None
+    return criteria.abelian_criterion(g, h)
+
+
+def _covers_only(g, a, b):
+    """The group-ring check as "the products ab cover G", with no test
+    that each element is hit once."""
+    return len({g.mult[x][y] for x in a for y in b}) == g.order
+
+
 def _drops_last_code(graph, total=False):
     """The exact-cover enumeration without its last code."""
     return cayley.enumerate_perfect_codes(graph, total=total)[:-1]
@@ -114,8 +128,10 @@ MUTANTS = [
     ("cor3", criteria, "_transversal_search", _fills_unmatched_coset),
     ("dihedral", criteria, "_transversal_search", _fills_unmatched_coset),
     ("abelian", verify, "abelian_criterion", _swapped_abelian),
+    ("abelian", verify, "abelian_criterion", _declines_any_involution),
     ("thm4a", verify, "enumerate_perfect_codes", _drops_last_code),
     ("lemma-equivalence", spectral.CyclotomicSum, "is_zero", _equal_coefficients),
+    ("lemma-equivalence", verify, "group_ring_tiling_check", _covers_only),
     ("prop3", verify, "power_witness", _c_star_ignores_sigma),
     ("trivial-centre", verify, "power_witness", _c_star_ignores_sigma),
 ]

@@ -13,7 +13,6 @@ from cayleycodes import (
     make_cyclic,
     make_dihedral,
 )
-from cayleycodes.cayley import group_ring_product
 from cayleycodes.corpus import quaternion_group, symmetric_group
 from cayleycodes.spectral import CyclotomicSum
 
@@ -77,7 +76,8 @@ def test_perfect_codes_translate(n, shift):
 
 
 def _reference_group_ring_product(g, u, v):
-    """The product as computed before the support of v was hoisted."""
+    """The group-ring product by its definition: the coefficient of x is
+    the sum of u(h) v(k) over the pairs with hk = x."""
     out = [0] * g.order
     for h, uh in enumerate(u):
         if uh == 0:
@@ -97,9 +97,16 @@ PRODUCT_GROUPS = [
 
 @settings(max_examples=200, deadline=None)
 @given(g=st.sampled_from(PRODUCT_GROUPS), data=st.data())
-def test_group_ring_product_matches_reference(g, data):
-    coeffs = st.lists(
-        st.integers(min_value=-3, max_value=3), min_size=g.order, max_size=g.order
-    )
-    u, v = data.draw(coeffs), data.draw(coeffs)
-    assert group_ring_product(g, u, v) == _reference_group_ring_product(g, u, v)
+def test_group_ring_check_matches_reference_product(g, data):
+    elements = st.integers(min_value=0, max_value=g.order - 1)
+    a = data.draw(st.sets(elements))
+    # a B of the size that could tile with A, when there is one, half the time
+    size = g.order // len(a) if a and g.order % len(a) == 0 else None
+    if size and data.draw(st.booleans()):
+        b = data.draw(st.sets(elements, min_size=size, max_size=size))
+    else:
+        b = data.draw(st.sets(elements))
+    indicator_a = [int(x in a) for x in range(g.order)]
+    indicator_b = [int(x in b) for x in range(g.order)]
+    product = _reference_group_ring_product(g, indicator_a, indicator_b)
+    assert group_ring_check_total(g, a, b) == (product == [1] * g.order)
