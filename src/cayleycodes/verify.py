@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .basis import abelian_basis
@@ -46,7 +47,11 @@ from .groups import (
 )
 from .pcp import all_connection_sets, all_power_automorphisms, power_witness
 from .specparse import parse_element_expr
-from .spectral import group_ring_tiling_check, spectral_tiling_check
+from .spectral import (
+    group_ring_tiling_check,
+    spectral_tiling_check,
+    vanishing_mask,
+)
 
 
 @dataclass
@@ -60,10 +65,12 @@ class SuiteResult:
     def passed(self) -> bool:
         return not self.failures
 
-    def check(self, ok: bool, message: str):
+    def check(self, ok: bool, message: Callable[[], str]):
+        """Count one check; on failure record the text `message()` returns,
+        so a passing check never formats its message."""
         self.checks += 1
         if not ok:
-            self.failures.append(message)
+            self.failures.append(message())
 
 
 def suite_theorem3(seed: int = 0) -> SuiteResult:
@@ -80,7 +87,7 @@ def suite_theorem3(seed: int = 0) -> SuiteResult:
             search = generic_subgroup_code_decision(g, h)
             res.check(
                 verdict.perfect == search.perfect and verdict.total == search.total,
-                f"{spec} H={h}: criterion {verdict.perfect}/{verdict.total}"
+                lambda: f"{spec} H={h}: criterion {verdict.perfect}/{verdict.total}"
                 f" != search {search.perfect}/{search.total}",
             )
             shortcut = parity_criterion(g, h)
@@ -88,19 +95,19 @@ def suite_theorem3(seed: int = 0) -> SuiteResult:
                 res.check(
                     (shortcut.perfect, shortcut.total)
                     == (verdict.perfect, verdict.total),
-                    f"{spec} H={h}: parity shortcut disagrees",
+                    lambda: f"{spec} H={h}: parity shortcut disagrees",
                 )
             if verdict.perfect:
                 s = construct_connection_set_normal(g, h)
                 res.check(
                     is_perfect_code(build_cayley(g, s), h),
-                    f"{spec} H={h}: constructed S fails verification",
+                    lambda: f"{spec} H={h}: constructed S fails verification",
                 )
             if verdict.perfect and len(h) % 2 == 0:
                 r = construct_connection_set_normal(g, h, total=True)
                 res.check(
                     is_total_perfect_code(build_cayley(g, r), h),
-                    f"{spec} H={h}: constructed R fails verification",
+                    lambda: f"{spec} H={h}: constructed R fails verification",
                 )
                 hs = frozenset(h)
                 res.check(
@@ -108,7 +115,7 @@ def suite_theorem3(seed: int = 0) -> SuiteResult:
                         x in hs and g.mult[x][x] == g.identity
                         for x in r.elements
                     ),
-                    f"{spec} H={h}: R lacks an involution from H",
+                    lambda: f"{spec} H={h}: R lacks an involution from H",
                 )
     return res
 
@@ -125,14 +132,14 @@ def suite_cor3(seed: int = 0) -> SuiteResult:
             full = normal_subgroup_code(g, h)
             res.check(
                 (arith.perfect, arith.total) == (full.perfect, full.total),
-                f"Z{n} |H|={d}: parity formula {arith.perfect}/{arith.total}"
+                lambda: f"Z{n} |H|={d}: parity formula {arith.perfect}/{arith.total}"
                 f" != criterion {full.perfect}/{full.total}",
             )
             if n <= 24:
                 search = generic_subgroup_code_decision(g, h)
                 res.check(
                     (arith.perfect, arith.total) == (search.perfect, search.total),
-                    f"Z{n} |H|={d}: formula disagrees with search",
+                    lambda: f"Z{n} |H|={d}: formula disagrees with search",
                 )
     return res
 
@@ -150,12 +157,12 @@ def suite_dihedral(seed: int = 0) -> SuiteResult:
             search = generic_subgroup_code_decision(g, h)
             res.check(
                 (verdict.perfect, verdict.total) == (search.perfect, search.total),
-                f"D{2 * n} H={h}: criterion disagrees with search",
+                lambda: f"D{2 * n} H={h}: criterion disagrees with search",
             )
             if any(x >= n for x in h):
                 res.check(
                     verdict.perfect and verdict.total,
-                    f"D{2 * n} H={h}: reflection subgroup not both codes",
+                    lambda: f"D{2 * n} H={h}: reflection subgroup not both codes",
                 )
         for t in [d for d in range(2, n + 1) if n % d == 0]:
             for s in range(t):
@@ -163,11 +170,11 @@ def suite_dihedral(seed: int = 0) -> SuiteResult:
                 h = subgroup_generated(g, {t % n, n + s})
                 res.check(
                     is_total_perfect_code(build_cayley(g, r_set), h),
-                    f"D{2 * n} t={t} s={s}: R set fails total verification",
+                    lambda: f"D{2 * n} t={t} s={s}: R set fails total verification",
                 )
                 res.check(
                     is_perfect_code(build_cayley(g, s_set), h),
-                    f"D{2 * n} t={t} s={s}: S set fails perfect verification",
+                    lambda: f"D{2 * n} t={t} s={s}: S set fails perfect verification",
                 )
     return res
 
@@ -193,7 +200,7 @@ def suite_abelian(seed: int = 0) -> SuiteResult:
             prop = normal_subgroup_code(g, h)
             res.check(
                 proj == (prop.perfect, prop.total),
-                f"{typ} H={h}: projection {proj}"
+                lambda: f"{typ} H={h}: projection {proj}"
                 f" != property {prop.perfect}/{prop.total}",
             )
             # H projects onto a cyclic factor iff some exponent is odd
@@ -203,22 +210,23 @@ def suite_abelian(seed: int = 0) -> SuiteResult:
             ]
             res.check(
                 all(proj == (len(h) == 1 or p, p) for p in by_basis),
-                f"{typ} H={h}: criterion {proj} != basis projections {by_basis}",
+                lambda: f"{typ} H={h}: criterion {proj}"
+                f" != basis projections {by_basis}",
             )
     # the order-32 counterexample: H = <a1*a2^2, a1*a3^2>
     g = make_abelian((2, 4, 4))
     gens = [parse_element_expr(g, "a1*a2^2"), parse_element_expr(g, "a1*a3^2")]
     h = subgroup_generated(g, gens)
     ok, witness = property_one_holds(g, h)
-    res.check(not ok, "counterexample subgroup satisfies the key property")
+    res.check(not ok, lambda: "counterexample subgroup satisfies the key property")
     res.check(
         witness == parse_element_expr(g, "a2*a3"),
-        f"counterexample witness is {witness}, expected a2*a3",
+        lambda: f"counterexample witness is {witness}, expected a2*a3",
     )
     search = generic_subgroup_code_decision(g, h)
     res.check(
         not search.perfect,
-        "exhaustive search found an inverse-closed transversal",
+        lambda: "exhaustive search found an inverse-closed transversal",
     )
     return res
 
@@ -228,40 +236,44 @@ def suite_lemma_equivalence(seed: int = 0) -> SuiteResult:
     500 seeded random pairs per abelian group of order 9..24."""
     res = SuiteResult("lemma-equivalence")
 
-    def check(g, a, b):
-        spectral = spectral_tiling_check(g, a, b)
-        ring = group_ring_tiling_check(g, a, b)
-        if spectral == ring:
-            res.checks += 1  # the message is formatted only for a mismatch
-        else:
-            res.check(
-                False,
-                f"tiling-check discrepancy: spectral={spectral} ring={ring} "
-                f"A={sorted(a)} B={sorted(b)}",
-            )
+    def check(spectral, ring, a, b):
+        res.check(
+            spectral == ring,
+            lambda: f"tiling-check discrepancy: spectral={spectral} ring={ring} "
+            f"A={sorted(a)} B={sorted(b)}",
+        )
+
+    def check_pair(g, a, b):
+        check(spectral_tiling_check(g, a, b), group_ring_tiling_check(g, a, b), a, b)
 
     small = [make_cyclic(n) for n in range(1, 9)]
     small += [make_abelian(t) for n in range(4, 9) for t in abelian_types(n)]
     rng0 = random.Random(seed)
     for g in small:
-        by_size = [[] for _ in range(g.order + 1)]
-        for bits in range(1 << g.order):
-            sub = [x for x in range(g.order) if bits >> x & 1]
+        n = g.order
+        by_size = [[] for _ in range(n + 1)]
+        for bits in range(1 << n):
+            sub = [x for x in range(n) if bits >> x & 1]
             by_size[len(sub)].append(sub)
         # Pairs with |A||B| != |G| cannot disagree: both tests require the
         # size identity before anything else.  Run the full dual check on
-        # every size-compatible pair, and sample the rest.
-        for ka in range(g.order + 1):
-            for kb in range(g.order + 1):
-                if ka * kb != g.order:
-                    continue
-                for a in by_size[ka]:
-                    for b in by_size[kb]:
-                        check(g, a, b)
+        # every size-compatible pair, and sample the rest.  The spectral
+        # side is each subset's zero mask, computed once per subset; every
+        # nontrivial character sums to zero over G, so G's mask has every
+        # kernel class.
+        full = vanishing_mask(g, range(n))
+        sizes = [k for k in range(1, n + 1) if n % k == 0]
+        masks = {k: [vanishing_mask(g, sub) for sub in by_size[k]] for k in sizes}
+        for ka in sizes:
+            kb = n // ka
+            for a, mask_a in zip(by_size[ka], masks[ka]):
+                for b, mask_b in zip(by_size[kb], masks[kb]):
+                    spectral = mask_a | mask_b == full
+                    check(spectral, group_ring_tiling_check(g, a, b), a, b)
         for _ in range(50):
-            a = [x for x in range(g.order) if rng0.random() < 0.5]
-            b = [x for x in range(g.order) if rng0.random() < 0.5]
-            check(g, a, b)
+            a = [x for x in range(n) if rng0.random() < 0.5]
+            b = [x for x in range(n) if rng0.random() < 0.5]
+            check_pair(g, a, b)
     rng = random.Random(seed)
     larger = [make_cyclic(n) for n in range(9, 25)]
     larger += [make_abelian(t) for n in range(9, 25) for t in abelian_types(n)]
@@ -269,7 +281,7 @@ def suite_lemma_equivalence(seed: int = 0) -> SuiteResult:
         for _ in range(500):
             a = [x for x in range(g.order) if rng.random() < 0.5]
             b = [x for x in range(g.order) if rng.random() < 0.5]
-            check(g, a, b)
+            check_pair(g, a, b)
     return res
 
 
@@ -292,7 +304,7 @@ def suite_thm4a(seed: int = 0) -> SuiteResult:
                         image = tuple(sorted(sigma[x] for x in c))
                         res.check(
                             image in known,
-                            f"|G|={g.order} S={s} C={c}: image {image} lost"
+                            lambda: f"|G|={g.order} S={s} C={c}: image {image} lost"
                             f" under {sigma} (total={total})",
                         )
     return res
@@ -328,13 +340,16 @@ def suite_prop3(seed: int = 0) -> SuiteResult:
             if is_power_automorphism(g, sigma):
                 continue
             witness = power_witness(g, sigma)
-            res.check(witness is not None, f"{name} g={x}: no witness produced")
+            res.check(witness is not None, lambda: f"{name} g={x}: no witness produced")
             if witness is None:
                 continue
             code_ok, image_broken = _witness_holds(g, sigma, witness)
-            res.check(code_ok, f"{name} g={x}: witness code is not a perfect code")
             res.check(
-                image_broken, f"{name} g={x}: sigma-image is still a perfect code"
+                code_ok, lambda: f"{name} g={x}: witness code is not a perfect code"
+            )
+            res.check(
+                image_broken,
+                lambda: f"{name} g={x}: sigma-image is still a perfect code",
             )
     return res
 
@@ -360,7 +375,7 @@ def suite_trivial_centre(seed: int = 0) -> SuiteResult:
                 w is not None and all(_witness_holds(g, sigma, w))
                 for sigma, w in witnesses
             ),
-            f"{name}: a non-identity inner automorphism preserves codes",
+            lambda: f"{name}: a non-identity inner automorphism preserves codes",
         )
     return res
 

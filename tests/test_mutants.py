@@ -100,6 +100,23 @@ def _equal_coefficients(value):
     return _is_zero(value) if value.m < 9 else len(set(value.coeffs)) == 1
 
 
+_kernel_classes = spectral._kernel_classes
+
+
+def _classes_by_order(orders):
+    """One character per order in place of one per kernel: of the three
+    order-2 characters of Z2 x Z2, only the first is tested."""
+    reps = {}
+    for rho in spectral._characters_cached(orders)[1:]:
+        reps.setdefault(rho.order, rho)
+    return tuple(reps.values())
+
+
+def _drops_last_class(orders):
+    """The kernel classes without the last one."""
+    return _kernel_classes(orders)[:-1]
+
+
 def _c_star_ignores_sigma(g, sigma):
     """`power_witness` with c* the least y outside H, whatever sigma(y)."""
     x = next((x for x in range(g.order) if sigma[x] not in g.cyclic_span(x)), None)
@@ -132,6 +149,8 @@ MUTANTS = [
     ("thm4a", verify, "enumerate_perfect_codes", _drops_last_code),
     ("lemma-equivalence", spectral.CyclotomicSum, "is_zero", _equal_coefficients),
     ("lemma-equivalence", verify, "group_ring_tiling_check", _covers_only),
+    ("lemma-equivalence", spectral, "_kernel_classes", _classes_by_order),
+    ("lemma-equivalence", spectral, "_kernel_classes", _drops_last_class),
     ("prop3", verify, "power_witness", _c_star_ignores_sigma),
     ("trivial-centre", verify, "power_witness", _c_star_ignores_sigma),
 ]
@@ -149,3 +168,52 @@ def test_suite_catches_mutant(monkeypatch, suite, module, name, mutant):
     except CayleyCodesError:
         return
     assert result.failures, f"{suite} passed with {name} replaced by {mutant.__name__}"
+
+
+def test_check_formats_its_message_only_on_failure():
+    res = verify.SuiteResult("probe")
+
+    def refuse():
+        raise AssertionError("a passing check formatted its message")
+
+    res.check(True, refuse)
+    res.check(False, lambda: "the returned text")
+    assert res.checks == 2 and res.failures == ["the returned text"]
+
+
+# (suite, module, name, mutant, checks, failures, first failure text),
+# recorded when every check still formatted its message eagerly
+FAILURE_TEXTS = [
+    (
+        "thm4a",
+        verify,
+        "enumerate_perfect_codes",
+        _drops_last_code,
+        7231,
+        222,
+        "|G|=3 S=(1, 2) C=(1,): image (2,) lost under (0, 2, 1) (total=False)",
+    ),
+    (
+        "lemma-equivalence",
+        verify,
+        "group_ring_tiling_check",
+        _covers_only,
+        26093,
+        11838,
+        "tiling-check discrepancy: spectral=False ring=True A=[0, 1] B=[0, 1]",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, module, name, mutant, checks, failures, first",
+    FAILURE_TEXTS,
+    ids=[row[0] for row in FAILURE_TEXTS],
+)
+def test_failure_text_is_unchanged(
+    monkeypatch, suite, module, name, mutant, checks, failures, first
+):
+    monkeypatch.setattr(module, name, mutant)
+    result = verify.run_suite(suite, seed=0)
+    assert (result.checks, len(result.failures)) == (checks, failures)
+    assert result.failures[0] == first

@@ -21,11 +21,13 @@ from cayleycodes import (
 )
 from cayleycodes import spectral
 from cayleycodes.corpus import abelian_types
+from cayleycodes.corpus import symmetric_group
 from cayleycodes.spectral import (
     CyclotomicSum,
     char_sum,
     cyclotomic_polynomial,
     group_ring_tiling_check,
+    vanishing_mask,
 )
 from cayleycodes.verify import suite_lemma_equivalence
 
@@ -121,8 +123,8 @@ class TestCharacters:
         for g in (make_cyclic(2), make_cyclic(4), make_abelian((2, 2))):
             chars = characters(g)
             assert len(chars) == g.order
-            assert chars[0].is_trivial
-            assert sum(1 for c in chars if c.is_trivial) == 1
+            assert chars[0].order == 1
+            assert sum(1 for c in chars if c.order == 1) == 1
 
     def test_klein_four_real_valued(self):
         g = make_abelian((2, 2))
@@ -140,7 +142,7 @@ class TestCharacters:
         for g in (make_cyclic(6), make_abelian((2, 4))):
             for rho in characters(g):
                 total = char_sum(rho, range(g.order))
-                assert total.is_zero() == (not rho.is_trivial)
+                assert total.is_zero() == (rho.order != 1)
 
     def test_z4_nonvanishing_sum(self):
         g = make_cyclic(4)
@@ -177,7 +179,7 @@ class TestCharacterTable:
                 for d in range(1, c.m + 1)
                 if all(d * k % c.m == 0 for k in c.value_exponents)
             )
-            assert c.order == d and c.is_trivial == (d == 1)
+            assert c.order == d
 
     def test_each_call_returns_a_fresh_list_without_rebuilding(self, monkeypatch):
         g = make_abelian((2, 6))
@@ -200,11 +202,54 @@ class TestCharacterTable:
             return build(orders)
 
         spectral._characters_cached.cache_clear()
+        spectral._kernel_classes.cache_clear()
         monkeypatch.setattr(spectral, "_build_characters", counting)
         result = suite_lemma_equivalence()
         assert result.passed and result.checks == 26093
         assert set(built) <= {g.decomposition for g in LEMMA_GROUPS}
         assert max(built.values()) == 1
+
+
+# every cyclic and abelian-product group of order <= 32
+ABELIAN_32 = [make_cyclic(n) for n in range(1, 33)] + [
+    make_abelian(t) for n in range(4, 33) for t in abelian_types(n)
+]
+
+
+class TestKernelClasses:
+    @pytest.mark.parametrize("g", ABELIAN_32, ids=lambda g: f"{g.decomposition}")
+    def test_each_character_vanishes_with_its_class(self, g):
+        rng = random.Random(g.order)
+        subsets = [
+            [x for x in range(g.order) if rng.random() < 0.5] for _ in range(20)
+        ]
+        reps = {
+            tuple(v == 0 for v in rho.value_exponents): rho
+            for rho in spectral._kernel_classes(g.decomposition)
+        }
+        for rho in characters(g)[1:]:
+            rep = reps[tuple(v == 0 for v in rho.value_exponents)]
+            for sub in subsets:
+                assert char_sum(rho, sub).is_zero() == char_sum(rep, sub).is_zero()
+
+    @pytest.mark.parametrize("g", ABELIAN_32, ids=lambda g: f"{g.decomposition}")
+    def test_one_class_per_nontrivial_cyclic_subgroup(self, g):
+        spans = {g.cyclic_span(x) for x in range(g.order)} - {frozenset({g.identity})}
+        assert len(spectral._kernel_classes(g.decomposition)) == len(spans)
+
+    @pytest.mark.parametrize("g", ABELIAN_32, ids=lambda g: f"{g.decomposition}")
+    def test_mask_of_the_group_and_of_the_identity(self, g):
+        classes = len(spectral._kernel_classes(g.decomposition))
+        assert vanishing_mask(g, range(g.order)) == (1 << classes) - 1
+        assert vanishing_mask(g, {g.identity}) == 0
+
+    def test_non_abelian_group(self):
+        g = symmetric_group(3)
+        assert not spectral_tiling_check(g, {0, 1}, {0, 1})
+        with pytest.raises(CayleyCodesError, match="characters require"):
+            spectral_tiling_check(g, {0, 1}, {0, 1, 2})
+        with pytest.raises(CayleyCodesError, match="characters require"):
+            vanishing_mask(g, {0})
 
 
 def _full_ring_sum(rho, subset):
