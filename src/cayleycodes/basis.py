@@ -14,17 +14,18 @@ from .errors import CayleyCodesError
 from .groups import FiniteGroup
 
 
-def _prime_factors(n: int):
-    out = []
+def prime_factorization(n: int) -> dict[int, int]:
+    """{p: k} with p^k exactly dividing n, primes ascending, by trial
+    division."""
+    out = {}
     p = 2
     while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
         p += 1
     if n > 1:
-        out.append(n)
+        out[n] = 1
     return out
 
 
@@ -85,7 +86,7 @@ def abelian_basis(g: FiniteGroup, elems=None, scan_key=None):
     if scan_key is None:
         scan_key = lambda x: x
     gens: list[int] = []
-    for p in _prime_factors(len(elems)):
+    for p in prime_factorization(len(elems)):
         part = frozenset(
             x for x in elems if _is_prime_power(g.element_orders[x], p)
         )

@@ -48,8 +48,11 @@ from .verify import SUITES, run_suite
 ENV_MAX_ORDER = "CAYLEYCODES_MAX_ORDER"
 # The largest |G| each command accepts; ENV_MAX_ORDER, when set, replaces
 # every one of them.  check and construct do little beyond building the
-# n^2 table: at order 2048 each took at most 1.3 s and 192 MB (CPython
-# 3.11, 2-vCPU Xeon).  The library bounds only its work: each of its two
+# n^2 table: at order 2048 each took 0.45-0.70 s and at most 161 MB peak
+# resident in a fresh interpreter (CPython 3.11.7, 2-vCPU Xeon KVM guest;
+# `check dihedral:1024 --conn 1,1023 --code 0`, `construct dihedral:1024
+# --subgroup a^2 --total` and the README's order-2048 `construct`, three
+# runs each).  The library bounds only its work: each of its two
 # exponential searches (the exact cover and the automorphism search) has a
 # node budget; the generic transversal pass is linear and needs none.
 ORDER_BOUNDS = {

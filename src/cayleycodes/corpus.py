@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 
+from .basis import prime_factorization
 from .groups import FiniteGroup, from_table, make_abelian, make_cyclic, make_dihedral
 
 
@@ -49,17 +50,8 @@ def quaternion_group() -> FiniteGroup:
 def abelian_types(order: int):
     """Canonical prime-power factor multisets for the abelian groups of a
     given order, excluding the cyclic type (all factors coprime)."""
-    factors = {}
-    n, p = order, 2
-    while p * p <= n:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
     per_prime = []
-    for p, k in sorted(factors.items()):
+    for p, k in prime_factorization(order).items():
         per_prime.append([[p**part for part in pt] for pt in _partitions(k)])
     out = []
     for combo in itertools.product(*per_prime):

@@ -531,29 +531,6 @@ def is_power_automorphism(g: FiniteGroup, sigma: tuple[int, ...]) -> bool:
     return all(sigma[x] in g.cyclic_span(x) for x in range(g.order))
 
 
-def _extend_images(g: FiniteGroup, gens, images):
-    """The map with sigma(e) = e and sigma(xs) = sigma(x) t for each
-    generator s with image t, as a list, walked along right multiplication
-    from e as `closure` walks the group; None at the first edge x -> xs
-    whose image disagrees with one already assigned."""
-    mult, e = g.mult, g.identity
-    edges = tuple(zip(gens, images))
-    image = [None] * g.order
-    image[e] = e
-    stack = [e]
-    while stack:
-        x = stack.pop()
-        row, image_row = mult[x], mult[image[x]]
-        for s, t in edges:
-            y, fy = row[s], image_row[t]
-            if image[y] is None:
-                image[y] = fy
-                stack.append(y)
-            elif image[y] != fy:
-                return None
-    return image
-
-
 def all_automorphisms(g: FiniteGroup):
     """The full automorphism group in ascending tuple order, by
     generator-image backtracking.
@@ -561,24 +538,46 @@ def all_automorphisms(g: FiniteGroup):
     The greedy generators (`generating_set`) each lie outside the span of
     the earlier ones, and an automorphism keeps that, so each generator's
     image is chosen among the elements of its order outside the span of
-    the earlier images.  Each full choice is kept when its extension
-    agrees on all n*|gens| edges (a homomorphism) and is injective.
+    the earlier images.  A homomorphism is fixed by its generator images:
+    sigma(e) = e and sigma(xs) = sigma(x)t for each generator s with
+    image t.  So the walk is recorded once per call, as (y, x, k) with
+    y = x*gens[k] in the order that right multiplication by the generators
+    first reaches each y from e, and each full choice fills sigma along it
+    in one flat loop.  The map is kept when it is injective and, for each
+    generator s with image t, ``itemgetter(*column_s)(sigma)`` equals
+    ``itemgetter(*sigma)(column_t)``, i.e. sigma(xs) = sigma(x)t for every
+    x: one C-level composition of n entries per generator.
     More than AUTOMORPHISM_NODE_BUDGET choices, partial or full, raise
     BoundExceededError: |Aut(Z2^5)| alone is 9 999 360.
     """
+    n, mult, e = g.order, g.mult, g.identity
     gens, orders = g.generators, g.element_orders
-    candidates = [
-        [y for y in range(g.order) if orders[y] == orders[x]] for x in gens
-    ]
+    candidates = [[y for y in range(n) if orders[y] == orders[x]] for x in gens]
+    walk = []
+    stack = [e]
+    seen = {e}
+    while stack:
+        x = stack.pop()
+        for k, y in enumerate(map(mult[x].__getitem__, gens)):
+            if y not in seen:
+                seen.add(y)
+                walk.append((y, x, k))
+                stack.append(y)
+    columns = tuple(zip(*mult))
+    right = [itemgetter(*columns[s]) for s in gens]
     out = []
     count = node_counter("all_automorphisms", AUTOMORPHISM_NODE_BUDGET)
 
     def choose(images):
         count()
         if len(images) == len(gens):
-            image = _extend_images(g, gens, images)
-            if image is not None and len(set(image)) == g.order:
-                out.append(tuple(image))
+            image = [e] * n
+            for y, x, k in walk:
+                image[y] = mult[image[x]][images[k]]
+            if len(set(image)) == n:
+                sigma = itemgetter(*image)
+                if all(r(image) == sigma(columns[t]) for r, t in zip(right, images)):
+                    out.append(tuple(image))
             return
         span = closure(g, images)
         for y in candidates[len(images)]:

@@ -28,8 +28,8 @@ subgroups of G.  Z24 has 7 classes in place of 23 nontrivial characters,
 and Z2 x Z8 has 7 in place of 15.  `vanishing_mask` runs one zero test per
 class.
 
-The character table and its kernel classes are built once per
-decomposition and cached (`characters`, `vanishing_mask`).
+The kernel classes are built once per decomposition and cached
+(`vanishing_mask`).
 """
 
 from __future__ import annotations
@@ -144,11 +144,10 @@ def characters(g: FiniteGroup):
     the digits of i and x, character i sends x to the product of the
     zeta_{m_j}^(i_j*x_j), so character 0 is the trivial one.
 
-    The table depends only on the factor orders, so it is built once per
-    decomposition and cached; each call returns a fresh list of the cached
-    (immutable) characters.
+    Each call builds the table afresh; the library reads characters only
+    through the kernel classes, which are cached by the factor orders.
     """
-    return list(_characters_cached(_factor_orders(g)))
+    return _build_characters(_factor_orders(g))
 
 
 def _factor_orders(g: FiniteGroup):
@@ -160,16 +159,11 @@ def _factor_orders(g: FiniteGroup):
 
 
 @functools.lru_cache(maxsize=64)
-def _characters_cached(orders):
-    return tuple(_build_characters(orders))
-
-
-@functools.lru_cache(maxsize=64)
 def _kernel_classes(orders):
     """The first nontrivial character of each kernel, in table order: one
     per nontrivial cyclic subgroup of the group (module docstring)."""
     reps = {}
-    for rho in _characters_cached(orders)[1:]:
+    for rho in _build_characters(orders)[1:]:
         reps.setdefault(tuple(v == 0 for v in rho.value_exponents), rho)
     return tuple(reps.values())
 

@@ -30,7 +30,6 @@ from cayleycodes import (
     subgroup_generated,
 )
 from cayleycodes.groups import (
-    _extend_images,
     closure,
     generating_set,
     is_automorphism,
@@ -42,7 +41,7 @@ from cayleycodes.corpus import (
     quaternion_group,
     symmetric_group,
 )
-from cayleycodes.errors import GroupSpecError
+from cayleycodes.errors import GroupSpecError, node_counter
 from cayleycodes.specparse import load_table_file
 
 # the order-32 group of the paper's counterexample
@@ -307,15 +306,20 @@ def _relabel(mult, perm):
     return out
 
 
-def _relabeled(g, seed):
-    """g as a validated table under a seeded relabeling of all its
-    elements that moves the identity off index 0."""
+def _seeded_relabeling(g, seed):
+    """A seeded relabeling x -> perm[x] of all of g's elements that moves
+    the identity off index 0."""
     perm = list(range(g.order))
     random.Random(seed).shuffle(perm)
     if perm[g.identity] == 0:
         k = (g.identity + 1) % g.order
         perm[g.identity], perm[k] = perm[k], perm[g.identity]
-    return from_table(_relabel(g.mult, perm))
+    return perm
+
+
+def _relabeled(g, seed):
+    """g as a validated table under `_seeded_relabeling`."""
+    return from_table(_relabel(g.mult, _seeded_relabeling(g, seed)))
 
 
 # the canonical order of the lattice search depends on the indices
@@ -684,17 +688,37 @@ class TestTableConstruction:
         assert "abelian:2,4,4" in specs
 
 
+def _extend(g, images):
+    """The map with sigma(e) = e and sigma(xs) = sigma(x) t for each
+    generator s with image t, walked along right multiplication from e;
+    None at the first edge x -> xs whose image disagrees with one already
+    assigned."""
+    image = {g.identity: g.identity}
+    stack = [g.identity]
+    while stack:
+        x = stack.pop()
+        for s, t in zip(g.generators, images):
+            y, fy = g.mult[x][s], g.mult[image[x]][t]
+            if y not in image:
+                image[y] = fy
+                stack.append(y)
+            elif image[y] != fy:
+                return None
+    return [image[x] for x in range(g.order)]
+
+
 def _product_automorphisms(g):
     """`all_automorphisms` as it was before it pruned images inside the span
     of the earlier ones, kept as its oracle: every choice of generator
-    images of matching element orders, from itertools.product."""
+    images of matching element orders, from itertools.product, each
+    extended edge by edge."""
     orders = g.element_orders
     candidates = [
         [y for y in range(g.order) if orders[y] == orders[x]] for x in g.generators
     ]
     out = []
     for images in itertools.product(*candidates):
-        image = _extend_images(g, g.generators, images)
+        image = _extend(g, images)
         if image is not None and len(set(image)) == g.order:
             out.append(tuple(image))
     out.sort()
@@ -702,6 +726,9 @@ def _product_automorphisms(g):
 
 
 AUTOMORPHISM_GROUPS = corpus_groups(24)
+RELABELED_GROUPS = [(spec, g) for spec, g in corpus_groups(12) if g.order > 1] + [
+    ("table:S4", symmetric_group(4))
+]
 
 
 class TestAutomorphisms:
@@ -762,18 +789,49 @@ class TestAutomorphisms:
         monkeypatch.setattr(groups, "AUTOMORPHISM_NODE_BUDGET", 218)
         assert len(all_automorphisms(g)) == 168
 
+    @pytest.mark.parametrize(
+        "spec, g", RELABELED_GROUPS, ids=[s for s, _ in RELABELED_GROUPS]
+    )
+    def test_relabeled_listing_starts_at_the_identity(self, spec, g):
+        # the walk and the fill start at g.identity, here off index 0; a
+        # relabeling also changes the greedy generators, and on some seeds
+        # (dihedral:6 at 6, abelian:2,2,3 at 2) they satisfy relations that
+        # the injective fill of some choice of images breaks, which only the
+        # composition check rejects
+        auts = _product_automorphisms(g)
+        for seed in range(8):
+            perm = _seeded_relabeling(g, seed)
+            h = from_table(_relabel(g.mult, perm))
+            assert h.identity == perm[g.identity] != 0
+            back = sorted(range(g.order), key=perm.__getitem__)
+            relabeled = sorted(tuple(perm[sigma[x]] for x in back) for sigma in auts)
+            assert all_automorphisms(h) == relabeled, seed
+
     def test_z2_to_the_fourth_extends_only_independent_images(self, monkeypatch):
         # images of e1..e4 outside the span of the earlier ones are exactly
-        # the 20 160 bases of Z2^4, against 15^4 choices of involutions
-        calls = []
-
-        def counting(g, gens, images):
-            calls.append(images)
-            return _extend_images(g, gens, images)
-
-        monkeypatch.setattr(groups, "_extend_images", counting)
+        # the 20 160 bases of Z2^4, against 15^4 choices of involutions;
+        # the search calls `closure` once per inner node, so the full
+        # choices are the nodes less the closure calls
         g = make_abelian((2, 2, 2, 2))
-        assert len(all_automorphisms(g)) == len(calls) == 20160
+        assert len(g.generators) == 4
+        nodes, closures = [], []
+
+        def counter(search, budget):
+            count = node_counter(search, budget)
+
+            def counting():
+                nodes.append(search)
+                count()
+
+            return counting
+
+        def counting_closure(g, seed):
+            closures.append(seed)
+            return closure(g, seed)
+
+        monkeypatch.setattr(groups, "node_counter", counter)
+        monkeypatch.setattr(groups, "closure", counting_closure)
+        assert len(all_automorphisms(g)) == len(nodes) - len(closures) == 20160
 
     def test_counterexample_group_isomorphic_to_product(self):
         g = make_abelian((2, 4, 4))

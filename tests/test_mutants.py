@@ -107,7 +107,7 @@ def _classes_by_order(orders):
     """One character per order in place of one per kernel: of the three
     order-2 characters of Z2 x Z2, only the first is tested."""
     reps = {}
-    for rho in spectral._characters_cached(orders)[1:]:
+    for rho in spectral._build_characters(orders)[1:]:
         reps.setdefault(rho.order, rho)
     return tuple(reps.values())
 

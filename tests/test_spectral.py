@@ -59,7 +59,7 @@ RELABELED_GROUPS = [
 
 
 def _reference_characters(g):
-    """The per-call character build the cached table replaced, as
+    """An independent per-element character build from the strides, as
     (m, value_exponents) pairs in the same order: trivial first, then by
     exponent tuple over the stored factors."""
     orders = g.decomposition
@@ -181,18 +181,6 @@ class TestCharacterTable:
             )
             assert c.order == d
 
-    def test_each_call_returns_a_fresh_list_without_rebuilding(self, monkeypatch):
-        g = make_abelian((2, 6))
-        first = characters(g)
-        first.clear()
-
-        def refuse(g):
-            raise AssertionError("the character table was built again")
-
-        monkeypatch.setattr(spectral, "_build_characters", refuse)
-        second = characters(make_abelian((2, 6)))
-        assert len(second) == 12 and second is not characters(g)
-
     def test_lemma_suite_builds_one_table_per_group(self, monkeypatch):
         built = collections.Counter()
         build = spectral._build_characters
@@ -201,7 +189,6 @@ class TestCharacterTable:
             built[orders] += 1
             return build(orders)
 
-        spectral._characters_cached.cache_clear()
         spectral._kernel_classes.cache_clear()
         monkeypatch.setattr(spectral, "_build_characters", counting)
         result = suite_lemma_equivalence()
