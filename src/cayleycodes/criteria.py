@@ -308,11 +308,14 @@ def generic_subgroup_code_decision(
 def decide_subgroup_code(
     g: FiniteGroup, h: tuple[int, ...], normal: bool | None = None
 ) -> CriterionVerdict:
-    """Fastest-first dispatch: parity shortcut, then the specialized
-    criterion for cyclic/abelian/dihedral groups, then the normal-subgroup
-    criterion, then the generic transversal pass.  ``normal`` is
-    `is_normal(g, h)` when the caller has it already; otherwise it is
-    computed here, once."""
+    """Fastest-first dispatch, in this order: the cyclic criterion when G
+    is cyclic; the parity shortcut, tried only for a normal H; the abelian
+    criterion (the normal-subgroup criterion when it has no answer) when
+    G is abelian; the dihedral criterion for a proper H of a dihedral G;
+    the normal-subgroup criterion for any other normal H; and the generic
+    transversal pass for the rest.  ``normal`` is `is_normal(g, h)` when
+    the caller has it already; otherwise it is computed here, once, after
+    the cyclic test."""
     if g.is_cyclic:
         return cyclic_criterion(g, h)
     if normal is None:

@@ -357,6 +357,45 @@ class TestLatticeOracle:
         subs = all_subgroups(make_abelian((2,) * 6))
         assert len(subs) == 2825 and len(joins) == 2824
 
+    @pytest.mark.parametrize("spec, g", LATTICE_GROUPS, ids=[s for s, _ in LATTICE_GROUPS])
+    def test_joins_only_least_coset_elements(self, spec, g, monkeypatch):
+        # every join adds to H an x = gens[-1] outside H, above the previous
+        # generator and least in its right coset Hx
+        calls = []
+        join = groups._join
+
+        def checked(mult, bit_columns, h, kmask, gens):
+            x = gens[-1]
+            assert x not in h
+            assert len(gens) == 1 or x > gens[-2]
+            assert x == min(mult[k][x] for k in h)
+            calls.append(gens)
+            return join(mult, bit_columns, h, kmask, gens)
+
+        monkeypatch.setattr(groups, "_join", checked)
+        # the lattice cached on g may already be built; build it afresh
+        lattice = groups._build_subgroups(g)
+        assert len(calls) >= len(lattice) - 1
+
+    @pytest.mark.parametrize(
+        "g, count",
+        [
+            (make_abelian((2,) * 6), 2825),
+            (direct_product(make_dihedral(4), make_abelian((2, 2, 2))), 937),
+        ],
+        ids=["Z2^6", "D4xZ2^3"],
+    )
+    def test_order_64_lattice_does_not_depend_on_labels(self, g, count):
+        source = {frozenset(h) for h in all_subgroups(g)}
+        assert len(source) == count
+        for seed in range(2):
+            perm = _seeded_relabeling(g, seed)
+            assert perm[g.identity] != 0
+            back = {y: x for x, y in enumerate(perm)}
+            relabeled = all_subgroups(from_table(_relabel(g.mult, perm)))
+            assert len(relabeled) == count
+            assert {frozenset(map(back.__getitem__, h)) for h in relabeled} == source, seed
+
     def test_second_call_on_a_group_makes_no_join(self, monkeypatch):
         g = make_abelian((2, 2, 4))
         first = all_subgroups(g)
