@@ -3,13 +3,14 @@
 The library works with dense multiplication tables at desk scale: the CLI
 accepts groups of order up to 64 for classify, 24 for enumerate and
 automorphisms, and 2048 for check and construct (`cli.ORDER_BOUNDS`).  It
-provides three equivalent ways of deciding whether a vertex subset is a
-(total) perfect code in a Cayley graph -- the definitional ball check, the
-group-ring (tiling) check, and (for subgroups) the transversal check -- plus
-criteria and explicit connection-set constructions for normal, cyclic,
-abelian and dihedral subgroups, exact cyclotomic Fourier tests for tilings
-of abelian groups, and a brute-force analysis of (total-)perfect-code-
-preserving automorphisms.
+decides whether a vertex subset C is a (total) perfect code in Cay(G, S)
+by one tiling test -- T C = G with every product distinct, T = S u {e} or
+T = S -- under three names: the ball check, the group-ring check and (for
+subgroups) the transversal check.  It also provides criteria and explicit
+connection-set constructions for normal, cyclic, abelian and dihedral
+subgroups, exact cyclotomic Fourier tests for tilings of abelian groups,
+and a brute-force analysis of (total-)perfect-code-preserving
+automorphisms.
 """
 
 from .errors import BoundExceededError, CayleyCodesError, GroupTableError
@@ -36,7 +37,6 @@ from .cayley import (
     enumerate_perfect_codes,
     group_ring_check_perfect,
     group_ring_check_total,
-    is_left_transversal,
     is_perfect_code,
     is_total_perfect_code,
     subgroup_code_transversal_check,

