@@ -4,17 +4,22 @@ A character value is a power of zeta_m with m = |G| (each factor root
 zeta_{m_j} embeds as zeta_m^(m/m_j)); ``value_exponents`` records those
 powers.  A character of order d (the least d with chi^d trivial, i.e.
 d = m / gcd(m, all value exponents)) takes its values in the d-th roots
-of unity, so each sum of its values is an integer coefficient vector
-modulo x^d - 1.  The zero test is exact: the sum vanishes iff Phi_d, the
-minimal polynomial of zeta_d, divides it.  Testing in Z[x]/Phi_d rather
-than Z[x]/Phi_m gives the same answer on the smallest ring that holds the
-sum.  Floating point would make the equivalence tests unfalsifiable.
+of unity, so each sum of its values is an integer coefficient vector c
+modulo x^d - 1 and stands for c(zeta_d).  The zero test is exact.  By the
+Chinese remainder theorem Q[x]/(x^d - 1) is the product of the fields
+Q(zeta_e) over the divisors e of d, the class of c going to the values
+c(zeta_e).  The product of the x^(d/p) - 1 over the primes p | d vanishes
+at each zeta_e with e < d, since such an e divides some d/p, and not at
+zeta_d.  So c(zeta_d) = 0 iff c times that product is 0 mod x^d - 1
+(de Bruijn, Indag. Math. 15 (1953); Lam and Leung, J. Algebra 224
+(2000)).  Testing at d rather than at m gives the same answer on the
+smallest ring that holds the sum.  Floating point would make the
+equivalence tests unfalsifiable.
 
-The tiling test needs chi(A) chi(B) = 0 and tests each factor instead.
-Reduction mod Phi_d maps Z[x]/(x^d - 1) onto Z[x]/Phi_d, which is
-Z[zeta_d], an integral domain (Phi_d is irreducible).  So the image of
-the product is zero exactly when the image of one factor is, and
-"chi(A) is zero or chi(B) is zero" is as exact as the zero test itself.
+The tiling test needs chi(A) chi(B) = 0 and tests each factor instead:
+both are complex numbers and C is a field, so the product is zero
+exactly when one factor is, and "chi(A) is zero or chi(B) is zero" is as
+exact as the zero test itself.
 
 One character per kernel suffices.  Characters with the same kernel K are
 the faithful characters of the cyclic group G/K, of order d = |G/K|, so
@@ -40,54 +45,10 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from .basis import prime_factorization
 from .cayley import group_ring_check_total as group_ring_tiling_check
 from .errors import CayleyCodesError
 from .groups import FiniteGroup
-
-
-@functools.lru_cache(maxsize=None)
-def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
-    """Coefficients (constant first) of the m-th cyclotomic polynomial.
-
-    Computed by exact integer division of x^m - 1 by the cyclotomic
-    polynomials of the proper divisors of m.
-    """
-    if m < 1:
-        raise CayleyCodesError("cyclotomic index must be positive")
-    poly = [-1] + [0] * (m - 1) + [1]  # x^m - 1
-    for d in range(1, m):
-        if m % d == 0:
-            poly = _poly_div_exact(poly, list(cyclotomic_polynomial(d)))
-    return tuple(poly)
-
-
-def _poly_div_exact(num, den):
-    """Exact division of integer polynomials (den monic up to sign)."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    for i in range(len(out) - 1, -1, -1):
-        q, r = divmod(num[i + len(den) - 1], lead)
-        if r:
-            raise CayleyCodesError("non-exact polynomial division")
-        out[i] = q
-        for j, c in enumerate(den):
-            num[i + j] -= q * c
-    if any(num):
-        raise CayleyCodesError("non-exact polynomial division")
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def _reduction_terms(m: int):
-    """The degree k of Phi_m and its nonzero lower terms as (j - k, a_j).
-
-    Phi_m is monic, so mod Phi_m each x^i with i >= k is replaced by
-    -sum_j a_j x^(i-k+j), which is long division by Phi_m.
-    """
-    poly = cyclotomic_polynomial(m)
-    k = len(poly) - 1
-    return k, tuple((j - k, a) for j, a in enumerate(poly[:k]) if a)
 
 
 @dataclass(frozen=True)
@@ -102,17 +63,15 @@ class CyclotomicSum:
             raise CayleyCodesError("coefficient vector must have length m")
 
     def is_zero(self) -> bool:
-        """Exact vanishing test: Phi_m must divide the coefficient vector."""
-        if not any(self.coeffs):
-            return True
-        k, terms = _reduction_terms(self.m)
-        rem = list(self.coeffs)
-        for i in range(self.m - 1, k - 1, -1):
-            c = rem[i]
-            if c:
-                for off, a in terms:
-                    rem[i + off] -= c * a
-        return not any(rem[:k])
+        """Exact vanishing test: c(zeta_m) = 0 iff c times the product of
+        the x^(m/p) - 1 over the primes p | m is 0 mod x^m - 1 (module
+        docstring).  Multiplying by x^k - 1 is one cyclic shift by k and
+        a subtraction."""
+        c, m = self.coeffs, self.m
+        for p in prime_factorization(m):
+            k = m // p
+            c = [c[j - k] - c[j] for j in range(m)]
+        return not any(c)
 
     def as_complex(self) -> complex:
         """Floating-point value, for sanity cross-checks only."""

@@ -13,6 +13,7 @@ import dataclasses
 import pytest
 
 from cayleycodes import cayley, criteria, groups, spectral, verify
+from cayleycodes.basis import prime_factorization
 from cayleycodes.errors import CayleyCodesError
 
 
@@ -106,6 +107,17 @@ def _equal_coefficients(value):
     return _is_zero(value) if value.m < 9 else len(set(value.coeffs)) == 1
 
 
+def _largest_prime_only(value):
+    """The zero test multiplying only by x^(m/p) - 1 for the largest prime
+    p | m: it finds the sums with period m/p and misses a regular q-gon
+    for a smaller prime q | m."""
+    c, m = value.coeffs, value.m
+    if m > 1:
+        k = m // max(prime_factorization(m))
+        c = [c[j - k] - c[j] for j in range(m)]
+    return not any(c)
+
+
 _kernel_classes = spectral._kernel_classes
 
 
@@ -158,6 +170,7 @@ MUTANTS = [
     ("trivial-centre", verify, "is_perfect_code", _open_balls),
     ("thm4a", verify, "enumerate_perfect_codes", _drops_last_code),
     ("lemma-equivalence", spectral.CyclotomicSum, "is_zero", _equal_coefficients),
+    ("lemma-equivalence", spectral.CyclotomicSum, "is_zero", _largest_prime_only),
     ("lemma-equivalence", verify, "group_ring_tiling_check", _covers_only),
     ("lemma-equivalence", spectral, "_kernel_classes", _classes_by_order),
     ("lemma-equivalence", spectral, "_kernel_classes", _drops_last_class),

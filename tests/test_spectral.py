@@ -25,7 +25,6 @@ from cayleycodes.corpus import symmetric_group
 from cayleycodes.spectral import (
     CyclotomicSum,
     char_sum,
-    cyclotomic_polynomial,
     group_ring_tiling_check,
     vanishing_mask,
 )
@@ -80,24 +79,6 @@ def _reference_characters(g):
 
 
 class TestCyclotomic:
-    def test_small_polynomials(self):
-        assert cyclotomic_polynomial(1) == (-1, 1)
-        assert cyclotomic_polynomial(2) == (1, 1)
-        assert cyclotomic_polynomial(4) == (1, 0, 1)
-        assert cyclotomic_polynomial(6) == (1, -1, 1)
-        assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
-
-    def test_prime_polynomials_all_ones(self):
-        for p in (3, 5, 7, 11, 13):
-            assert cyclotomic_polynomial(p) == (1,) * p
-
-    def test_degree_is_totient(self):
-        def totient(m):
-            return sum(1 for k in range(1, m + 1) if _gcd(k, m) == 1)
-
-        for m in range(1, 30):
-            assert len(cyclotomic_polynomial(m)) - 1 == totient(m)
-
     def test_zero_detection(self):
         # 1 + zeta_2 = 0; 1 + zeta_4 != 0; sum of all m-th roots = 0
         assert CyclotomicSum(2, (1, 1)).is_zero()
@@ -116,6 +97,31 @@ class TestCyclotomic:
                 assert approx < 1e-9
             elif approx > 1e-6:
                 assert not s.is_zero()
+
+    def test_exhaustive_signed_sums_match_complex_value(self):
+        # every c in {-1, 0, 1}^m: vanishing sums measure at most 2e-15
+        # and the others at least 0.025, so the float value decides each
+        for m in range(1, 11):
+            for coeffs in itertools.product((-1, 0, 1), repeat=m):
+                s = CyclotomicSum(m, coeffs)
+                assert s.is_zero() == (abs(s.as_complex()) < 1e-6), coeffs
+
+    @pytest.mark.parametrize("m", [30, 60, 105, 210])
+    def test_sums_of_regular_polygons_at_three_and_four_primes(self, m):
+        # a signed sum of rotated regular p-gons, p | m prime, vanishes;
+        # adding +-zeta^j to a vanishing sum leaves +-zeta^j, not zero
+        primes = [p for p in (2, 3, 5, 7) if m % p == 0]
+        rng = random.Random(m)
+        for _ in range(500):
+            coeffs = [0] * m
+            for _ in range(rng.randint(1, 6)):
+                p, sign = rng.choice(primes), rng.choice((-1, 1))
+                start = rng.randrange(m)
+                for j in range(start, start + m, m // p):
+                    coeffs[j % m] += sign
+            assert CyclotomicSum(m, tuple(coeffs)).is_zero(), coeffs
+            coeffs[rng.randrange(m)] += rng.choice((-1, 1))
+            assert not CyclotomicSum(m, tuple(coeffs)).is_zero(), coeffs
 
 
 class TestCharacters:
@@ -312,9 +318,3 @@ class TestTiling:
                 a = set(s) | {0}
                 assert spectral_tiling_check(g, a, code)
                 assert group_ring_tiling_check(g, a, code)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
