@@ -118,30 +118,31 @@ def construct_connection_set_normal(
     with (x_i h_i)^2 = e; the remaining cosets are paired with their inverse
     cosets and contribute {g_j, g_j^-1}.  The total case appends the least
     involution h_0 of H.  Representatives and fixers are least-index, so
-    the output is deterministic.
+    the output is deterministic.  The walk tests the key property too: x^2
+    in H depends only on xH (H is normal), so the first coset with square H
+    and no involution starts at the least failing x (`property_one_holds`).
     """
     if not is_normal(g, h):
         raise CayleyCodesError("construction requires a normal subgroup")
-    ok, bad = property_one_holds(g, h)
-    if not ok:
-        raise CayleyCodesError(f"key property fails at g={bad}; no construction")
     mult, e, hs = g.mult, g.identity, frozenset(h)
     labels = coset_labels(g, h)
     out = []
     done = {labels[e]}
     # ascending x meets each coset first at its least element, its rep
-    for rep, label in enumerate(labels):
+    for x, label in enumerate(labels):
         if label in done:
             continue
         done.add(label)
-        row = mult[rep]
-        if row[rep] in hs:
+        row = mult[x]
+        if row[x] in hs:
             # involution in G/H: replace the representative by x_i h_i
-            k = next(k for k in h if mult[row[k]][row[k]] == e)
+            k = next((k for k in h if mult[row[k]][row[k]] == e), None)
+            if k is None:
+                raise CayleyCodesError(f"key property fails at g={x}; no construction")
             out.append(row[k])
         else:
-            rinv = g.inv[rep]
-            out.extend([rep, rinv])
+            rinv = g.inv[x]
+            out.extend([x, rinv])
             done.add(labels[rinv])
     if total:
         h0 = _least_involution(g, h)
@@ -340,8 +341,8 @@ def construct_connection_set(
 
     Dihedral subgroups <a^t, a^s b> get the explicit reflection sets,
     normal subgroups the key-property construction, and any other
-    subgroup the inverse-closed transversal of the generic pass, with e
-    dropped (perfect) or replaced by the least involution of H (total).
+    subgroup the witness S of `generic_subgroup_code_decision` (perfect)
+    or S with the least involution of H added (total).
     Raises CayleyCodesError when there is none; an odd-order H needs no
     pass for that.
     """
@@ -360,8 +361,8 @@ def construct_connection_set(
     if is_normal(g, h):
         return construct_connection_set_normal(g, h, total=total)
     h0 = _least_involution(g, h)
-    found = None if total and h0 is None else _transversal_search(g, h)
-    if found is None:
+    verdict = None if total and h0 is None else generic_subgroup_code_decision(g, h)
+    if verdict is None or not verdict.perfect:
         raise CayleyCodesError("no construction available for this subgroup")
-    s = [x for x in found if x != g.identity]
+    s = verdict.witness["value"]
     return connection_set(g, s + [h0] if total else s)

@@ -52,17 +52,9 @@ class FiniteGroup:
         """g x g^-1."""
         return self.mult[self.mult[g][x]][self.inv[g]]
 
-    def element_order(self, i: int) -> int:
-        acc, k = i, 1
-        while acc != self.identity:
-            acc = self.mult[acc][i]
-            k += 1
-        return k
-
     def cyclic_span(self, i: int) -> frozenset[int]:
         """The cyclic subgroup <i> as a set of indices."""
-        out = {self.identity}
-        acc = i
+        out, acc = {self.identity}, i
         while acc != self.identity:
             out.add(acc)
             acc = self.mult[acc][i]
@@ -103,7 +95,7 @@ class FiniteGroup:
 
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
-        return tuple(self.element_order(i) for i in range(self.order))
+        return tuple(len(self.cyclic_span(i)) for i in range(self.order))
 
     @cached_property
     def is_cyclic(self) -> bool:

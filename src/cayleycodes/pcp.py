@@ -32,18 +32,14 @@ DEFAULT_SEED = 0
 
 def connection_orbits(g: FiniteGroup):
     """Inverse-pair orbits of non-identity elements: involutions singly,
-    {x, x^-1} jointly; sorted by least member."""
-    orbits = []
-    seen = set()
-    for x in range(g.order):
-        if x == g.identity or x in seen:
-            continue
-        xi = g.inv[x]
-        orbit = (x,) if xi == x else (x, xi)
-        seen.update(orbit)
-        orbits.append(tuple(sorted(orbit)))
-    orbits.sort()
-    return orbits
+    {x, x^-1} jointly; sorted by least member.  One ascending pass keeps
+    each x <= x^-1, the least member of its orbit, so no orbit needs a sort."""
+    inv = g.inv
+    return [
+        (x,) if inv[x] == x else (x, inv[x])
+        for x in range(g.order)
+        if x != g.identity and inv[x] >= x
+    ]
 
 
 def _orbit_union(orbits, mask) -> tuple[int, ...]:
@@ -174,10 +170,10 @@ def power_witness(g: FiniteGroup, sigma: tuple[int, ...]):
     sigma(C) contains e and sigma(c*), two elements of the coset H.  The
     right cosets are the inverses of the left ones: Hy = (y^-1 H)^-1.
     """
-    x = next((x for x in range(g.order) if sigma[x] not in g.cyclic_span(x)), None)
-    if x is None:
+    spans = map(g.cyclic_span, range(g.order))
+    h = next((h for x, h in enumerate(spans) if sigma[x] not in h), None)
+    if h is None:
         return None
-    h = g.cyclic_span(x)
     c_star = next(y for y in range(g.order) if y not in h and sigma[y] in h)
     # Hy is labelled by its inverse y^-1 H; ascending y keeps each right
     # coset's least element unless e or c* is in it

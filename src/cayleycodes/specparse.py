@@ -22,7 +22,6 @@ from .errors import (
     BoundExceededError,
     CayleyCodesError,
     GroupSpecError,
-    GroupTableError,
 )
 from .groups import (
     FiniteGroup,
@@ -161,7 +160,9 @@ def load_table_file(path: str) -> FiniteGroup:
         cells = list(map(_int, cells))
     g = from_table([tuple(cells[i * n : (i + 1) * n]) for i in range(n)])
     if g.identity != 0:
-        raise GroupTableError("no-identity", ("identity must be index 0", g.identity))
+        raise GroupSpecError(
+            f"table file {path!r}: the identity is index {g.identity}, not index 0"
+        )
     return g
 
 

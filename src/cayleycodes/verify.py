@@ -71,6 +71,18 @@ class SuiteResult:
         if not ok:
             self.failures.append(message())
 
+    def same_verdict(self, where: Callable[[], str], got, want):
+        """Count one check that verdicts got and want agree on (perfect,
+        total); a criterion that declined (got is None) fails it."""
+        self.check(
+            got is not None and (got.perfect, got.total) == (want.perfect, want.total),
+            lambda: f"{where()}: {_verdict_text(got)} != {_verdict_text(want)}",
+        )
+
+
+def _verdict_text(verdict) -> str | None:
+    return verdict and f"{verdict.method} {verdict.perfect}/{verdict.total}"
+
 
 def suite_theorem3(seed: int = 0) -> SuiteResult:
     """Normal-subgroup criterion vs generic search on `corpus_groups(24)`
@@ -84,18 +96,10 @@ def suite_theorem3(seed: int = 0) -> SuiteResult:
                 continue
             verdict = normal_subgroup_code(g, h)
             search = generic_subgroup_code_decision(g, h)
-            res.check(
-                verdict.perfect == search.perfect and verdict.total == search.total,
-                lambda: f"{spec} H={h}: criterion {verdict.perfect}/{verdict.total}"
-                f" != search {search.perfect}/{search.total}",
-            )
+            res.same_verdict(lambda: f"{spec} H={h}", verdict, search)
             shortcut = parity_criterion(g, h)
             if shortcut is not None:
-                res.check(
-                    (shortcut.perfect, shortcut.total)
-                    == (verdict.perfect, verdict.total),
-                    lambda: f"{spec} H={h}: parity shortcut disagrees",
-                )
+                res.same_verdict(lambda: f"{spec} H={h}", shortcut, verdict)
             if verdict.perfect:
                 s = construct_connection_set_normal(g, h)
                 res.check(
@@ -129,17 +133,10 @@ def suite_cor3(seed: int = 0) -> SuiteResult:
             h = subgroup_generated(g, {n // d} if d > 1 else set())
             arith = cyclic_criterion(g, h)
             full = normal_subgroup_code(g, h)
-            res.check(
-                (arith.perfect, arith.total) == (full.perfect, full.total),
-                lambda: f"Z{n} |H|={d}: parity formula {arith.perfect}/{arith.total}"
-                f" != criterion {full.perfect}/{full.total}",
-            )
+            res.same_verdict(lambda: f"Z{n} |H|={d}", arith, full)
             if n <= 24:
                 search = generic_subgroup_code_decision(g, h)
-                res.check(
-                    (arith.perfect, arith.total) == (search.perfect, search.total),
-                    lambda: f"Z{n} |H|={d}: formula disagrees with search",
-                )
+                res.same_verdict(lambda: f"Z{n} |H|={d}", arith, search)
     return res
 
 
@@ -154,10 +151,7 @@ def suite_dihedral(seed: int = 0) -> SuiteResult:
                 continue
             verdict = dihedral_criterion(n, h)
             search = generic_subgroup_code_decision(g, h)
-            res.check(
-                (verdict.perfect, verdict.total) == (search.perfect, search.total),
-                lambda: f"D{2 * n} H={h}: criterion disagrees with search",
-            )
+            res.same_verdict(lambda: f"D{2 * n} H={h}", verdict, search)
             if any(x >= n for x in h):
                 res.check(
                     verdict.perfect and verdict.total,
@@ -188,20 +182,12 @@ def suite_abelian(seed: int = 0) -> SuiteResult:
     for typ in types:
         g = make_cyclic(typ[0]) if len(typ) == 1 else make_abelian(typ)
         bases = [abelian_basis(g)[2], abelian_basis(g, scan_key=lambda x: -x)[2]]
-        seen = set()
-        for x in range(g.order):
-            h = subgroup_generated(g, {x})
-            if h in seen:
-                continue
-            seen.add(h)
+        # each cyclic subgroup once, in order of its least generator
+        for h in dict.fromkeys(subgroup_generated(g, {x}) for x in range(g.order)):
             verdict = abelian_criterion(g, h)  # None fails: H is cyclic
             proj = verdict and (verdict.perfect, verdict.total)
             prop = normal_subgroup_code(g, h)
-            res.check(
-                proj == (prop.perfect, prop.total),
-                lambda: f"{typ} H={h}: projection {proj}"
-                f" != property {prop.perfect}/{prop.total}",
-            )
+            res.same_verdict(lambda: f"{typ} H={h}", verdict, prop)
             # H projects onto a cyclic factor iff some exponent is odd
             by_basis = [
                 any(e % 2 for y in h for e in exponents[y])

@@ -52,12 +52,18 @@ class TestSpecParsing:
             with pytest.raises(GroupSpecError):
                 parse_group_spec(bad)
 
-    def test_table_identity_must_be_zero(self, tmp_path):
-        # Z2 written with identity at index 1
+    def test_table_identity_must_be_zero(self, tmp_path, capsys):
+        # Z2 written with identity at index 1: a group, with its identity
+        # in the wrong place
         path = tmp_path / "bad.txt"
         path.write_text("2\n1 0\n0 1\n")
-        with pytest.raises(GroupTableError):
+        with pytest.raises(GroupSpecError) as err:
             parse_group_spec(f"table:{path}")
+        assert str(err.value) == (
+            f"table file {str(path)!r}: the identity is index 1, not index 0"
+        )
+        assert main(["check", f"table:{path}", "--conn", "0", "--code", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {err.value}\n"
 
     def test_element_expressions(self):
         g = parse_group_spec("abelian:2,4,4")

@@ -159,6 +159,25 @@ class TestConstruction:
         with pytest.raises(CayleyCodesError):
             construct_connection_set_normal(g, subgroup_generated(g, {2}))
 
+    def test_failure_names_the_least_failing_x(self):
+        # the construction's own coset walk finds the key property's least
+        # failing x: on every normal subgroup that fails it, over the
+        # corpus, S4 and relabelings whose identity is not index 0
+        base = [g for _, g in corpus_groups(32)] + [symmetric_group(4)]
+        groups = base + [_relabeled(g, seed) for seed, g in enumerate(base) if g.order > 1]
+        failing = 0
+        for g in groups:
+            for h in all_subgroups(g):
+                ok, x = property_one_holds(g, h)
+                if ok or not is_normal(g, h):
+                    continue
+                failing += 1
+                for total in (False, True):
+                    with pytest.raises(CayleyCodesError) as err:
+                        construct_connection_set_normal(g, h, total=total)
+                    assert str(err.value) == f"key property fails at g={x}; no construction"
+        assert failing == 236
+
 
 class TestCyclic:
     def test_z12_formula(self):
@@ -341,6 +360,34 @@ class TestGeneric:
                 assert is_code(build_cayley(g, s), h)
                 if not total:
                     assert verdict.witness["value"] == list(s.sorted())
+
+    def test_construct_reads_the_generic_decision(self, monkeypatch):
+        # a non-normal subgroup of even order is constructed, or refused,
+        # by one generic decision in each mode, and its S is the witness
+        g = symmetric_group(4)
+        calls = []
+
+        def counted(g, h):
+            calls.append(h)
+            return generic_subgroup_code_decision(g, h)
+
+        monkeypatch.setattr(criteria, "generic_subgroup_code_decision", counted)
+        built = 0
+        for h in all_subgroups(g):
+            if is_normal(g, h) or len(h) % 2:
+                continue
+            verdict = generic_subgroup_code_decision(g, h)
+            for total in (False, True):
+                calls.clear()
+                if not verdict.perfect:
+                    with pytest.raises(CayleyCodesError):
+                        construct_connection_set(g, h, total=total)
+                else:
+                    s = construct_connection_set(g, h, total=total)
+                    assert set(verdict.witness["value"]) <= set(s.elements)
+                    built += 1
+                assert calls == [h]
+        assert built > 0
 
     def test_one_coset_labels_call_per_decision(self, monkeypatch):
         # one search decides both modes, so the coset labels of H are

@@ -68,7 +68,7 @@ class TestConstructors:
     def test_cyclic_element_order(self):
         g = make_cyclic(12)
         # oracle: repeated multiplication, 3+3+3+3 = 12 = 0 mod 12
-        assert g.element_order(3) == 4
+        assert g.element_orders[3] == 4
 
     def test_dihedral_relation(self):
         g = make_dihedral(3)
@@ -83,7 +83,7 @@ class TestConstructors:
         z = centre(g)
         rotations = [x for x in z if 0 < x < 6]
         assert rotations == [3]
-        assert g.element_order(3) == 2
+        assert g.element_orders[3] == 2
 
     def test_dihedral_reflections_are_involutions(self):
         g = make_dihedral(4)
@@ -110,7 +110,7 @@ class TestConstructors:
 
     def test_klein_four_involutions(self):
         g = direct_product(make_cyclic(2), make_cyclic(2))
-        assert sum(1 for x in range(4) if g.element_order(x) == 2) == 3
+        assert sum(1 for x in range(4) if g.element_orders[x] == 2) == 3
 
     def test_z3_times_s3(self):
         g = direct_product(make_cyclic(3), symmetric_group(3))

@@ -202,6 +202,17 @@ def test_check_formats_its_message_only_on_failure():
     res.check(True, refuse)
     res.check(False, lambda: "the returned text")
     assert res.checks == 2 and res.failures == ["the returned text"]
+    # a verdict pair: the same (perfect, total) passes whatever the methods,
+    # and a criterion that declined (None) fails
+    yes = criteria.CriterionVerdict(perfect=True, total=False, method="property1")
+    res.same_verdict(refuse, yes, dataclasses.replace(yes, method="generic-search"))
+    res.same_verdict(lambda: "Z4 H=(0, 2)", None, yes)
+    both = dataclasses.replace(yes, total=True, method="parity")
+    res.same_verdict(lambda: "Z4 H=(0, 2)", yes, both)
+    assert res.checks == 5 and res.failures[1:] == [
+        "Z4 H=(0, 2): None != property1 True/False",
+        "Z4 H=(0, 2): property1 True/False != parity True/True",
+    ]
 
 
 # (suite, module, name, mutant, checks, failures, first failure text),

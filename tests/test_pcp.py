@@ -38,12 +38,22 @@ from cayleycodes.pcp import (
     is_tpcp_automorphism,
 )
 from cayleycodes.specparse import parse_group_spec
+from test_criteria import _relabeled
 
 
 class TestConnectionSweep:
     def test_orbits(self):
         g = make_cyclic(6)
         assert connection_orbits(g) == [(1, 5), (2, 4), (3,)]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_orbits_match_definition_on_relabeled_tables(self, seed):
+        # with the identity off index 0, x^-1 is no longer -x mod n
+        groups = [g for _, g in corpus_groups(16)] + [symmetric_group(4)]
+        for g in (_relabeled(g, seed) for g in groups if g.order > 1):
+            e, inv = g.identity, g.inv
+            orbits = {tuple(sorted({x, inv[x]})) for x in range(g.order) if x != e}
+            assert connection_orbits(g) == sorted(orbits)
 
     def test_all_connection_sets(self):
         g = make_cyclic(4)
