@@ -234,11 +234,21 @@ def from_table(table) -> FiniteGroup:
     The greedy `generating_set` reaches every element as a product of
     generators (its right-multiplication closure from the identity), so
     the table is associative once N holds those generators.  For a
-    generator s, ``itemgetter(*mult[s])`` maps row x to x(sy) over all y
-    in one C call, and that is compared with the row of xs, which is
-    (xs)y: one composition of n entries per (row, generator), O(n^2*|gens|)
-    in all.  Only a table that fails it pays the O(n^3) lexicographic scan
+    generator s, row x composed with row s is x(sy) over all y, which is
+    compared with the row of xs, (xs)y: one C-level composition of n
+    entries per (row, generator), O(n^2*|gens|) in all.  For n <= 256 each
+    validated row, whatever its input type, is converted once to `bytes`,
+    since a byte holds any index 0..255, and ``rows[s].translate(maps[x])``
+    composes the two, where ``maps[x]`` is row x padded with zeros to the
+    256 bytes `translate` reads.  A larger table cannot be held in bytes;
+    there ``itemgetter(*mult[s])`` maps row x to x(sy) as an n-tuple.
+    Only a table that fails the test pays the O(n^3) lexicographic scan
     for the (x, y, z) witness.
+
+    The range check takes one ``max(row) < n`` on a row of type `bytes`,
+    the form in which `load_table_file` hands over the rows of a table of
+    order <= 256, and scans the entries' types and values on a row of any
+    other type.
 
     A table with a two-sided identity, two-sided inverses and an
     associative product is a group, whose rows and columns are
@@ -254,6 +264,8 @@ def from_table(table) -> FiniteGroup:
     for i, row in enumerate(table):
         if len(row) != n:
             raise GroupTableError("not-square", (i,))
+        if type(row) is bytes and max(row) < n:
+            continue
         if set(map(type, row)) == {int} and indices.issuperset(row):
             continue
         for j, v in enumerate(row):
@@ -275,13 +287,28 @@ def from_table(table) -> FiniteGroup:
         raise
     g = FiniteGroup(n, mult, identity, inv, "table")
 
-    for s in g.generators:
+    if not _light_test(mult, g.generators):
+        _check_latin_square(mult)
+        raise GroupTableError("non-associative", _first_non_associative(mult))
+    return g
+
+
+def _light_test(mult, gens):
+    """Does (xs)y = x(sy) hold for every generator s and all x, y?"""
+    n = len(mult)
+    if n <= 256:
+        rows = [bytes(row) for row in mult]
+        maps = [row + bytes(256 - n) for row in rows]
+        return all(
+            list(map(rows[s].translate, maps)) == [rows[row[s]] for row in mult]
+            for s in gens
+        )
+    for s in gens:
         compose = itemgetter(*mult[s])
         for row in mult:
             if compose(row) != mult[row[s]]:
-                _check_latin_square(mult)
-                raise GroupTableError("non-associative", _first_non_associative(mult))
-    return g
+                return False
+    return True
 
 
 def _check_latin_square(mult):

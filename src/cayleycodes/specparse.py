@@ -130,8 +130,11 @@ def load_table_file(path: str) -> FiniteGroup:
     token once the entry count is checked: `from_table` range-checks the
     result, and the first token int() rejects is named in the error.  A
     header n whose n^2 entries cannot fit in the file takes that path too,
-    so the dict is never larger than the file.  The rows are built as
-    tuples, which `from_table` keeps as they are.
+    so the dict is never larger than the file.  The looked-up cells of a
+    table of order <= 256 are one `bytes` object, and its row slices take
+    `from_table`'s bytes path: one ``max`` per row for the range check.
+    Any other table's cells are one list, cut into tuple rows that
+    `from_table` keeps as they are.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -148,7 +151,8 @@ def load_table_file(path: str) -> FiniteGroup:
     else:
         lookup = {str(i): i for i in range(n)}.__getitem__
         try:
-            cells, spelled = list(map(lookup, tokens)), False
+            cells = (bytes if n <= 256 else list)(map(lookup, tokens))
+            spelled = False
         except KeyError:
             cells, spelled = " ".join(lines).split()[1:], True
     del tokens, lines  # the text is not read again
@@ -158,7 +162,8 @@ def load_table_file(path: str) -> FiniteGroup:
         )
     if spelled:
         cells = list(map(_int, cells))
-    g = from_table([tuple(cells[i * n : (i + 1) * n]) for i in range(n)])
+    row = bytes if type(cells) is bytes else tuple  # bytes(b) is b, uncopied
+    g = from_table([row(cells[i * n : (i + 1) * n]) for i in range(n)])
     if g.identity != 0:
         raise GroupSpecError(
             f"table file {path!r}: the identity is index {g.identity}, not index 0"

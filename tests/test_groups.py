@@ -498,9 +498,43 @@ def _outcome(validate, table):
     return ("accepted", result.mult, result.inv, result.identity)
 
 
+def _assert_from_table_outcome(table, want):
+    """`from_table` gives ``want`` on ``table``, and on its rows as `bytes`
+    when every entry fits in a byte."""
+    assert _outcome(from_table, table) == want
+    if all(isinstance(v, int) and 0 <= v < 256 for row in table for v in row):
+        assert _outcome(from_table, [bytes(row) for row in table]) == want
+
+
 def _assert_same_outcome(table):
     want = _outcome(_reference_from_table, table)
-    assert _outcome(from_table, table) == want
+    _assert_from_table_outcome(table, want)
+    return want
+
+
+def _assert_same_file_outcome(table, path):
+    """`load_table_file` on ``table`` written to ``path`` agrees with the
+    reference on the entries as int() reads them back; a file that reads
+    as no n x n table of ints, or whose identity is not index 0, is a
+    GroupSpecError."""
+    n = len(table)
+    with open(path, "w") as fh:
+        fh.write(f"{n}\n")
+        fh.writelines(" ".join(map(str, row)) + "\n" for row in table)
+    want = None
+    try:
+        cells = [int(str(v)) for row in table for v in row]
+    except ValueError:
+        cells = None
+    if cells is not None and len(cells) == n * n:
+        want = _outcome(_reference_from_table, [cells[i * n : (i + 1) * n] for i in range(n)])
+        if want[0] == "accepted" and want[3] != 0:
+            want = None
+    try:
+        got = _outcome(load_table_file, path)
+    except GroupSpecError:
+        got = None
+    assert got == want
     return want
 
 
@@ -539,12 +573,16 @@ class TestTableOracle:
     """`from_table` (Light's test) against the per-cell O(n^3) reference."""
 
     @pytest.mark.parametrize("spec, g", ORACLE_GROUPS, ids=[s for s, _ in ORACLE_GROUPS])
-    def test_corpus_tables_and_relabelings(self, spec, g):
-        assert _assert_same_outcome([list(row) for row in g.mult])[0] == "accepted"
+    def test_corpus_tables_and_relabelings(self, spec, g, tmp_path):
+        path = tmp_path / "table.txt"
+        tables = [[list(row) for row in g.mult]]
         rng = random.Random(spec)
         for _ in range(2):
             perm = [0] + rng.sample(range(1, g.order), g.order - 1)
-            assert _assert_same_outcome(_relabel(g.mult, perm))[0] == "accepted"
+            tables.append(_relabel(g.mult, perm))
+        for table in tables:
+            assert _assert_same_outcome(table)[0] == "accepted"
+            assert _assert_same_file_outcome(table, path)[0] == "accepted"
 
     def test_loops_and_their_products(self):
         tables = [LOOP5]
@@ -557,6 +595,30 @@ class TestTableOracle:
         outcomes = [_assert_same_outcome(table) for table in tables]
         assert all(o[:2] == ("rejected", "non-associative") for o in outcomes)
         assert outcomes[0][2] == (1, 1, 2)
+
+    @pytest.mark.parametrize("m", [51, 52], ids=["order255", "order260"])
+    def test_loop_products_either_side_of_the_byte_cut(self, m):
+        # tables of order <= 256 take Light's test on bytes rows, larger
+        # ones on tuples; both reject with the scan's first witness
+        table = _table_product(LOOP5, make_cyclic(m).mult)
+        _assert_from_table_outcome(
+            table, ("rejected", "non-associative", groups._first_non_associative(table)))
+
+    @pytest.mark.parametrize(
+        "g, perm",
+        [
+            (make_abelian((2,) * 8), [0] + random.Random(256).sample(range(1, 256), 255)),
+            (make_dihedral(129), list(range(258))),
+        ],
+        ids=["Z2^8-relabeled", "D129"],
+    )
+    def test_groups_either_side_of_the_byte_cut(self, g, perm):
+        table = _relabel(g.mult, perm)
+        inv = [0] * g.order
+        for x, y in enumerate(g.inv):
+            inv[perm[x]] = perm[y]
+        _assert_from_table_outcome(
+            table, ("accepted", tuple(map(tuple, table)), tuple(inv), perm[g.identity]))
 
     def test_intercalate_swaps(self):
         rng = random.Random(7)
@@ -573,7 +635,7 @@ class TestTableOracle:
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
-    def test_mutated_tables(self, data):
+    def test_mutated_tables(self, data, tmp_path_factory):
         spec, g = data.draw(st.sampled_from(corpus_groups(12) + [Z2_Z4_Z4]))
         n = g.order
         perm = data.draw(st.permutations(range(n)))
@@ -585,6 +647,7 @@ class TestTableOracle:
         if data.draw(st.booleans()):
             table[data.draw(st.integers(0, n - 1))].pop()
         _assert_same_outcome(table)
+        _assert_same_file_outcome(table, tmp_path_factory.getbasetemp() / "mutated.txt")
 
     def test_rejection_reasons(self):
         assert _assert_same_outcome([]) == ("rejected", "not-square", None)
