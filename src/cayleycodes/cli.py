@@ -38,7 +38,7 @@ from .groups import (
     is_subgroup,
     subgroup_generated,
 )
-from .pcp import preservation_sweep
+from .pcp import preservation_verdicts
 from .specparse import parse_element_list, parse_group_spec
 from .verify import SUITES, run_suite
 
@@ -250,9 +250,10 @@ def cmd_automorphisms(args):
         {"sigma": list(s), "power": is_power_automorphism(g, s)} for s in sigmas
     ]
     if args.pcp:
-        sweep = dict(budget=args.budget, seed=args.seed)
-        scope, pcp = preservation_sweep(g, sigmas, **sweep)
-        _, tpcp = preservation_sweep(g, sigmas, total=True, **sweep)
+        powers = [row["power"] for row in rows]
+        scope, pcp, tpcp = preservation_verdicts(
+            g, sigmas, powers, args.budget, args.seed
+        )
         seed = args.seed if scope == "sampled" else None
         for row, ce, tce in zip(rows, pcp, tpcp):
             if ce is not None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from cayleycodes import (
 from cayleycodes.corpus import corpus_groups, symmetric_group
 from cayleycodes.groups import (
     all_automorphisms,
+    coset_labels,
     is_power_automorphism,
 )
 from cayleycodes.cayley import connection_set, is_total_perfect_code
@@ -39,6 +41,7 @@ from cayleycodes.pcp import (
 )
 from cayleycodes.specparse import parse_group_spec
 from test_criteria import _relabeled
+from test_golden import PCP_RUNS, Z2_Z4_Z4, _resolve, _run
 
 
 class TestConnectionSweep:
@@ -122,21 +125,33 @@ class TestGroupSweep:
     def test_empty_list(self):
         assert preservation_sweep(make_cyclic(16), []) == ("sampled", [])
 
+    def test_empty_list_builds_no_candidates(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("connection sets built for no automorphism")
+
+        monkeypatch.setattr(pcp, "all_connection_sets", refuse)
+        assert preservation_sweep(make_dihedral(6), []) == ("exhaustive", [])
+
     def test_enumerates_each_connection_set_once_per_mode(self, monkeypatch):
+        # abelian:2,2,2 has 7 involutions, so 128 connection sets
+        g = make_abelian((2, 2, 2))
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return enumerate_perfect_codes(*args, **kwargs)
+        def counting(graph, total=False):
+            calls.append((graph.conn.sorted(), total))
+            return enumerate_perfect_codes(graph, total)
 
         monkeypatch.setattr(pcp, "enumerate_perfect_codes", counting)
-        assert cli.main(["automorphisms", "abelian:2,2,2", "--pcp"]) == 0
-        assert len(calls) <= 2 * 128
+        for total in (False, True):
+            preservation_sweep(g, all_automorphisms(g), total)
+            sets = [s for s, mode in calls if mode == total]
+            assert 1 <= len(sets) == len(set(sets)) <= 128
 
     def test_budget_past_every_set_costs_one_exhaustive_sweep(
         self, monkeypatch, capsys
     ):
-        # cyclic:13 has 6 inverse-pair orbits, so 64 connection sets
+        # abelian:2,8 has 3 involutions and 6 inverse pairs, so 512
+        # connection sets, and non-power automorphisms left to sweep
         calls = []
 
         def counting(graph, total=False):
@@ -144,13 +159,13 @@ class TestGroupSweep:
             return enumerate_perfect_codes(graph, total)
 
         monkeypatch.setattr(pcp, "enumerate_perfect_codes", counting)
-        argv = ["automorphisms", "cyclic:13", "--pcp", "--budget"]
+        argv = ["automorphisms", "abelian:2,8", "--pcp", "--budget"]
         assert cli.main([*argv, "10000"]) == 0
         expected = capsys.readouterr().out
         calls.clear()
         assert cli.main([*argv, str(10**12)]) == 0
         assert capsys.readouterr().out == expected
-        assert calls.count(False) <= 64 and calls.count(True) <= 64
+        assert 1 <= calls.count(False) <= 512 and 1 <= calls.count(True) <= 512
 
     @pytest.mark.parametrize("budget", [0, -1])
     def test_non_positive_budget_raises(self, budget):
@@ -368,3 +383,128 @@ class TestCorollaries:
                     assert witness is None
                 else:
                     assert _refuted(g, sigma, witness)
+
+
+# `automorphisms` exits 3 on Z2 x Z4 x Z4, over its default order bound
+ORACLE_RUNS = [run for run in PCP_RUNS if not run.startswith(Z2_Z4_Z4[0])]
+
+
+def _is_connection_set(g, s):
+    return g.identity not in s and all(g.inv[x] in s for x in s)
+
+
+def _is_total_code(g, s, code):
+    """Does every vertex x of Cay(G, S) have exactly one neighbour in C?
+    x is a neighbour of c when x = s c for some s in S, that is when
+    x c^-1 is in S."""
+    s = set(s)
+    return all(
+        sum(g.mult[x][g.inv[c]] in s for c in code) == 1 for x in range(g.order)
+    )
+
+
+def _certifies(g, sigma, witness):
+    """Is S a connection set, C a total code of Cay(G, S) and sigma(C) not
+    one?  Checked without the library."""
+    s, code = witness
+    image = [sigma[c] for c in code]
+    return (
+        _is_connection_set(g, s)
+        and _is_total_code(g, s, code)
+        and not _is_total_code(g, s, image)
+    )
+
+
+def _witness_failures(g):
+    """The non-power automorphisms of g that get no witness from
+    constructions A and B, or one that fails its certificate."""
+    data = pcp._witness_subgroups(g)
+    failures = []
+    for sigma in all_automorphisms(g):
+        if is_power_automorphism(g, sigma):
+            continue
+        witness = pcp._total_witness(g, sigma, data)
+        if witness is None or not _certifies(g, sigma, witness):
+            failures.append((sigma, witness))
+    return failures
+
+
+# construction B's data for the mutant below, which leaves B as it is
+_library_witness_subgroups = pcp._witness_subgroups
+
+
+def _no_square_test(g):
+    """`pcp._witness_subgroups` taking any k in N(K) \\ K, whether or not
+    k^2 lies in K."""
+    pairs = []
+    for h in g.subgroups[1:-1]:
+        k_set = frozenset(h)
+        k = next(
+            (
+                x for x in range(g.order)
+                if x not in k_set and all(g.conjugate(x, y) in k_set for y in h)
+            ),
+            None,
+        )
+        if k is not None:
+            s = tuple(sorted(g.mult[k][y] for y in h))
+            pairs.append((k_set, s, coset_labels(g, h)))
+    return pairs, _library_witness_subgroups(g)[1]
+
+
+EVEN_GROUPS = [(spec, g) for spec, g in corpus_groups(12) if g.order % 2 == 0]
+EVEN_GROUPS += [("S4", symmetric_group(4)), ("dihedral:12", make_dihedral(12))]
+
+
+class TestVerdicts:
+    """Rows decided by theorem or witness, against full sweeps."""
+
+    @pytest.mark.parametrize("run", ORACLE_RUNS)
+    def test_cli_rows_match_two_full_sweeps(self, run):
+        argv = ["automorphisms", *run.split(), "--format", "json"]
+        code, out, _ = _run(argv)
+        assert code == 0
+        rows = json.loads(out)["results"]
+        args = cli.build_parser().parse_args(argv)
+        g = _resolve(args.spec)
+        sigmas = all_automorphisms(g)
+        scope, perfect = preservation_sweep(g, sigmas, False, args.budget, args.seed)
+        _, total = preservation_sweep(g, sigmas, True, args.budget, args.seed)
+        assert [row["sigma"] for row in rows] == list(map(list, sigmas))
+        assert {row["scope"] for row in rows} == {scope}
+        assert [
+            (row["preserving"], row["total_preserving"], row["counterexample"])
+            for row in rows
+        ] == [
+            (ce is None, tce is None, ce and {"S": list(ce[0]), "C": list(ce[1])})
+            for ce, tce in zip(perfect, total)
+        ]
+
+    @pytest.mark.parametrize("spec, g", EVEN_GROUPS, ids=[s for s, _ in EVEN_GROUPS])
+    def test_every_non_power_automorphism_has_a_total_witness(self, spec, g):
+        assert _witness_failures(g) == []
+
+    @pytest.mark.parametrize(
+        "spec, g", corpus_groups(12), ids=[s for s, _ in corpus_groups(12)]
+    )
+    def test_witness_exactly_where_the_total_sweep_refutes(self, spec, g):
+        sigmas = all_automorphisms(g)
+        data = pcp._witness_subgroups(g)
+        _, refuted = preservation_sweep(g, sigmas, total=True)
+        witnessed = [pcp._total_witness(g, sigma, data) is not None for sigma in sigmas]
+        assert witnessed == [ce is not None for ce in refuted]
+
+    def test_witnesses_without_the_square_test_fail(self, monkeypatch):
+        monkeypatch.setattr(pcp, "_witness_subgroups", _no_square_test)
+        failing = [spec for spec, g in EVEN_GROUPS if _witness_failures(g)]
+        assert failing
+        # the library's certificate check sends each failing sigma to the
+        # sweep, so every counterexample reported still holds
+        g = dict(EVEN_GROUPS)[failing[0]]
+        sigmas = all_automorphisms(g)
+        powers = [is_power_automorphism(g, sigma) for sigma in sigmas]
+        _, _, total = pcp.preservation_verdicts(g, sigmas, powers)
+        _, refuted = preservation_sweep(g, sigmas, total=True)
+        assert [ce is None for ce in total] == [ce is None for ce in refuted]
+        for sigma, witness in zip(sigmas, total):
+            assert witness is None or _certifies(g, sigma, witness)
