@@ -36,7 +36,7 @@ def _is_prime_power(k: int, p: int) -> bool:
 
 
 def _span_product(g: FiniteGroup, span, cyc):
-    return frozenset(g.mult[a][b] for a in span for b in cyc)
+    return frozenset(g.mult[a][b] for b in range(g.order) if cyc >> b & 1 for a in span)
 
 
 def _p_basis(g: FiniteGroup, elems, scan_key):
@@ -53,8 +53,8 @@ def _p_basis(g: FiniteGroup, elems, scan_key):
             key=lambda x: (-g.element_orders[x], scan_key(x)),
         )
         for x in cands:
-            cyc = g.cyclic_span(x)
-            if len(cyc & span) != 1:
+            cyc = g.cyclic_spans[x]
+            if sum(cyc >> y & 1 for y in span) != 1:
                 continue
             found = extend(_span_product(g, span, cyc), basis + [x])
             if found is not None:

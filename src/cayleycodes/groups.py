@@ -52,14 +52,6 @@ class FiniteGroup:
         """g x g^-1."""
         return self.mult[self.mult[g][x]][self.inv[g]]
 
-    def cyclic_span(self, i: int) -> frozenset[int]:
-        """The cyclic subgroup <i> as a set of indices."""
-        out, acc = {self.identity}, i
-        while acc != self.identity:
-            out.add(acc)
-            acc = self.mult[acc][i]
-        return frozenset(out)
-
     @cached_property
     def is_abelian(self) -> bool:
         if self.kind in ("cyclic", "abelian-product"):
@@ -94,8 +86,26 @@ class FiniteGroup:
         return tuple(roots)
 
     @cached_property
+    def cyclic_spans(self) -> tuple[int, ...]:
+        """``cyclic_spans[x]`` is the mask of <x>.  Each cyclic subgroup is
+        walked once and its mask shared by all of its generators."""
+        e, spans = self.identity, [0] * self.order
+        for x, row in enumerate(self.mult):
+            if spans[x]:
+                continue
+            powers, acc = [e], x
+            while acc != e:
+                powers.append(acc)
+                acc = row[acc]
+            mask = sum(map(self.bits.__getitem__, powers))
+            for j, y in enumerate(powers):
+                if math.gcd(j, len(powers)) == 1:
+                    spans[y] = mask
+        return tuple(spans)
+
+    @cached_property
     def element_orders(self) -> tuple[int, ...]:
-        return tuple(len(self.cyclic_span(i)) for i in range(self.order))
+        return tuple(span.bit_count() for span in self.cyclic_spans)
 
     @cached_property
     def is_cyclic(self) -> bool:
@@ -558,7 +568,7 @@ def inner_automorphism(g: FiniteGroup, x: int) -> tuple[int, ...]:
 
 def is_power_automorphism(g: FiniteGroup, sigma: tuple[int, ...]) -> bool:
     """True iff sigma(x) lies in <x> for every x."""
-    return all(sigma[x] in g.cyclic_span(x) for x in range(g.order))
+    return all(span >> y & 1 for span, y in zip(g.cyclic_spans, sigma))
 
 
 def all_automorphisms(g: FiniteGroup):

@@ -10,34 +10,47 @@ automorphism sigma in both modes, and sweeps only what is left open:
   swept: no sweep can refute it.
 - When the sweep would be exhaustive and |G| is even, a non-power sigma
   gets a total-mode witness from construction A, else B (below).  A
-  witness (S, C) is used only once checked: S is a connection set, C is a
-  total code of Cay(G, S) and sigma(C) is not.  An exhaustive sweep finds
-  a counterexample whenever one exists, so a checked witness gives the
-  verdict the sweep would give.  A sigma with no checked witness is swept.
+  witness (S, C) is used only once `witness_holds` confirms it: S is a
+  connection set, C is a total code of Cay(G, S) and sigma(C) is not.
+  An exhaustive sweep finds a counterexample whenever one exists, so a
+  checked witness gives the verdict the sweep would give.  A sigma with
+  no checked witness is swept.
 - Every other row goes through `preservation_sweep`, whose first
   counterexample does not depend on the other rows swept with it.
 
 The balls of a total code C of Cay(G, S) are the sets S c, c in C.
 
-Construction A.  Let sigma move a subgroup K, c* be the least y outside K
-with sigma(y) in K (one exists, as sigma^-1(K) != K has |K| elements), and
-k be in N(K) \\ K with k^2 in K.  Take S = kK and C a right transversal of
-K through e and c*.  S misses e as k is not in K, and it is inverse-closed:
-(kK)^-1 = k^-1 K, and k^-1 = k k^-2 lies in kK.  As kK = Kk, the ball
-S c = K kc, and left multiplication by k permutes the right cosets of K,
-so the balls of C are the right cosets, once each: C is a total code.
-sigma(C) holds e and sigma(c*) in K, whose balls are both kK: sigma(C) is
-not a code.
+One subgroup refutes a non-power sigma in both modes.  Let x be least with
+sigma(x) not in H = <x>, c* the least y outside H with sigma(y) in H (one
+exists, as sigma^-1(H) != H has |H| elements), and C the right
+transversal of H through e and c*.  sigma(C) holds e and sigma(c*) in H.
 
-Construction B.  Let K have index 2 and t outside K be an involution with
-sigma(t) != t.  Take S = (K \\ {e}) u {t} and C = {e, t}.  Then S is a
-connection set, and S e u S t = (K \\ {e}) u {t} u (Kt \\ {t}) u {e} = G, so
-C is a total code.  If sigma(t) is outside K, t is in S e and in
-(K \\ {e}) sigma(t) = Kt \\ {sigma(t)}, a part of S sigma(t); if it is in K,
-S e and S sigma(t) share K \\ {e, sigma(t)}, which is not empty once
-|K| >= 3 (for |K| = 2 the check may reject the witness).  B covers D_n
-with n odd, where every non-normal subgroup is self-normalizing, so no
-subgroup that sigma moves has such a k.
+Perfect mode (`power_witness`).  Take S = H \\ {e}.  The closed balls
+(S u {e}) c = Hc are the right cosets, once each, so C is a perfect code;
+the balls of e and sigma(c*) are both H, so sigma(C) is not.
+
+Construction A.  Take S = kH, k the least element of N(H) \\ H with k^2
+in H.  S misses e as k is not in H, and it is inverse-closed:
+(kH)^-1 = k^-1 H, and k^-1 = k k^-2 lies in kH.  As kH = Hk, the ball
+S c = H kc, and left multiplication by k permutes the right cosets of H,
+so the balls of C are the right cosets, once each: C is a total code.
+The balls of e and sigma(c*) are both kH: sigma(C) is not a code.  Such a
+k exists exactly when |N(H) : H| is even (kH has order 2 in N(H)/H), so
+always in a 2-group, where N(H) > H as H != G.
+
+Construction B, when no such k exists and x is an involution.  Then <x>
+is a Sylow 2-subgroup: in a 2-group P > <x>, N_P(<x>) > <x> would make
+|N(<x>) : <x>| even.  So x is a product of |G|/2 (odd) 2-cycles in the
+regular representation, and the even elements form a subgroup K of index
+2 and odd order, without x.  K is the set of squares: a square is even,
+and each y in K is (y^m)^2 with |K| = 2m - 1.  Take S = (K \\ {e}) u {x}
+and C = {e, x}.  Then S is a connection set, and
+S e u S x = (K \\ {e}) u {x} u (Kx \\ {x}) u {e} = G, so C is a total code.
+sigma maps squares to squares, so sigma(x) != x lies in Kx too, and x is
+in S e and in (K \\ {e}) sigma(x) = Kx \\ {sigma(x)}, a part of
+S sigma(x).  B covers D_n with n odd, where a reflection x has
+N(<x>) = <x>.  So A or B refutes sigma unless x is not an involution and
+|N(<x>) : <x>| is odd.
 
 The sweep takes each sigma to be an automorphism of G, and enumerates only
 where a refutation is possible.  For small groups it covers every
@@ -47,9 +60,6 @@ isomorphism Cay(G, S) -> Cay(G, sigma(S)), so it maps the codes of
 Cay(G, S) onto themselves when sigma(S) = S.  And the |C| balls of a code,
 |T| elements each (T = S u {e}, or S for total codes), partition G, so
 Cay(G, S) has no code unless |T| divides |G|.
-
-For an automorphism that is not a power map, `power_witness` builds
-without a sweep a perfect code that it does not carry to a code.
 """
 
 from __future__ import annotations
@@ -60,7 +70,8 @@ from .cayley import (
     build_cayley,
     connection_set,
     enumerate_perfect_codes,
-    group_ring_check_total,
+    is_perfect_code,
+    is_total_perfect_code,
 )
 from .errors import CayleyCodesError
 from .groups import FiniteGroup, all_automorphisms, coset_labels, is_power_automorphism
@@ -200,11 +211,11 @@ def preservation_verdicts(
     ]
     swept = open_rows
     if open_rows and scope == "exhaustive" and g.order % 2 == 0:
-        data = _witness_subgroups(g)
+        cache = {}
         for i in open_rows:
-            if not powers[i]:
-                sigma = sigmas[i]
-                total[i] = _checked_witness(g, sigma, _total_witness(g, sigma, data))
+            witness = None if powers[i] else _total_witness(g, sigmas[i], cache)
+            if witness is not None and all(witness_holds(g, sigmas[i], witness, True)):
+                total[i] = witness
         swept = [i for i in open_rows if total[i] is None]
     for found, rows, mode in ((perfect, open_rows, False), (total, swept, True)):
         if rows:
@@ -212,62 +223,6 @@ def preservation_verdicts(
             for i, ce in zip(rows, preservation_sweep(g, rest, mode, budget, seed)[1]):
                 found[i] = ce
     return scope, perfect, total
-
-
-def _witness_subgroups(g: FiniteGroup):
-    """The connection sets of constructions A and B, once per group: for
-    each proper K != {e} with a k in N(K) \\ K and k^2 in K, (K, S = kK for
-    the least such k, the coset labels of K); and for each K of index 2
-    and involution t outside it, (t, S = (K \\ {e}) u {t})."""
-    mult, e = g.mult, g.identity
-    pairs, halves = [], []
-    for h in g.subgroups[1:-1]:
-        k_set = frozenset(h)
-        outside = [x for x in range(g.order) if x not in k_set]
-        k = next(
-            (
-                x for x in outside
-                if mult[x][x] in k_set and all(g.conjugate(x, y) in k_set for y in h)
-            ),
-            None,
-        )
-        if k is not None:
-            s = tuple(sorted(mult[k][y] for y in h))
-            pairs.append((k_set, s, coset_labels(g, h)))
-        if 2 * len(h) == g.order:
-            involutions = [t for t in outside if mult[t][t] == e]
-            halves += [(t, tuple(sorted(k_set - {e} | {t}))) for t in involutions]
-    return pairs, halves
-
-
-def _total_witness(g: FiniteGroup, sigma, data):
-    """(S, C) of construction A on the first subgroup that sigma moves,
-    else of B on the first involution that sigma moves, or None."""
-    pairs, halves = data
-    for k_set, s, labels in pairs:
-        c_star = _moved_into(g, sigma, k_set)
-        if c_star is not None:
-            return s, _right_transversal(g, labels, c_star)
-    for t, s in halves:
-        if sigma[t] != t:
-            return s, tuple(sorted((g.identity, t)))
-    return None
-
-
-def _checked_witness(g: FiniteGroup, sigma, witness):
-    """The witness (S, C) if S is a connection set, C a total code of
-    Cay(G, S) and sigma(C) not one; else None."""
-    if witness is None:
-        return None
-    s, code = witness
-    try:
-        connection_set(g, s)
-    except CayleyCodesError:
-        return None
-    image = [sigma[c] for c in code]
-    if group_ring_check_total(g, s, code) and not group_ring_check_total(g, s, image):
-        return witness
-    return None
 
 
 def is_pcp_automorphism(
@@ -297,39 +252,75 @@ def all_power_automorphisms(g: FiniteGroup):
 
 
 def power_witness(g: FiniteGroup, sigma: tuple[int, ...]):
-    """A perfect code that the automorphism sigma does not carry to a code.
-
-    Returns (S, C), with C a perfect code of Cay(G, S) and sigma(C) not
-    one, or None when sigma is a power automorphism.  Let x be least with
-    sigma(x) not in H = <x>, and S = H \\ {e}; the closed balls of Cay(G, S)
-    are the right cosets Hy, so its perfect codes are the right
-    transversals of H.  As sigma(H) != H, some y outside H has sigma(y) in
-    H; c* is the least.  C is a right transversal containing e and c*, so
-    sigma(C) contains e and sigma(c*), two elements of the coset H.  The
-    right cosets are the inverses of the left ones: Hy = (y^-1 H)^-1.
-    """
-    spans = map(g.cyclic_span, range(g.order))
-    h = next((h for x, h in enumerate(spans) if sigma[x] not in h), None)
-    if h is None:
+    """(S, C), C a perfect code of Cay(G, S) and sigma(C) not one, on the H
+    of the module docstring; None when sigma is a power automorphism."""
+    found = _moved_subgroup(g, sigma, {})
+    if found is None:
         return None
-    labels = coset_labels(g, tuple(sorted(h)))
-    code = _right_transversal(g, labels, _moved_into(g, sigma, h))
+    h, code, _ = found
     return connection_set(g, h - {g.identity}), code
 
 
-def _moved_into(g: FiniteGroup, sigma, k_set):
-    """The least y outside K with sigma(y) in K, None when sigma(K) = K."""
-    moved = (y for y in range(g.order) if y not in k_set and sigma[y] in k_set)
-    return next(moved, None)
+def _total_witness(g: FiniteGroup, sigma, cache):
+    """(S, C) of construction A, else B, on `power_witness`'s <x>, or None
+    when sigma is a power automorphism or neither applies."""
+    found = _moved_subgroup(g, sigma, cache)
+    if found is None or found[2] is None:
+        return None
+    _, code, (s, b_code) = found
+    return s, b_code or code
 
 
-def _right_transversal(g: FiniteGroup, labels, c_star):
-    """The right transversal of K through e and c* (in different cosets)
-    that takes each other right coset's least element; labels are K's
-    left coset labels.  Ky is labelled by its inverse y^-1 K."""
-    code = {}
-    for y in range(g.order):
-        code.setdefault(labels[g.inv[y]], y)
+def witness_holds(g: FiniteGroup, sigma, witness, total: bool = False):
+    """(C is a (total) perfect code of Cay(G, S), sigma(C) is not) for the
+    witness (S, C) of sigma; (False, False) when S is not a connection set."""
+    s, code = witness
+    try:
+        graph = build_cayley(g, s)
+    except CayleyCodesError:
+        return False, False
+    check = is_total_perfect_code if total else is_perfect_code
+    return check(graph, code), not check(graph, [sigma[c] for c in code])
+
+
+def _moved_subgroup(g: FiniteGroup, sigma, cache):
+    """(H, C, total) for the H and C of the module docstring, C taking the
+    least element of each right coset but those of e and c*, or None when
+    sigma is a power automorphism.  total is the (S, None) of construction
+    A, the (S, C) of B, or None.  cache keeps each H's data."""
+    spans = g.cyclic_spans
+    x = next((x for x, span in enumerate(spans) if not span >> sigma[x] & 1), None)
+    if x is None:
+        return None
+    if spans[x] not in cache:
+        cache[spans[x]] = _subgroup_data(g, x)
+    h, labels, least, total = cache[spans[x]]
+    c_star = next(y for y in range(g.order) if y not in h and sigma[y] in h)
+    code = dict(least)
     for y in (c_star, g.identity):
         code[labels[g.inv[y]]] = y
-    return tuple(sorted(code.values()))
+    return h, tuple(sorted(code.values())), total
+
+
+def _subgroup_data(g: FiniteGroup, x):
+    """H = <x> as a set, its left coset labels, the least element of each
+    right coset Hy (keyed y^-1 H: Hy = (y^-1 H)^-1) and the total above."""
+    mult, e = g.mult, g.identity
+    h = [y for y in range(g.order) if g.cyclic_spans[x] >> y & 1]
+    labels, h, least = coset_labels(g, h), frozenset(h), {}
+    for y in range(g.order):
+        least.setdefault(labels[g.inv[y]], y)
+    k = _normalizing_root(g, x, h)
+    if k is not None:
+        return h, labels, least, (tuple(sorted(mult[k][y] for y in h)), None)
+    if mult[x][x] != e:
+        return h, labels, least, None
+    squares = {row[y] for y, row in enumerate(mult)}
+    return h, labels, least, (tuple(sorted(squares - {e} | {x})), tuple(sorted((e, x))))
+
+
+def _normalizing_root(g: FiniteGroup, x, h):
+    """The least k in N(H) \\ H with k^2 in H, for H = <x> as a set, or
+    None; k normalizes the cyclic H when k x k^-1 lies in H."""
+    roots = (k for k in range(g.order) if k not in h and g.mult[k][k] in h)
+    return next((k for k in roots if g.conjugate(k, x) in h), None)

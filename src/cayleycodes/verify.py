@@ -44,7 +44,12 @@ from .groups import (
     make_dihedral,
     subgroup_generated,
 )
-from .pcp import all_connection_sets, all_power_automorphisms, power_witness
+from .pcp import (
+    all_connection_sets,
+    all_power_automorphisms,
+    power_witness,
+    witness_holds,
+)
 from .specparse import parse_element_expr
 from .spectral import (
     group_ring_tiling_check,
@@ -295,15 +300,6 @@ def suite_thm4a(seed: int = 0) -> SuiteResult:
     return res
 
 
-def _witness_holds(g, sigma, witness) -> tuple[bool, bool]:
-    """(C is a perfect code of Cay(G, S), sigma(C) is not) for the witness
-    (S, C) of sigma, each by one perfect-code check."""
-    s, code = witness
-    graph = build_cayley(g, s)
-    image = [sigma[c] for c in code]
-    return is_perfect_code(graph, code), not is_perfect_code(graph, image)
-
-
 def suite_prop3(seed: int = 0) -> SuiteResult:
     """Constructed witnesses for non-power inner automorphisms of S3, D8,
     D10 and D12, each confirmed by the perfect-code check."""
@@ -323,7 +319,7 @@ def suite_prop3(seed: int = 0) -> SuiteResult:
             res.check(witness is not None, lambda: f"{name} g={x}: no witness produced")
             if witness is None:
                 continue
-            code_ok, image_broken = _witness_holds(g, sigma, witness)
+            code_ok, image_broken = witness_holds(g, sigma, witness)
             res.check(
                 code_ok, lambda: f"{name} g={x}: witness code is not a perfect code"
             )
@@ -352,7 +348,7 @@ def suite_trivial_centre(seed: int = 0) -> SuiteResult:
         res.check(
             len(centre(g)) == 1
             and all(
-                w is not None and all(_witness_holds(g, sigma, w))
+                w is not None and all(witness_holds(g, sigma, w))
                 for sigma, w in witnesses
             ),
             lambda: f"{name}: a non-identity inner automorphism preserves codes",

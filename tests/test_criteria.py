@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from cayleycodes import (
@@ -17,7 +15,6 @@ from cayleycodes import (
     dihedral_construct_sets,
     direct_product,
     dihedral_criterion,
-    from_table,
     generic_subgroup_code_decision,
     is_perfect_code,
     is_total_perfect_code,
@@ -35,21 +32,7 @@ from cayleycodes import criteria
 from cayleycodes.criteria import _transversal_search
 from cayleycodes.groups import all_subgroups, coset_labels, is_normal
 from cayleycodes.specparse import parse_element_expr, parse_group_spec
-
-
-def _relabeled(g, seed):
-    """g as a validated table under a seeded relabeling that moves the
-    identity off index 0."""
-    perm = list(range(g.order))
-    random.Random(seed).shuffle(perm)
-    if perm[g.identity] == 0:
-        k = (g.identity + 1) % g.order
-        perm[g.identity], perm[k] = perm[k], perm[g.identity]
-    table = [[0] * g.order for _ in range(g.order)]
-    for x, row in enumerate(g.mult):
-        for y, z in enumerate(row):
-            table[perm[x]][perm[y]] = perm[z]
-    return from_table(table)
+from relabeling import relabeled
 
 
 class TestPropertyOne:
@@ -81,7 +64,7 @@ class TestPropertyOne:
             make_dihedral(4),
             symmetric_group(4),
             direct_product(make_dihedral(4), make_abelian((2,))),
-            _relabeled(symmetric_group(4), 4),
+            relabeled(symmetric_group(4), 4),
         ]
         for g in groups:
             e = g.identity
@@ -164,7 +147,7 @@ class TestConstruction:
         # failing x: on every normal subgroup that fails it, over the
         # corpus, S4 and relabelings whose identity is not index 0
         base = [g for _, g in corpus_groups(32)] + [symmetric_group(4)]
-        groups = base + [_relabeled(g, seed) for seed, g in enumerate(base) if g.order > 1]
+        groups = base + [relabeled(g, seed) for seed, g in enumerate(base) if g.order > 1]
         failing = 0
         for g in groups:
             for h in all_subgroups(g):
@@ -470,10 +453,10 @@ REFERENCE_GROUPS = [
     ("D4xD4", parse_group_spec("product:(dihedral:4)x(dihedral:4)")),
     ("Q8xQ8", direct_product(quaternion_group(), quaternion_group())),
     ("S4xZ2", direct_product(symmetric_group(4), make_cyclic(2))),
-    ("S4@relabeled", _relabeled(symmetric_group(4), 4)),
+    ("S4@relabeled", relabeled(symmetric_group(4), 4)),
     (
         "S4xZ2@relabeled",
-        _relabeled(direct_product(symmetric_group(4), make_cyclic(2)), 5),
+        relabeled(direct_product(symmetric_group(4), make_cyclic(2)), 5),
     ),
 ]
 
@@ -561,7 +544,7 @@ CRITERION_GROUPS = [
     *corpus_groups(32),
     ("table:S4", symmetric_group(4)),
     ("table:S5", S5),
-    ("S5@relabeled", _relabeled(S5, 6)),
+    ("S5@relabeled", relabeled(S5, 6)),
 ]
 
 

@@ -43,6 +43,7 @@ from cayleycodes.corpus import (
 )
 from cayleycodes.errors import GroupSpecError, node_counter
 from cayleycodes.specparse import load_table_file
+from relabeling import relabel, relabeled, seeded_relabeling
 
 # the order-32 group of the paper's counterexample
 Z2_Z4_Z4 = ("abelian:2,4,4", make_abelian((2, 4, 4)))
@@ -297,34 +298,9 @@ def _reference_lattice(g):
 ORACLE_GROUPS = corpus_groups(32)
 
 
-def _relabel(mult, perm):
-    """The table of the same operation with element x renamed perm[x]."""
-    out = [[0] * len(mult) for _ in mult]
-    for i, row in enumerate(mult):
-        for j, v in enumerate(row):
-            out[perm[i]][perm[j]] = perm[v]
-    return out
-
-
-def _seeded_relabeling(g, seed):
-    """A seeded relabeling x -> perm[x] of all of g's elements that moves
-    the identity off index 0."""
-    perm = list(range(g.order))
-    random.Random(seed).shuffle(perm)
-    if perm[g.identity] == 0:
-        k = (g.identity + 1) % g.order
-        perm[g.identity], perm[k] = perm[k], perm[g.identity]
-    return perm
-
-
-def _relabeled(g, seed):
-    """g as a validated table under `_seeded_relabeling`."""
-    return from_table(_relabel(g.mult, _seeded_relabeling(g, seed)))
-
-
 # the canonical order of the lattice search depends on the indices
 LATTICE_GROUPS = ORACLE_GROUPS + [
-    (f"{spec}@relabeled", _relabeled(g, spec)) for spec, g in ORACLE_GROUPS if g.order > 1
+    (f"{spec}@relabeled", relabeled(g, spec)) for spec, g in ORACLE_GROUPS if g.order > 1
 ]
 
 
@@ -336,6 +312,11 @@ class TestLatticeOracle:
     @pytest.mark.parametrize("spec, g", LATTICE_GROUPS, ids=[s for s, _ in LATTICE_GROUPS])
     def test_all_subgroups_match_reference(self, spec, g):
         assert all_subgroups(g) == _reference_lattice(g)
+
+    @pytest.mark.parametrize("spec, g", LATTICE_GROUPS, ids=[s for s, _ in LATTICE_GROUPS])
+    def test_cyclic_spans_match_closure(self, spec, g):
+        spans = [closure(g, {x}) for x in range(g.order)]
+        assert g.cyclic_spans == tuple(sum(1 << y for y in h) for h in spans)
 
     @pytest.mark.parametrize("k, count", enumerate([1, 2, 5, 16, 67, 374, 2825]))
     def test_elementary_abelian_counts(self, k, count):
@@ -389,12 +370,12 @@ class TestLatticeOracle:
         source = {frozenset(h) for h in all_subgroups(g)}
         assert len(source) == count
         for seed in range(2):
-            perm = _seeded_relabeling(g, seed)
+            perm = seeded_relabeling(g, seed)
             assert perm[g.identity] != 0
             back = {y: x for x, y in enumerate(perm)}
-            relabeled = all_subgroups(from_table(_relabel(g.mult, perm)))
-            assert len(relabeled) == count
-            assert {frozenset(map(back.__getitem__, h)) for h in relabeled} == source, seed
+            lattice = all_subgroups(from_table(relabel(g.mult, perm)))
+            assert len(lattice) == count
+            assert {frozenset(map(back.__getitem__, h)) for h in lattice} == source, seed
 
     def test_second_call_on_a_group_makes_no_join(self, monkeypatch):
         g = make_abelian((2, 2, 4))
@@ -579,7 +560,7 @@ class TestTableOracle:
         rng = random.Random(spec)
         for _ in range(2):
             perm = [0] + rng.sample(range(1, g.order), g.order - 1)
-            tables.append(_relabel(g.mult, perm))
+            tables.append(relabel(g.mult, perm))
         for table in tables:
             assert _assert_same_outcome(table)[0] == "accepted"
             assert _assert_same_file_outcome(table, path)[0] == "accepted"
@@ -591,7 +572,7 @@ class TestTableOracle:
         rng = random.Random(5)
         for table in list(tables):
             n = len(table)
-            tables.append(_relabel(table, [0] + rng.sample(range(1, n), n - 1)))
+            tables.append(relabel(table, [0] + rng.sample(range(1, n), n - 1)))
         outcomes = [_assert_same_outcome(table) for table in tables]
         assert all(o[:2] == ("rejected", "non-associative") for o in outcomes)
         assert outcomes[0][2] == (1, 1, 2)
@@ -613,7 +594,7 @@ class TestTableOracle:
         ids=["Z2^8-relabeled", "D129"],
     )
     def test_groups_either_side_of_the_byte_cut(self, g, perm):
-        table = _relabel(g.mult, perm)
+        table = relabel(g.mult, perm)
         inv = [0] * g.order
         for x, y in enumerate(g.inv):
             inv[perm[x]] = perm[y]
@@ -639,7 +620,7 @@ class TestTableOracle:
         spec, g = data.draw(st.sampled_from(corpus_groups(12) + [Z2_Z4_Z4]))
         n = g.order
         perm = data.draw(st.permutations(range(n)))
-        table = _relabel(g.mult, perm)
+        table = relabel(g.mult, perm)
         cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
         value = st.one_of(st.integers(-1, n), st.sampled_from(["0", 1.0, True, None]))
         for i, j in data.draw(st.lists(cell, max_size=3)):
@@ -693,7 +674,7 @@ class TestTableOracle:
         cells += [(e, rng.randrange(n)), (rng.randrange(n), e)]
         reasons = collections.Counter()
         for i, j in cells:
-            table = _relabel(g.mult, perm)
+            table = relabel(g.mult, perm)
             table[i][j] = rng.choice([v for v in range(n) if v != table[i][j]])
             reasons[_assert_same_outcome(table)[1]] += 1
         assert reasons["not-latin-square"] >= 10 and reasons["no-identity"] >= 2
@@ -902,12 +883,12 @@ class TestAutomorphisms:
         # composition check rejects
         auts = _product_automorphisms(g)
         for seed in range(8):
-            perm = _seeded_relabeling(g, seed)
-            h = from_table(_relabel(g.mult, perm))
+            perm = seeded_relabeling(g, seed)
+            h = from_table(relabel(g.mult, perm))
             assert h.identity == perm[g.identity] != 0
             back = sorted(range(g.order), key=perm.__getitem__)
-            relabeled = sorted(tuple(perm[sigma[x]] for x in back) for sigma in auts)
-            assert all_automorphisms(h) == relabeled, seed
+            expected = sorted(tuple(perm[sigma[x]] for x in back) for sigma in auts)
+            assert all_automorphisms(h) == expected, seed
 
     def test_z2_to_the_fourth_extends_only_independent_images(self, monkeypatch):
         # images of e1..e4 outside the span of the earlier ones are exactly

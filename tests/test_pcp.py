@@ -13,6 +13,7 @@ from cayleycodes import (
     all_power_automorphisms,
     build_cayley,
     centre,
+    direct_product,
     enumerate_perfect_codes,
     group_ring_check_perfect,
     inner_automorphism,
@@ -23,12 +24,8 @@ from cayleycodes import (
     power_witness,
     preservation_sweep,
 )
-from cayleycodes.corpus import corpus_groups, symmetric_group
-from cayleycodes.groups import (
-    all_automorphisms,
-    coset_labels,
-    is_power_automorphism,
-)
+from cayleycodes.corpus import corpus_groups, quaternion_group, symmetric_group
+from cayleycodes.groups import all_automorphisms, closure, is_power_automorphism
 from cayleycodes.cayley import connection_set, is_total_perfect_code
 from cayleycodes.pcp import (
     DEFAULT_SAMPLE_BUDGET,
@@ -40,7 +37,7 @@ from cayleycodes.pcp import (
     is_tpcp_automorphism,
 )
 from cayleycodes.specparse import parse_group_spec
-from test_criteria import _relabeled
+from relabeling import relabeled
 from test_golden import PCP_RUNS, Z2_Z4_Z4, _resolve, _run
 
 
@@ -53,7 +50,7 @@ class TestConnectionSweep:
     def test_orbits_match_definition_on_relabeled_tables(self, seed):
         # with the identity off index 0, x^-1 is no longer -x mod n
         groups = [g for _, g in corpus_groups(16)] + [symmetric_group(4)]
-        for g in (_relabeled(g, seed) for g in groups if g.order > 1):
+        for g in (relabeled(g, seed) for g in groups if g.order > 1):
             e, inv = g.identity, g.inv
             orbits = {tuple(sorted({x, inv[x]})) for x in range(g.order) if x != e}
             assert connection_orbits(g) == sorted(orbits)
@@ -353,10 +350,10 @@ class TestWitness:
 def _reference_power_witness(g, sigma):
     """power_witness with the right cosets Hy listed directly as products
     ky, not as inverted left cosets."""
-    moved = [x for x in range(g.order) if sigma[x] not in g.cyclic_span(x)]
+    moved = [x for x in range(g.order) if sigma[x] not in closure(g, {x})]
     if not moved:
         return None
-    h = g.cyclic_span(moved[0])
+    h = closure(g, {moved[0]})
     c_star = min(y for y in range(g.order) if y not in h and sigma[y] in h)
     cosets = {frozenset(g.mult[k][y] for k in h) for y in range(g.order)}
     code = []
@@ -418,42 +415,31 @@ def _certifies(g, sigma, witness):
 def _witness_failures(g):
     """The non-power automorphisms of g that get no witness from
     constructions A and B, or one that fails its certificate."""
-    data = pcp._witness_subgroups(g)
-    failures = []
+    cache, failures = {}, []
     for sigma in all_automorphisms(g):
         if is_power_automorphism(g, sigma):
             continue
-        witness = pcp._total_witness(g, sigma, data)
+        witness = pcp._total_witness(g, sigma, cache)
         if witness is None or not _certifies(g, sigma, witness):
             failures.append((sigma, witness))
     return failures
 
 
-# construction B's data for the mutant below, which leaves B as it is
-_library_witness_subgroups = pcp._witness_subgroups
-
-
-def _no_square_test(g):
-    """`pcp._witness_subgroups` taking any k in N(K) \\ K, whether or not
-    k^2 lies in K."""
-    pairs = []
-    for h in g.subgroups[1:-1]:
-        k_set = frozenset(h)
-        k = next(
-            (
-                x for x in range(g.order)
-                if x not in k_set and all(g.conjugate(x, y) in k_set for y in h)
-            ),
-            None,
-        )
-        if k is not None:
-            s = tuple(sorted(g.mult[k][y] for y in h))
-            pairs.append((k_set, s, coset_labels(g, h)))
-    return pairs, _library_witness_subgroups(g)[1]
+def _no_square_test(g, x, h):
+    """`pcp._normalizing_root` taking any k in N(H) \\ H, whether or not
+    k^2 lies in H."""
+    return next((k for k in range(g.order) if k not in h and g.conjugate(k, x) in h), None)
 
 
 EVEN_GROUPS = [(spec, g) for spec, g in corpus_groups(12) if g.order % 2 == 0]
 EVEN_GROUPS += [("S4", symmetric_group(4)), ("dihedral:12", make_dihedral(12))]
+# 21 724 non-power automorphisms, 20 159 of them of Z2^4
+COVERAGE_GROUPS = [(spec, g) for spec, g in corpus_groups(24) if g.order % 2 == 0] + [
+    ("S4", symmetric_group(4)),
+    ("Q8xZ2", direct_product(quaternion_group(), make_cyclic(2))),
+    ("S3xS3", direct_product(symmetric_group(3), symmetric_group(3))),
+]
+TWO_GROUPS = [(spec, g) for spec, g in COVERAGE_GROUPS if g.order & (g.order - 1) == 0]
 
 
 class TestVerdicts:
@@ -480,22 +466,39 @@ class TestVerdicts:
             for ce, tce in zip(perfect, total)
         ]
 
-    @pytest.mark.parametrize("spec, g", EVEN_GROUPS, ids=[s for s, _ in EVEN_GROUPS])
+    @pytest.mark.parametrize(
+        "spec, g", COVERAGE_GROUPS, ids=[s for s, _ in COVERAGE_GROUPS]
+    )
     def test_every_non_power_automorphism_has_a_total_witness(self, spec, g):
         assert _witness_failures(g) == []
+
+    @pytest.mark.parametrize("spec, g", TWO_GROUPS, ids=[s for s, _ in TWO_GROUPS])
+    def test_two_groups_take_construction_a(self, spec, g):
+        # in a 2-group N(H) > H for every proper H, so some k in N(H) \\ H
+        # has k^2 in H, and S = kH is one left coset of H = <x>; B's
+        # S = (K \\ {e}) u {x} never is: it holds x, but not e = xx
+        spans = [closure(g, {x}) for x in range(g.order)]
+        cache = {}
+        for sigma in all_automorphisms(g):
+            moved = [x for x in range(g.order) if sigma[x] not in spans[x]]
+            if moved:
+                h = spans[moved[0]]
+                s, _ = pcp._total_witness(g, sigma, cache)
+                assert len(s) == len(h)
+                assert {g.mult[y][z] for y in s for z in h} == set(s)
 
     @pytest.mark.parametrize(
         "spec, g", corpus_groups(12), ids=[s for s, _ in corpus_groups(12)]
     )
     def test_witness_exactly_where_the_total_sweep_refutes(self, spec, g):
         sigmas = all_automorphisms(g)
-        data = pcp._witness_subgroups(g)
         _, refuted = preservation_sweep(g, sigmas, total=True)
-        witnessed = [pcp._total_witness(g, sigma, data) is not None for sigma in sigmas]
+        cache = {}
+        witnessed = [pcp._total_witness(g, sigma, cache) is not None for sigma in sigmas]
         assert witnessed == [ce is not None for ce in refuted]
 
     def test_witnesses_without_the_square_test_fail(self, monkeypatch):
-        monkeypatch.setattr(pcp, "_witness_subgroups", _no_square_test)
+        monkeypatch.setattr(pcp, "_normalizing_root", _no_square_test)
         failing = [spec for spec, g in EVEN_GROUPS if _witness_failures(g)]
         assert failing
         # the library's certificate check sends each failing sigma to the

@@ -14,7 +14,6 @@ from cayleycodes import (
     build_cayley,
     characters,
     enumerate_perfect_codes,
-    from_table,
     make_abelian,
     make_cyclic,
     spectral_tiling_check,
@@ -22,6 +21,7 @@ from cayleycodes import (
 from cayleycodes import spectral
 from cayleycodes.corpus import abelian_types
 from cayleycodes.corpus import symmetric_group
+from cayleycodes.groups import closure
 from cayleycodes.spectral import (
     CyclotomicSum,
     char_sum,
@@ -29,6 +29,7 @@ from cayleycodes.spectral import (
     vanishing_mask,
 )
 from cayleycodes.verify import suite_lemma_equivalence
+from relabeling import relabeled_fixing_identity
 
 # Every group the lemma-equivalence suite visits at its default bound 24.
 LEMMA_GROUPS = [make_cyclic(n) for n in range(1, 25)] + [
@@ -36,25 +37,14 @@ LEMMA_GROUPS = [make_cyclic(n) for n in range(1, 25)] + [
 ]
 
 
-def _relabeled(g, seed):
-    """g as a `table:` group under a seeded relabeling fixing the identity."""
-    rng = random.Random(seed)
-    perm = [0] + rng.sample(range(1, g.order), g.order - 1)
-    back = {p: i for i, p in enumerate(perm)}
-    n = g.order
-    return from_table(
-        [[perm[g.mult[back[x]][back[y]]] for y in range(n)] for x in range(n)]
-    )
-
-
 # seeded relabelings of abelian groups: they store no decomposition, so
 # `characters` refuses them
 RELABELED_GROUPS = [
-    _relabeled(make_abelian(t), seed)
+    relabeled_fixing_identity(make_abelian(t), seed)
     for seed, t in enumerate(
         [(2, 2), (2, 4), (2, 2, 2), (3, 3), (2, 6), (2, 2, 4), (4, 4)]
     )
-] + [_relabeled(make_cyclic(n), 100 + n) for n in (6, 8, 12)]
+] + [relabeled_fixing_identity(make_cyclic(n), 100 + n) for n in (6, 8, 12)]
 
 
 def _reference_characters(g):
@@ -227,7 +217,7 @@ class TestKernelClasses:
 
     @pytest.mark.parametrize("g", ABELIAN_32, ids=lambda g: f"{g.decomposition}")
     def test_one_class_per_nontrivial_cyclic_subgroup(self, g):
-        spans = {g.cyclic_span(x) for x in range(g.order)} - {frozenset({g.identity})}
+        spans = {closure(g, {x}) for x in range(g.order)} - {frozenset({g.identity})}
         assert len(spectral._kernel_classes(g.decomposition)) == len(spans)
 
     @pytest.mark.parametrize("g", ABELIAN_32, ids=lambda g: f"{g.decomposition}")
