@@ -246,19 +246,21 @@ def from_table(table) -> FiniteGroup:
     the table is associative once N holds those generators.  For a
     generator s, row x composed with row s is x(sy) over all y, which is
     compared with the row of xs, (xs)y: one C-level composition of n
-    entries per (row, generator), O(n^2*|gens|) in all.  For n <= 256 each
-    validated row, whatever its input type, is converted once to `bytes`,
-    since a byte holds any index 0..255, and ``rows[s].translate(maps[x])``
-    composes the two, where ``maps[x]`` is row x padded with zeros to the
-    256 bytes `translate` reads.  A larger table cannot be held in bytes;
-    there ``itemgetter(*mult[s])`` maps row x to x(sy) as an n-tuple.
-    Only a table that fails the test pays the O(n^3) lexicographic scan
-    for the (x, y, z) witness.
+    entries per (row, generator), O(n^2*|gens|) in all.  For n <= 256 the
+    rows are held as `bytes`, since a byte holds any index 0..255, and
+    ``rows[s].translate(maps[x])`` composes the two, where ``maps[x]`` is
+    row x padded with zeros to the 256 bytes `translate` reads.  An input
+    row of type `bytes` is used as given; a row of any other type is
+    encoded once from its validated tuple.  A larger table cannot be held
+    in bytes; there ``itemgetter(*mult[s])`` maps row x to x(sy) as an
+    n-tuple.  Only a table that fails the test pays the O(n^3)
+    lexicographic scan for the (x, y, z) witness.
 
-    The range check takes one ``max(row) < n`` on a row of type `bytes`,
-    the form in which `load_table_file` hands over the rows of a table of
-    order <= 256, and scans the entries' types and values on a row of any
-    other type.
+    The range check on a row of type `bytes`, the form in which
+    `load_table_file` hands over the rows of a table of order <= 256, is
+    one ``row.translate(None, indices)``: deleting every byte below n
+    leaves nothing iff every entry is below n.  On a row of any other type
+    it scans the entries' types and values.
 
     A table with a two-sided identity, two-sided inverses and an
     associative product is a group, whose rows and columns are
@@ -271,10 +273,11 @@ def from_table(table) -> FiniteGroup:
     if n == 0:
         raise GroupTableError("not-square")
     indices = frozenset(range(n))
+    byte_indices = bytes(range(min(n, 256)))
     for i, row in enumerate(table):
         if len(row) != n:
             raise GroupTableError("not-square", (i,))
-        if type(row) is bytes and max(row) < n:
+        if type(row) is bytes and not row.translate(None, byte_indices):
             continue
         if set(map(type, row)) == {int} and indices.issuperset(row):
             continue
@@ -297,17 +300,20 @@ def from_table(table) -> FiniteGroup:
         raise
     g = FiniteGroup(n, mult, identity, inv, "table")
 
-    if not _light_test(mult, g.generators):
+    if not _light_test(table, mult, g.generators):
         _check_latin_square(mult)
         raise GroupTableError("non-associative", _first_non_associative(mult))
     return g
 
 
-def _light_test(mult, gens):
-    """Does (xs)y = x(sy) hold for every generator s and all x, y?"""
+def _light_test(table, mult, gens):
+    """Does (xs)y = x(sy) hold for every generator s and all x, y?
+
+    ``table`` holds the input rows and ``mult`` the same rows as tuples.
+    """
     n = len(mult)
     if n <= 256:
-        rows = [bytes(row) for row in mult]
+        rows = [r if type(r) is bytes else bytes(m) for r, m in zip(table, mult)]
         maps = [row + bytes(256 - n) for row in rows]
         return all(
             list(map(rows[s].translate, maps)) == [rows[row[s]] for row in mult]

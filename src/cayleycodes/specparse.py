@@ -4,8 +4,9 @@ Spec grammar (ASCII, case-insensitive):
     "cyclic:N" | "dihedral:N" (order 2N) | "abelian:N1,N2,..."
     | "product:(SPEC)x(SPEC)" | "table:PATH"
 
-Cayley-table files: line 1 is n, then n rows of n indices; identity must
-be index 0.
+Cayley-table files: the first token is the order n >= 1, then the n^2
+indices row by row, in any whitespace layout (usually n lines of n);
+identity must be index 0.
 
 Element expressions use the group's canonical generators (a for cyclic,
 a and b for dihedral, a1..ak for abelian products), "^" for exponents,
@@ -16,7 +17,7 @@ integers are read as element indices for any group kind.
 from __future__ import annotations
 
 import re
-from itertools import chain
+from operator import itemgetter
 
 from .errors import (
     BoundExceededError,
@@ -39,6 +40,11 @@ from .groups import (
 # bound, and 64 keeps the spec walk's recursion far from the interpreter's
 # limit.
 MAX_PRODUCT_DEPTH = 64
+
+# About how many entries of a table file are parsed at once: enough to
+# spread the cost of one split and one lookup call over many entries, few
+# enough that the token strings of a large table are never all held.
+BLOCK_ENTRIES = 512
 
 
 def parse_group_spec(spec: str, check_order=None) -> FiniteGroup:
@@ -121,47 +127,68 @@ def _split_product(body: str, spec: str):
 def load_table_file(path: str) -> FiniteGroup:
     """Read a Cayley-table file and validate it with `from_table`.
 
-    The entries are parsed in one pass, O(n^2), by looking each token up
-    in a dict from the plain spellings "0" .. "n-1" to their indices.  The
-    file is split one line at a time, so that its n^2 token strings are
-    never held at once.  A token outside the dict (another spelling int()
-    reads, such as "007", "+1", "1_0" or a non-ASCII digit, an
+    The header is the first token of the first line that holds one; the
+    entries follow it, on its line or later ones, in any layout.  They are
+    parsed in one pass, O(n^2), block by block: a block is a run of whole
+    lines holding about BLOCK_ENTRIES entries, or one line where a line
+    holds more, so that the file's n^2 token strings are never held at
+    once.  Each block is one join and split, and one ``itemgetter`` call
+    that looks its tokens up in a dict from the plain spellings "0" ..
+    "n-1" to their indices.  A token outside the dict (another spelling
+    int() reads, such as "007", "+1", "1_0" or a non-ASCII digit, an
     out-of-range index or a word) sends the body through int() token by
     token once the entry count is checked: `from_table` range-checks the
     result, and the first token int() rejects is named in the error.  A
     header n whose n^2 entries cannot fit in the file takes that path too,
     so the dict is never larger than the file.  The looked-up cells of a
-    table of order <= 256 are one `bytes` object, and its row slices take
-    `from_table`'s bytes path: one ``max`` per row for the range check.
-    Any other table's cells are one list, cut into tuple rows that
-    `from_table` keeps as they are.
+    table of order <= 256 fill one `bytearray`, whose `bytes` row slices
+    `from_table` range-checks and composes as they are.  Any other table's
+    cells are one list, cut into tuple rows that `from_table` keeps as
+    they are.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except UnicodeDecodeError:
         raise GroupSpecError(f"table file {path!r} is not UTF-8 text") from None
-    tokens = chain.from_iterable(map(str.split, lines))
-    head = next(tokens, None)
-    if head is None:
+    first = next((i for i, line in enumerate(lines) if line.strip()), None)
+    if first is None:
         raise GroupSpecError(f"empty table file {path!r}")
+    head, *rest = lines[first].split(None, 1)
+    del lines[:first]
+    lines[0] = rest[0] if rest else ""  # the entries on the header's line
     n = _int(head)
+    if n < 1:
+        raise GroupSpecError(
+            f"table file {path!r}: the header must be a positive order, got {head!r}"
+        )
     if n * n > sum(map(len, lines)):  # each entry takes one character or more
-        cells, spelled = " ".join(lines).split()[1:], True
+        cells, spelled = " ".join(lines).split(), True
     else:
-        lookup = {str(i): i for i in range(n)}.__getitem__
+        lookup = {str(i): i for i in range(n)}
+        cells = bytearray() if n <= 256 else []
+        # whole lines per block: about BLOCK_ENTRIES entries if the
+        # entries are spread evenly over the lines
+        step = max(1, BLOCK_ENTRIES * len(lines) // (n * n))
         try:
-            cells = (bytes if n <= 256 else list)(map(lookup, tokens))
+            for i in range(0, len(lines), step):
+                tokens = " ".join(lines[i : i + step]).split()
+                if len(tokens) > 1:
+                    cells.extend(itemgetter(*tokens)(lookup))
+                elif tokens:  # itemgetter of one key returns the bare value
+                    cells.append(lookup[tokens[0]])
             spelled = False
         except KeyError:
-            cells, spelled = " ".join(lines).split()[1:], True
-    del tokens, lines  # the text is not read again
+            cells, spelled = " ".join(lines).split(), True
+    del lines  # the text is not read again
     if len(cells) != n * n:
         raise GroupSpecError(
             f"table file {path!r}: expected {n * n} entries, got {len(cells)}"
         )
     if spelled:
         cells = list(map(_int, cells))
+    elif n <= 256:
+        cells = bytes(cells)
     row = bytes if type(cells) is bytes else tuple  # bytes(b) is b, uncopied
     g = from_table([row(cells[i * n : (i + 1) * n]) for i in range(n)])
     if g.identity != 0:

@@ -65,6 +65,19 @@ class TestSpecParsing:
         assert main(["check", f"table:{path}", "--conn", "0", "--code", "1"]) == 2
         assert capsys.readouterr().err == f"error: {err.value}\n"
 
+    @pytest.mark.parametrize("header", ["0", "-1"])
+    def test_table_header_must_be_positive(self, tmp_path, capsys, header):
+        path = tmp_path / "header.txt"
+        path.write_text(f"{header}\n0\n")
+        with pytest.raises(GroupSpecError) as err:
+            parse_group_spec(f"table:{path}")
+        assert str(err.value) == (
+            f"table file {str(path)!r}: the header must be a positive order, "
+            f"got {header!r}"
+        )
+        assert main(["check", f"table:{path}", "--conn", "", "--code", "0"]) == 2
+        assert capsys.readouterr().err == f"error: {err.value}\n"
+
     def test_element_expressions(self):
         g = parse_group_spec("abelian:2,4,4")
         assert parse_element_expr(g, "a2*a3") == 5

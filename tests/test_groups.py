@@ -10,7 +10,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cayleycodes import groups
+from cayleycodes import groups, specparse
 from cayleycodes import (
     BoundExceededError,
     GroupTableError,
@@ -704,6 +704,57 @@ def _reference_abelian(orders):
     return mult, inv
 
 
+# groups of the orders around the cuts of the table loader: one block,
+# several rows per block, rows that fit in a byte, and larger ones
+_LAYOUT_GROUPS = {
+    1: lambda: make_cyclic(1),
+    2: lambda: make_cyclic(2),
+    8: quaternion_group,
+    128: lambda: direct_product(make_dihedral(16), make_abelian((2, 2))),
+    255: lambda: make_cyclic(255),
+    256: lambda: make_abelian((2,) * 8),
+    257: lambda: make_cyclic(257),
+}
+
+_LAYOUTS = ("rows", "header-line", "one-per-line", "crlf", "tabs", "blank-lines")
+
+
+def _layout_text(table, layout):
+    """A table file for ``table`` with its entries laid out as named:
+    one row per line, every entry on the header's line, one entry per
+    line, CRLF line ends, tabs and runs of spaces between entries, or
+    blank lines before the header and between rows."""
+    n = len(table)
+    rows = [" ".join(map(str, row)) for row in table]
+    if layout == "rows":
+        return "\n".join([str(n)] + rows) + "\n"
+    if layout == "header-line":
+        return " ".join([str(n)] + rows) + "\n"
+    if layout == "one-per-line":
+        return "\n".join([str(n)] + [str(v) for row in table for v in row]) + "\n"
+    if layout == "crlf":
+        return "\r\n".join([str(n)] + rows) + "\r\n"
+    if layout == "tabs":
+        rows = ["\t " + " \t  ".join(map(str, row)) + "  " for row in table]
+        return "\n".join([f" {n}\t"] + rows) + "\n"
+    assert layout == "blank-lines"
+    return "\n \n\t\n" + "\n\n".join([str(n)] + rows) + "\n\n"
+
+
+def _block_edges(n, per_line):
+    """Flat positions of the first and last entries of the loader's
+    first three blocks and its last, in a file that holds ``per_line``
+    entries on each line after the header's: a block is a run of whole
+    lines, about BLOCK_ENTRIES entries in all, and the header's line is
+    the first line of the first block."""
+    lines = n * n // per_line + 1
+    step = max(1, specparse.BLOCK_ENTRIES * lines // (n * n))
+    starts = list(range(0, lines, step))
+    firsts = [max(0, s - 1) * per_line for s in starts[:4] + starts[-1:]]
+    edges = set(firsts) | {f - 1 for f in firsts if f} | {n * n - 1}
+    return sorted(edges)
+
+
 class TestTableConstruction:
     @pytest.mark.parametrize(
         "orders",
@@ -764,6 +815,40 @@ class TestTableConstruction:
         path.write_text("3\n0 1 2\n1 y 0\n2 0 z\n")
         with pytest.raises(GroupSpecError, match="expected an integer, got 'y'"):
             load_table_file(str(path))
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 128, 255, 256, 257])
+    def test_load_table_file_layouts(self, tmp_path, n):
+        g = _LAYOUT_GROUPS[n]()
+        table = relabel(g.mult, [0] + random.Random(n).sample(range(1, n), n - 1))
+        want = None
+        for layout in _LAYOUTS:
+            path = tmp_path / f"{layout}.txt"
+            path.write_bytes(_layout_text(table, layout).encode())
+            h = load_table_file(str(path))
+            want = want or (h.mult, h.inv)
+            assert (h.mult, h.inv) == want, layout
+        assert want[0] == tuple(map(tuple, table))
+
+    @pytest.mark.parametrize("n", [8, 128, 256, 257])
+    @pytest.mark.parametrize("layout", ["rows", "one-per-line"])
+    def test_load_table_file_bad_token_at_block_edges(self, tmp_path, n, layout):
+        g = _LAYOUT_GROUPS[n]()
+        path = tmp_path / "bad.txt"
+        per_line = n if layout == "rows" else 1
+        for pos in _block_edges(n, per_line):
+            for token in ("y", str(n)):
+                table = [list(row) for row in g.mult]
+                table[pos // n][pos % n] = token
+                path.write_bytes(_layout_text(table, layout).encode())
+                if token == "y":
+                    with pytest.raises(GroupSpecError) as err:
+                        load_table_file(str(path))
+                    assert str(err.value) == "expected an integer, got 'y'"
+                else:
+                    with pytest.raises(GroupTableError) as err:
+                        load_table_file(str(path))
+                    assert (err.value.reason, err.value.witness) == (
+                        "bad-index", (pos // n, pos % n))
 
     def test_corpus_spec_names_unique(self):
         specs = [spec for spec, _ in corpus_groups(64)]
