@@ -256,11 +256,13 @@ def from_table(table) -> FiniteGroup:
     n-tuple.  Only a table that fails the test pays the O(n^3)
     lexicographic scan for the (x, y, z) witness.
 
-    The range check on a row of type `bytes`, the form in which
-    `load_table_file` hands over the rows of a table of order <= 256, is
-    one ``row.translate(None, indices)``: deleting every byte below n
-    leaves nothing iff every entry is below n.  On a row of any other type
-    it scans the entries' types and values.
+    The range check on a row of type `bytes` is one
+    ``row.translate(None, indices)``: deleting every byte below n leaves
+    nothing iff every entry is below n.  On a row of any other type it
+    scans the entries' types and values.  Each row is checked and encoded
+    by its own type, so one table may mix them: `load_table_file` hands
+    over `bytes` rows for a table of order <= 256 until a block of its
+    file needs int(), and tuple rows after that.
 
     A table with a two-sided identity, two-sided inverses and an
     associative product is a group, whose rows and columns are

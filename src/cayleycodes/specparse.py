@@ -95,11 +95,13 @@ def _plan(spec: str, depth: int):
     return order, lambda: make[kind](param)
 
 
-def _int(text: str) -> int:
+def _int(text: str, where: str = "") -> int:
     try:
         return int(text.strip())
     except ValueError as exc:
-        raise GroupSpecError(f"expected an integer, got {text.strip()!r}") from exc
+        raise GroupSpecError(
+            f"{where}expected an integer, got {text.strip()!r}"
+        ) from exc
 
 
 def _split_product(body: str, spec: str):
@@ -133,18 +135,19 @@ def load_table_file(path: str) -> FiniteGroup:
     lines holding about BLOCK_ENTRIES entries, or one line where a line
     holds more, so that the file's n^2 token strings are never held at
     once.  Each block is one join and split, and one ``itemgetter`` call
-    that looks its tokens up in a dict from the plain spellings "0" ..
-    "n-1" to their indices.  A token outside the dict (another spelling
-    int() reads, such as "007", "+1", "1_0" or a non-ASCII digit, an
-    out-of-range index or a word) sends the body through int() token by
-    token once the entry count is checked: `from_table` range-checks the
-    result, and the first token int() rejects is named in the error.  A
-    header n whose n^2 entries cannot fit in the file takes that path too,
-    so the dict is never larger than the file.  The looked-up cells of a
-    table of order <= 256 fill one `bytearray`, whose `bytes` row slices
-    `from_table` range-checks and composes as they are.  Any other table's
-    cells are one list, cut into tuple rows that `from_table` keeps as
-    they are.
+    that looks its tokens up in a dict from the plain spellings "0", "1",
+    ... to their indices.  The dict stops below n and below the file's
+    character count: a file of c characters holds at most c entries, so a
+    file with the right entry count spells no plain index the dict lacks.
+    A block with a token outside the dict (another spelling int() reads,
+    such as "007", "+1", "1_0" or a non-ASCII digit, an out-of-range index
+    or a word) is read token by token with int(), and the first token
+    int() rejects is named in the error, with the file; `from_table`
+    range-checks the values.  The whole rows a block completes are cut
+    from it at once: `bytes` rows for a table of order <= 256 until a
+    block needs int(), whose values need not fit in a byte, and tuple rows
+    after that and for any larger table.  `from_table` takes either kind
+    as it is.  The entry count is checked once the text is read.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -157,44 +160,37 @@ def load_table_file(path: str) -> FiniteGroup:
     head, *rest = lines[first].split(None, 1)
     del lines[:first]
     lines[0] = rest[0] if rest else ""  # the entries on the header's line
-    n = _int(head)
+    where = f"table file {path!r}: "
+    n = _int(head, where)
     if n < 1:
         raise GroupSpecError(
-            f"table file {path!r}: the header must be a positive order, got {head!r}"
+            f"{where}the header must be a positive order, got {head!r}"
         )
-    if n * n > sum(map(len, lines)):  # each entry takes one character or more
-        cells, spelled = " ".join(lines).split(), True
-    else:
-        lookup = {str(i): i for i in range(n)}
-        cells = bytearray() if n <= 256 else []
-        # whole lines per block: about BLOCK_ENTRIES entries if the
-        # entries are spread evenly over the lines
-        step = max(1, BLOCK_ENTRIES * len(lines) // (n * n))
+    lookup = {str(i): i for i in range(min(n, sum(map(len, lines))))}
+    row, rows, cells = (bytes, [], bytearray()) if n <= 256 else (tuple, [], [])
+    # whole lines per block: about BLOCK_ENTRIES entries if the entries
+    # are spread evenly over the lines
+    step = max(1, BLOCK_ENTRIES * len(lines) // (n * n))
+    for i in range(0, len(lines), step):
+        tokens = " ".join(lines[i : i + step]).split()
         try:
-            for i in range(0, len(lines), step):
-                tokens = " ".join(lines[i : i + step]).split()
-                if len(tokens) > 1:
-                    cells.extend(itemgetter(*tokens)(lookup))
-                elif tokens:  # itemgetter of one key returns the bare value
-                    cells.append(lookup[tokens[0]])
-            spelled = False
+            if len(tokens) > 1:
+                cells.extend(itemgetter(*tokens)(lookup))
+            elif tokens:  # itemgetter of one key returns the bare value
+                cells.append(lookup[tokens[0]])
         except KeyError:
-            cells, spelled = " ".join(lines).split(), True
+            row, cells = tuple, list(cells)  # less than one row
+            cells += [_int(token, where) for token in tokens]
+        cut = len(cells) - len(cells) % n
+        rows += [row(cells[j : j + n]) for j in range(0, cut, n)]
+        del cells[:cut]
     del lines  # the text is not read again
-    if len(cells) != n * n:
-        raise GroupSpecError(
-            f"table file {path!r}: expected {n * n} entries, got {len(cells)}"
-        )
-    if spelled:
-        cells = list(map(_int, cells))
-    elif n <= 256:
-        cells = bytes(cells)
-    row = bytes if type(cells) is bytes else tuple  # bytes(b) is b, uncopied
-    g = from_table([row(cells[i * n : (i + 1) * n]) for i in range(n)])
+    count = len(rows) * n + len(cells)
+    if count != n * n:
+        raise GroupSpecError(f"{where}expected {n * n} entries, got {count}")
+    g = from_table(rows)
     if g.identity != 0:
-        raise GroupSpecError(
-            f"table file {path!r}: the identity is index {g.identity}, not index 0"
-        )
+        raise GroupSpecError(f"{where}the identity is index {g.identity}, not index 0")
     return g
 
 

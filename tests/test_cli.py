@@ -373,7 +373,18 @@ class TestClassify:
         path = tmp_path / "words.txt"
         path.write_text("3\n0 1 9\n1 007 y\n2 0 z\n")
         assert main(["classify", f"table:{path}"]) == 2
-        assert capsys.readouterr().err == "error: expected an integer, got 'y'\n"
+        assert capsys.readouterr().err == (
+            f"error: table file {str(path)!r}: expected an integer, got 'y'\n"
+        )
+
+    def test_table_word_names_its_file_inside_a_product(self, capsys, tmp_path):
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        good.write_text("2\n0 1\n1 0\n")
+        bad.write_text("2\n0 1\n1 y\n")
+        assert main(["classify", f"product:(table:{good})x(table:{bad})"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: table file {str(bad)!r}: expected an integer, got 'y'\n"
+        )
 
 
 class TestCheck:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import itertools
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -172,6 +173,22 @@ class TestFromTable:
         with pytest.raises(GroupTableError) as err:
             from_table([[0, 1], [1, 1]])
         assert err.value.reason == "not-latin-square"
+
+    def test_rows_of_mixed_types(self):
+        # the table loader hands over bytes rows until a block needs int(),
+        # and tuple rows after it
+        g = make_dihedral(4)
+        kinds = (bytes, tuple, list)
+        rows = [kinds[i % 3](row) for i, row in enumerate(g.mult)]
+        h = from_table(rows)
+        assert (h.mult, h.inv, h.identity, h.generators) == (
+            g.mult, g.inv, g.identity, g.generators)
+        for v in (8, 300):
+            rows = [bytes(row) for row in g.mult[:3]] + [tuple(row) for row in g.mult[3:]]
+            rows[5] = rows[5][:2] + (v,) + rows[5][3:]
+            with pytest.raises(GroupTableError) as err:
+                from_table(rows)
+            assert (err.value.reason, err.value.witness) == ("bad-index", (5, 2))
 
 
 class TestSubgroups:
@@ -813,8 +830,42 @@ class TestTableConstruction:
     def test_load_table_file_names_first_bad_token(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3\n0 1 2\n1 y 0\n2 0 z\n")
-        with pytest.raises(GroupSpecError, match="expected an integer, got 'y'"):
+        with pytest.raises(GroupSpecError) as err:
             load_table_file(str(path))
+        assert str(err.value) == f"table file {str(path)!r}: expected an integer, got 'y'"
+
+    def test_load_table_file_reports_errors_in_file_order(self, tmp_path):
+        # a word is reported where the read reaches it, before the count
+        path = tmp_path / "short.txt"
+        path.write_text("3\n0 1 2\n1 y 0\n2 0\n")
+        with pytest.raises(GroupSpecError) as err:
+            load_table_file(str(path))
+        assert str(err.value) == f"table file {str(path)!r}: expected an integer, got 'y'"
+        # the range check comes after the count
+        path.write_text("3\n0 1 2\n1 9 0\n2 0\n")
+        with pytest.raises(GroupSpecError) as err:
+            load_table_file(str(path))
+        assert str(err.value) == f"table file {str(path)!r}: expected 9 entries, got 8"
+
+    def test_load_table_file_memory_does_not_depend_on_spelling(self, tmp_path):
+        # an entry that int() reads but the plain lookup misses is read in
+        # its own block, so the rest of the file costs no more than plain
+        table = make_dihedral(256).mult
+        peaks = []
+        for first in ("0", "000"):
+            path = tmp_path / f"d256-{first}.txt"
+            rows = [" ".join(map(str, row)) for row in table]
+            path.write_text("\n".join(["512", first + rows[0][1:]] + rows[1:]) + "\n")
+            tracemalloc.start()
+            try:
+                g = load_table_file(str(path))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert g.mult == table
+            del g
+        plain, spelled = peaks
+        assert spelled <= 1.25 * plain, (plain, spelled)
 
     @pytest.mark.parametrize("n", [1, 2, 8, 128, 255, 256, 257])
     def test_load_table_file_layouts(self, tmp_path, n):
@@ -835,15 +886,23 @@ class TestTableConstruction:
         g = _LAYOUT_GROUPS[n]()
         path = tmp_path / "bad.txt"
         per_line = n if layout == "rows" else 1
+        path.write_bytes(_layout_text(g.mult, layout).encode())
+        plain = load_table_file(str(path))
         for pos in _block_edges(n, per_line):
-            for token in ("y", str(n)):
+            # a word, an out-of-range index, and the entry's own value
+            # spelled with a leading zero, which int() reads
+            for token in ("y", str(n), f"0{g.mult[pos // n][pos % n]}"):
                 table = [list(row) for row in g.mult]
                 table[pos // n][pos % n] = token
                 path.write_bytes(_layout_text(table, layout).encode())
                 if token == "y":
                     with pytest.raises(GroupSpecError) as err:
                         load_table_file(str(path))
-                    assert str(err.value) == "expected an integer, got 'y'"
+                    assert str(err.value) == (
+                        f"table file {str(path)!r}: expected an integer, got 'y'")
+                elif token.startswith("0"):
+                    h = load_table_file(str(path))
+                    assert (h.mult, h.inv) == (plain.mult, plain.inv), pos
                 else:
                     with pytest.raises(GroupTableError) as err:
                         load_table_file(str(path))
