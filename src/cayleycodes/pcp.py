@@ -10,8 +10,8 @@ automorphism sigma in both modes, and sweeps only what is left open:
   swept: no sweep can refute it.
 - When the sweep would be exhaustive and |G| is even, a non-power sigma
   gets a total-mode witness from construction A, else B (below).  A
-  witness (S, C) is used only once `witness_holds` confirms it: S is a
-  connection set, C is a total code of Cay(G, S) and sigma(C) is not.
+  witness (S, C) is used only once checked: S is a connection set (once
+  per subgroup), C is a total code of Cay(G, S) and sigma(C) is not.
   An exhaustive sweep finds a counterexample whenever one exists, so a
   checked witness gives the verdict the sweep would give.  A sigma with
   no checked witness is swept.
@@ -53,18 +53,19 @@ N(<x>) = <x>.  So A or B refutes sigma unless x is not an involution and
 |N(<x>) : <x>| is odd.
 
 The sweep takes each sigma to be an automorphism of G, and enumerates only
-where a refutation is possible.  For small groups it covers every
-connection set (inverse-pair orbits halve the exponent); beyond that a
-seeded random sample is used and the sweep says so.  Such a sigma is an
-isomorphism Cay(G, S) -> Cay(G, sigma(S)), so it maps the codes of
-Cay(G, S) onto themselves when sigma(S) = S.  And the |C| balls of a code,
-|T| elements each (T = S u {e}, or S for total codes), partition G, so
-Cay(G, S) has no code unless |T| divides |G|.
+where a refutation is possible.  Such a sigma is an isomorphism
+Cay(G, S) -> Cay(G, sigma(S)), so it maps the codes of Cay(G, S) onto
+themselves when sigma(S) = S.  And the |C| balls of a code, |T| elements
+each (T = S u {e}, or S for total codes), partition G, so Cay(G, S) has
+no code unless |T| divides |G|.  For small groups the sweep lists the
+connection sets of those sizes only, lazily, a size class at a time;
+beyond that a seeded random sample is used and the sweep says so.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from .cayley import (
     build_cayley,
@@ -102,13 +103,25 @@ def _orbit_union(orbits, mask) -> tuple[int, ...]:
     return tuple(sorted(elems))
 
 
+def sized_connection_sets(g: FiniteGroup, sizes):
+    """The connection sets (sorted tuples) of each size k in sizes, ascending,
+    lazily: a sorted class of b inverse pairs and k - 2b involutions each."""
+    orbits = connection_orbits(g)
+    pairs = [orbit for orbit in orbits if len(orbit) == 2]
+    involutions = [orbit[0] for orbit in orbits if len(orbit) == 1]
+    for k in sizes:
+        yield from sorted(
+            tuple(sorted(sum(chosen, rest)))
+            for b in range(k // 2 + 1)
+            for chosen in combinations(pairs, b)
+            for rest in combinations(involutions, k - 2 * b)
+        )
+
+
 def all_connection_sets(g: FiniteGroup):
     """Every connection set, as sorted element tuples, in a canonical
     deterministic order (by size, then lexicographically)."""
-    orbits = connection_orbits(g)
-    sets = [_orbit_union(orbits, mask) for mask in range(1 << len(orbits))]
-    sets.sort(key=lambda t: (len(t), t))
-    return sets
+    return list(sized_connection_sets(g, range(g.order)))
 
 
 def _sampled_connection_sets(g: FiniteGroup, budget: int, seed: int):
@@ -160,16 +173,15 @@ def preservation_sweep(
     counterexample = [None] * len(sigmas)
     if not sigmas:
         return scope, counterexample
+    extra = 0 if total else 1  # |T| - |S|
     if scope == "exhaustive":
-        candidates = all_connection_sets(g)
+        sizes = (k for k in range(g.order) if k + extra and g.order % (k + extra) == 0)
+        candidates = sized_connection_sets(g, sizes)
     else:
         candidates = _sampled_connection_sets(g, budget or DEFAULT_SAMPLE_BUDGET, seed)
     pending = range(len(sigmas))
     images = [sigma.__getitem__ for sigma in sigmas]
-    extra = 0 if total else 1  # |T| - |S|
     for s in candidates:
-        if not pending:
-            break
         size = len(s) + extra
         if not size or g.order % size:
             continue  # Cay(G, S) has no code
@@ -177,7 +189,7 @@ def preservation_sweep(
         movers = [i for i in pending if not members.issuperset(map(images[i], s))]
         if not movers:
             continue  # every pending sigma maps the codes of S onto themselves
-        graph = build_cayley(g, connection_set(g, s))
+        graph = build_cayley(g, s)
         codes = enumerate_perfect_codes(graph, total=total)
         known = set(map(frozenset, codes))
         for i in movers:
@@ -185,6 +197,8 @@ def preservation_sweep(
             lost = (c for c in codes if frozenset(map(image, c)) not in known)
             counterexample[i] = next(((s, c) for c in lost), None)
         pending = [i for i in pending if counterexample[i] is None]
+        if not pending:
+            break  # pull no further set, nor size class
     return scope, counterexample
 
 
@@ -255,30 +269,21 @@ def power_witness(g: FiniteGroup, sigma: tuple[int, ...]):
     """(S, C), C a perfect code of Cay(G, S) and sigma(C) not one, on the H
     of the module docstring; None when sigma is a power automorphism."""
     found = _moved_subgroup(g, sigma, {})
-    if found is None:
-        return None
-    h, code, _ = found
-    return connection_set(g, h - {g.identity}), code
+    return found and (connection_set(g, found[0] - {g.identity}), found[1])
 
 
 def _total_witness(g: FiniteGroup, sigma, cache):
     """(S, C) of construction A, else B, on `power_witness`'s <x>, or None
-    when sigma is a power automorphism or neither applies."""
+    when sigma is a power automorphism, neither applies or S is invalid."""
     found = _moved_subgroup(g, sigma, cache)
-    if found is None or found[2] is None:
-        return None
-    _, code, (s, b_code) = found
-    return s, b_code or code
+    return found and found[2]
 
 
 def witness_holds(g: FiniteGroup, sigma, witness, total: bool = False):
     """(C is a (total) perfect code of Cay(G, S), sigma(C) is not) for the
-    witness (S, C) of sigma; (False, False) when S is not a connection set."""
+    witness (S, C) of sigma.  S is validated unless it is a ConnectionSet."""
     s, code = witness
-    try:
-        graph = build_cayley(g, s)
-    except CayleyCodesError:
-        return False, False
+    graph = build_cayley(g, s)
     check = is_total_perfect_code if total else is_perfect_code
     return check(graph, code), not check(graph, [sigma[c] for c in code])
 
@@ -286,8 +291,8 @@ def witness_holds(g: FiniteGroup, sigma, witness, total: bool = False):
 def _moved_subgroup(g: FiniteGroup, sigma, cache):
     """(H, C, total) for the H and C of the module docstring, C taking the
     least element of each right coset but those of e and c*, or None when
-    sigma is a power automorphism.  total is the (S, None) of construction
-    A, the (S, C) of B, or None.  cache keeps each H's data."""
+    sigma is a power automorphism.  total is the (S, C) of construction A
+    or B, S a ConnectionSet, or None.  cache keeps each H's data by span."""
     spans = g.cyclic_spans
     x = next((x for x, span in enumerate(spans) if not span >> sigma[x] & 1), None)
     if x is None:
@@ -299,7 +304,8 @@ def _moved_subgroup(g: FiniteGroup, sigma, cache):
     code = dict(least)
     for y in (c_star, g.identity):
         code[labels[g.inv[y]]] = y
-    return h, tuple(sorted(code.values())), total
+    code = tuple(sorted(code.values()))
+    return h, code, total and (total[0], total[1] or code)
 
 
 def _subgroup_data(g: FiniteGroup, x):
@@ -312,11 +318,16 @@ def _subgroup_data(g: FiniteGroup, x):
         least.setdefault(labels[g.inv[y]], y)
     k = _normalizing_root(g, x, h)
     if k is not None:
-        return h, labels, least, (tuple(sorted(mult[k][y] for y in h)), None)
-    if mult[x][x] != e:
+        s, code = [mult[k][y] for y in h], None
+    elif mult[x][x] == e:
+        squares = {row[y] for y, row in enumerate(mult)}
+        s, code = squares - {e} | {x}, tuple(sorted((e, x)))
+    else:
         return h, labels, least, None
-    squares = {row[y] for y, row in enumerate(mult)}
-    return h, labels, least, (tuple(sorted(squares - {e} | {x})), tuple(sorted((e, x))))
+    try:  # S is validated here, once per H; a sigma with no valid S is swept
+        return h, labels, least, (connection_set(g, s), code)
+    except CayleyCodesError:
+        return h, labels, least, None
 
 
 def _normalizing_root(g: FiniteGroup, x, h):

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from .basis import abelian_basis
 from .cayley import (
     build_cayley,
-    connection_set,
     enumerate_perfect_codes,
     is_perfect_code,
     is_total_perfect_code,
@@ -285,7 +284,7 @@ def suite_thm4a(seed: int = 0) -> SuiteResult:
     for g in groups:
         sigmas = all_power_automorphisms(g)
         for s in all_connection_sets(g):
-            graph = build_cayley(g, connection_set(g, s))
+            graph = build_cayley(g, s)
             for total in (False, True):
                 codes = enumerate_perfect_codes(graph, total=total)
                 known = set(codes)

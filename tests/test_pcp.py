@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from itertools import combinations
 
 import pytest
 
@@ -35,10 +36,35 @@ from cayleycodes.pcp import (
     connection_orbits,
     is_pcp_automorphism,
     is_tpcp_automorphism,
+    sized_connection_sets,
 )
 from cayleycodes.specparse import parse_group_spec
 from relabeling import relabeled
 from test_golden import PCP_RUNS, Z2_Z4_Z4, _resolve, _run
+
+
+def _inverse_closed_subsets(g, sizes):
+    """Every inverse-closed subset of G \\ {e} with a size in sizes, by
+    brute force over the subsets of each size, sorted by (size, tuple)."""
+    rest = [x for x in range(g.order) if x != g.identity]
+    subsets = [c for k in sizes for c in combinations(rest, k)]
+    return sorted(
+        (c for c in subsets if all(g.inv[x] in c for x in c)), key=lambda c: (len(c), c)
+    )
+
+
+def _code_sizes(g, total):
+    """The sizes |S| for which |T| divides |G| (T = S, or S u {e})."""
+    extra = 0 if total else 1
+    return [k for k in range(g.order) if k + extra and g.order % (k + extra) == 0]
+
+
+LISTER_GROUPS = corpus_groups(12) + [
+    (f"{spec}@{seed}", relabeled(g, seed))
+    for spec, g in corpus_groups(12)
+    if g.order > 1
+    for seed in range(2)
+]
 
 
 class TestConnectionSweep:
@@ -61,6 +87,22 @@ class TestConnectionSweep:
         assert sets == [(), (2,), (1, 3), (1, 2, 3)]
         for s in sets:
             build_cayley(g, s)  # all valid
+
+    @pytest.mark.parametrize("spec, g", LISTER_GROUPS, ids=[s for s, _ in LISTER_GROUPS])
+    def test_sized_sets_match_definition(self, spec, g):
+        # the oracle of `_reference_sweep` is `all_connection_sets`, the
+        # lister over every size, so this keeps that oracle independent
+        assert all_connection_sets(g) == _inverse_closed_subsets(g, range(g.order))
+        for sizes in (range(g.order), _code_sizes(g, False), _code_sizes(g, True)):
+            assert list(sized_connection_sets(g, sizes)) == _inverse_closed_subsets(g, sizes)
+
+    def test_sized_sets_match_definition_on_s4(self):
+        # sizes with at most C(23, 5) = 33 649 subsets of G \ {e} each
+        g = symmetric_group(4)
+        cheap = [k for k in range(g.order) if k <= 5 or k >= 18]
+        admissible = ([k for k in _code_sizes(g, t) if k in cheap] for t in (False, True))
+        for sizes in (cheap, *admissible):
+            assert list(sized_connection_sets(g, sizes)) == _inverse_closed_subsets(g, sizes)
 
 
 class TestPreservation:
@@ -123,10 +165,10 @@ class TestGroupSweep:
         assert preservation_sweep(make_cyclic(16), []) == ("sampled", [])
 
     def test_empty_list_builds_no_candidates(self, monkeypatch):
-        def refuse(g):
+        def refuse(g, sizes):
             raise AssertionError("connection sets built for no automorphism")
 
-        monkeypatch.setattr(pcp, "all_connection_sets", refuse)
+        monkeypatch.setattr(pcp, "sized_connection_sets", refuse)
         assert preservation_sweep(make_dihedral(6), []) == ("exhaustive", [])
 
     def test_enumerates_each_connection_set_once_per_mode(self, monkeypatch):
@@ -249,19 +291,55 @@ class TestSkippingSweep:
     def test_no_enumeration_once_only_the_identity_is_pending(self, monkeypatch):
         g = parse_group_spec("dihedral:6")
         sigmas = all_automorphisms(g)
-        enumerated = []
+        sets = all_connection_sets(g)
+        enumerated, pulled, listed, lister = [], [], [], pcp.sized_connection_sets
 
         def recording(graph, total=False):
             enumerated.append(graph.conn.sorted())
             return enumerate_perfect_codes(graph, total)
 
+        def pulling(g, sizes):
+            def recorded():
+                for k in sizes:
+                    pulled.append(k)
+                    yield k
+
+            for s in lister(g, recorded()):
+                listed.append(s)
+                yield s
+
         monkeypatch.setattr(pcp, "enumerate_perfect_codes", recording)
         _, found = preservation_sweep(g, sigmas)
         assert [ce is None for ce in found] == [s == tuple(range(g.order)) for s in sigmas]
-        sets = all_connection_sets(g)
         last_refuted = max(sets.index(ce[0]) for ce in found[1:])
         assert sets.index(enumerated[-1]) == last_refuted
         assert last_refuted < len(sets) - 1
+        # without the identity, which no set refutes, nothing is left
+        # pending after that set: no further set, nor size class, is listed
+        monkeypatch.setattr(pcp, "sized_connection_sets", pulling)
+        assert preservation_sweep(g, sigmas[1:])[1] == found[1:]
+        assert sets.index(enumerated[-1]) == last_refuted
+        assert listed[-1] == enumerated[-1]
+        assert pulled == [k for k in _code_sizes(g, False) if k <= len(enumerated[-1])]
+        assert pulled[-1] < max(_code_sizes(g, False))
+
+    @MODES
+    @pytest.mark.parametrize(
+        "spec, g", corpus_groups(12), ids=[s for s, _ in corpus_groups(12)]
+    )
+    def test_exhaustive_sweep_lists_only_sets_that_can_hold_a_code(
+        self, spec, g, total, monkeypatch
+    ):
+        listed, lister = [], pcp.sized_connection_sets
+
+        def recording(g, sizes):
+            for s in lister(g, sizes):
+                listed.append(s)
+                yield s
+
+        monkeypatch.setattr(pcp, "sized_connection_sets", recording)
+        assert preservation_sweep(g, all_automorphisms(g), total)[0] == "exhaustive"
+        assert {len(s) for s in listed} <= set(_code_sizes(g, total))
 
 
 POWER_GROUPS = corpus_groups(16) + [("abelian:2,4,4", make_abelian((2, 4, 4)))]
@@ -440,6 +518,10 @@ COVERAGE_GROUPS = [(spec, g) for spec, g in corpus_groups(24) if g.order % 2 == 
     ("S3xS3", direct_product(symmetric_group(3), symmetric_group(3))),
 ]
 TWO_GROUPS = [(spec, g) for spec, g in COVERAGE_GROUPS if g.order & (g.order - 1) == 0]
+# swept exhaustively up to order 16; Z2^4, with 20 160 automorphisms, is left out
+EXACT_GROUPS = corpus_groups(12) + [
+    (spec, g) for spec, g in corpus_groups(16) if g.order > 12 and spec != "abelian:2,2,2,2"
+]
 
 
 class TestVerdicts:
@@ -484,18 +566,33 @@ class TestVerdicts:
             if moved:
                 h = spans[moved[0]]
                 s, _ = pcp._total_witness(g, sigma, cache)
-                assert len(s) == len(h)
+                assert len(set(s)) == len(h)
                 assert {g.mult[y][z] for y in s for z in h} == set(s)
 
-    @pytest.mark.parametrize(
-        "spec, g", corpus_groups(12), ids=[s for s, _ in corpus_groups(12)]
-    )
-    def test_witness_exactly_where_the_total_sweep_refutes(self, spec, g):
+    @pytest.mark.parametrize("spec, g", EXACT_GROUPS, ids=[s for s, _ in EXACT_GROUPS])
+    def test_witness_exactly_where_the_total_sweep_refutes(self, spec, g, monkeypatch):
+        monkeypatch.setattr(pcp, "EXHAUSTIVE_ORDER_BOUND", 16)
         sigmas = all_automorphisms(g)
-        _, refuted = preservation_sweep(g, sigmas, total=True)
+        scope, refuted = preservation_sweep(g, sigmas, total=True)
+        assert scope == "exhaustive"
         cache = {}
         witnessed = [pcp._total_witness(g, sigma, cache) is not None for sigma in sigmas]
         assert witnessed == [ce is not None for ce in refuted]
+
+    def test_each_subgroup_checks_its_s_once(self, monkeypatch):
+        g = make_abelian((2, 2, 2))
+        checked = []
+
+        def counting(g, elements):
+            checked.append(tuple(sorted(elements)))
+            return connection_set(g, elements)
+
+        monkeypatch.setattr(pcp, "connection_set", counting)
+        cache = {}
+        witnesses = [pcp._total_witness(g, sigma, cache) for sigma in all_automorphisms(g)]
+        assert len(witnesses) == 168 and witnesses.count(None) == 1
+        assert len(checked) == len(set(checked)) == len(cache)
+        assert {w[0].sorted() for w in witnesses if w} <= set(checked)
 
     def test_witnesses_without_the_square_test_fail(self, monkeypatch):
         monkeypatch.setattr(pcp, "_normalizing_root", _no_square_test)
