@@ -1,19 +1,21 @@
-"""Command-line interface.
-
-Subcommands: classify, check, enumerate, construct, verify, automorphisms.
-Output is a deterministic text table by default or a key-sorted JSON
-report with --format json.  Exit codes: 0 success, 1 verification
-failure, 2 usage/parse error, 3 bound exceeded.
+"""Command-line interface: classify, check, enumerate, construct, verify and
+automorphisms, read from argv by `parse_args` in argparse's forms, without
+argparse: `--opt value` or `--opt=value`, a unique prefix of an option, the
+last of a repeated option, and `--` to end the options.  Output is a
+deterministic text table by default or a key-sorted JSON report with
+--format json.  Exit codes: 0 success (also -h and --version), 1 verification
+failure, 2 usage or parse error (one `error:` line), 3 bound exceeded.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
+import re
 import sys
 import time
+from contextlib import suppress
+from types import SimpleNamespace
 
 from . import __version__
 from .cayley import (
@@ -284,79 +286,117 @@ def cmd_automorphisms(args):
     return rows, lines()
 
 
-def positive_int(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return int(text)
+REQUIRED, INT, POSITIVE, FLAG = ..., "int", "positive int", (bool, False)
+FORMAT = (("text", "json"), "text")
+# command: (help line, positionals, {option: (kind, default)}); a kind is str,
+# INT, POSITIVE, bool (a flag: no value) or choices.  All take -h and --format.
+COMMANDS = {
+    "classify": ("classify subgroups as codes", ("spec",), {"subgroup": (str, None)}),
+    "check": ("run all checks on one (S, C) pair", ("spec",),
+              {"conn": (str, REQUIRED), "code": (str, REQUIRED), "total": FLAG}),
+    "enumerate": ("enumerate all (total) perfect codes", ("spec",),
+                  {"conn": (str, REQUIRED), "total": FLAG}),
+    "construct": ("build a verified connection set", ("spec",),
+                  {"subgroup": (str, REQUIRED), "total": FLAG}),
+    "verify": ("run a verification suite", (),
+               {"suite": (tuple(sorted(SUITES)), REQUIRED), "seed": (INT, 0)}),
+    "automorphisms": ("list automorphisms and PCP status", ("spec",),
+                      {"pcp": FLAG, "budget": (POSITIVE, None), "seed": (INT, 0)}),
+}
 
 
-# One parser per process, built at the first `main` call.  It binds each
-# cmd_* then, so code that rebinds a cmd_* must do so before that call.
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cayleycodes",
-        description="Perfect codes in Cayley graphs of finite groups",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _fail(message):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
-    def common(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("classify", help="classify all subgroups as codes")
-    p.add_argument("spec")
-    p.add_argument("--subgroup", help="generator expression or index list")
-    common(p)
-    p.set_defaults(fn=cmd_classify)
+def _help(command):
+    if command is None:
+        return "\n".join(["usage: cayleycodes [-h | --version]", *map(_help, COMMANDS)])
+    about, positionals, options = COMMANDS[command]
+    words = ["[-h]", *positionals]
+    for name, (kind, default) in {**options, "format": FORMAT}.items():
+        value = "{%s}" % ",".join(kind) if type(kind) is tuple else name.upper()
+        word = f"--{name}" if kind is bool else f"--{name} {value}"
+        words.append(word if default is REQUIRED else f"[{word}]")
+    return f"usage: cayleycodes {command} {' '.join(words)}\n  {about}"
 
-    p = sub.add_parser("check", help="run all checks on one (S, C) pair")
-    p.add_argument("spec")
-    p.add_argument("--conn", required=True)
-    p.add_argument("--code", required=True)
-    p.add_argument("--total", action="store_true")
-    common(p)
-    p.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser("enumerate", help="enumerate all (total) perfect codes")
-    p.add_argument("spec")
-    p.add_argument("--conn", required=True)
-    p.add_argument("--total", action="store_true")
-    common(p)
-    p.set_defaults(fn=cmd_enumerate)
+def _token(token, names):
+    if token[:1] != "-" or token == "-":
+        return None, token
+    key, eq, value = token[2:].partition("=")
+    found = [key] if key in names else [n for n in names if n.startswith(key)]
+    if token[1] == "-" and len(found) > 1:
+        _fail(f"ambiguous option: --{key} could match --{', --'.join(found)}")
+    if token[1] == "-" and found:
+        return found[0], value if eq else None
+    number = token[1] != "-" and re.match(r"-\d+$|-\d*\.\d+$", token)
+    return None if number or " " in token else "?", token
 
-    p = sub.add_parser("construct", help="build a verified connection set")
-    p.add_argument("spec")
-    p.add_argument("--subgroup", required=True)
-    p.add_argument("--total", action="store_true")
-    common(p)
-    p.set_defaults(fn=cmd_construct)
 
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", required=True, choices=sorted(SUITES))
-    p.add_argument("--seed", type=int, default=0)
-    common(p)
-    p.set_defaults(fn=cmd_verify)
+def _tokens(argv, options):
+    """Each token as (option name, its `=` value or None), ("?", token) for an
+    unknown option or (None, token) for a value, as is all after "--"; -h is --help."""
+    cut, names = argv.index("--") if "--" in argv else len(argv), (*options, "help")
+    pairs = [_token("--help" if t == "-h" else t, names) for t in argv[:cut]]
+    return pairs + [(None if at else "--", t) for at, t in enumerate(argv[cut:])]
 
-    p = sub.add_parser("automorphisms", help="list automorphisms and PCP status")
-    p.add_argument("spec")
-    p.add_argument("--pcp", action="store_true")
-    p.add_argument("--budget", type=positive_int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    common(p)
-    p.set_defaults(fn=cmd_automorphisms)
-    return parser
+
+def _value(name, kind, text):
+    if kind is str or type(kind) is tuple and text in kind:
+        return text
+    with suppress(ValueError):
+        if type(kind) is not tuple and (kind == INT or int(text) > 0):
+            return int(text)
+    _fail(f"{name}: invalid {kind if type(kind) is str else 'choice'}: {text!r}")
+
+
+def parse_args(argv):
+    """`argv` as attributes: `command`, its positionals and its options; the top
+    level reads argv up to its first non-option token, the command the rest."""
+    command, positionals, options = None, ["command"], {}
+    top = next((at for at, token in enumerate(argv) if token[:1] != "-"), len(argv)) + 1
+    args, extras, pairs = {}, [], _tokens(argv[:top], ("version",))[::-1]
+    while pairs:
+        name, value = pairs.pop()
+        if name is None and positionals:
+            args[positionals.pop(0)] = value
+            if command is None:
+                command = _value("command", tuple(COMMANDS), value)
+                positionals = list(COMMANDS[command][1])
+                options = {**COMMANDS[command][2], "format": FORMAT}
+                args |= {n: d for n, (_, d) in options.items() if d is not REQUIRED}
+                pairs = _tokens(argv[top - len(pairs) :], options)[::-1]
+        elif name is None or name == "?":
+            extras.append(value)
+        elif name != "--":
+            kind = options.get(name, FLAG)[0]
+            if kind is not bool and value is None and pairs and pairs[-1][0] is None:
+                value = pairs.pop()[1]
+            if (kind is bool) != (value is None):
+                _fail(f"--{name}: expected one argument" if value is None
+                      else f"--{name}: ignored explicit argument {value!r}")
+            if name in ("help", "version"):
+                print(_help(command) if name == "help" else __version__)
+                raise SystemExit(0)
+            args[name] = kind is bool or _value(f"--{name}", kind, value)
+    missing = positionals + [f"--{name}" for name in options if name not in args]
+    if missing:
+        _fail(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _fail(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
     started = time.perf_counter()
     try:
-        results, lines, *status = args.fn(args)
+        results, lines, *status = globals()[f"cmd_{args.command}"](args)
         if args.format == "json":
             report = {
                 "command": args.command,

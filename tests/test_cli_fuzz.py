@@ -1,5 +1,6 @@
 """Fuzz test of the CLI contract: every command line exits 0, 1, 2 or 3,
-and none gives a traceback.
+and none gives a traceback; and the argument parser agrees with the
+argparse parser it replaced (tests/reference_parser.py).
 
 Hypothesis draws group specs (orders from 1 to far over every bound,
 malformed parameters, nested products and table files, valid or not),
@@ -15,12 +16,16 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cayleycodes import __version__, cli
 from cayleycodes.cli import main
+from reference_parser import build_parser
 
 TABLES = {
     "z3": "3\n0 1 2\n1 2 0\n2 0 1\n",
@@ -186,3 +191,217 @@ def test_huge_header_reports_the_entry_count(table_files):
     assert err.getvalue() == (
         f"error: table file {path!r}: expected {10**18} entries, got 1\n"
     )
+
+
+# The argv forms both parsers read alike on every CPython from 3.10 to 3.13.
+# Left out on purpose: "--" anywhere but just before a trailing spec (before
+# the command, argparse reads it as the command on some versions and drops
+# it on others; after every positional, the table parser drops it where
+# argparse calls it unrecognized), "-h" with letters after it ("-hh" is help
+# to argparse, an unknown option here), "--=..." and tokens that start with
+# "-" and hold a space.
+OPTIONS = {
+    "classify": ["subgroup"],
+    "check": ["conn", "code", "total"],
+    "enumerate": ["conn", "total"],
+    "construct": ["subgroup", "total"],
+    "verify": ["suite", "seed"],
+    "automorphisms": ["pcp", "budget", "seed"],
+}
+FLAGS = {"total", "pcp"}
+GOOD = {"subgroup": ["1", "a^2,b"], "conn": ["1,5", "1"], "code": ["0,3", "0"],
+        "suite": ["cor3", "thm4a"], "seed": ["0", "7", "-3"],
+        "budget": ["20", "1", "0"], "format": ["json", "text"]}
+ODD = ["", "-3", "-1.5", "-x", "-", "x", "0", "json", "cor3"]
+
+
+@st.composite
+def argv_forms(draw):
+    """A command line in any of the forms the contract names: `--opt value`,
+    `--opt=value`, abbreviations, repeats, values such as -3, -x and '',
+    positionals before or after the options or after `--`, unknown options,
+    -h/--help anywhere, and options before the command."""
+    argv = []
+    if draw(st.integers(0, 9)) == 0:
+        argv.append(draw(st.sampled_from(
+            ["--version", "--vers", "-h", "--help", "--bogus", "--version=1"])))
+    command = draw(st.sampled_from([*OPTIONS] * 3 + ["bogus"]))
+    argv.append(command)
+    spec = draw(st.sampled_from(["cyclic:6", "dihedral:4"] * 3 + ["-3", "-x", "", None]))
+    if command == "verify" and draw(st.integers(0, 5)):
+        spec = None
+    where = draw(st.sampled_from(["first", "first", "last", "after --"]))
+    if spec is not None and where == "first":
+        argv.append(spec)
+    names = [n for n in OPTIONS.get(command, ["conn"]) if draw(st.integers(0, 3))]
+    names += draw(st.lists(st.sampled_from(OPTIONS.get(command, ["conn"]) + ["format"]),
+                           max_size=3))
+    bare = False  # the last option takes a value and was given none
+    for name in names:
+        option = "--" + name[: draw(st.sampled_from([len(name)] * 3 + [1, 2, 3, 4]))]
+        value = draw(st.sampled_from(GOOD.get(name, ODD) * 6 + ODD))
+        form = draw(st.sampled_from(["space"] * 3 + ["equals"] * 2 + ["bare"]))
+        if name in FLAGS:
+            form = draw(st.sampled_from(["bare"] * 6 + ["equals"]))
+        if form == "space":
+            argv += [option, value]
+        else:
+            argv.append(f"{option}={value}" if form == "equals" else option)
+        bare = form == "bare" and name not in FLAGS
+    if draw(st.integers(0, 7)) == 0:
+        at = draw(st.integers(1, len(argv)))
+        argv.insert(at, draw(st.sampled_from(
+            ["-h", "--help", "--he", "--h=x", "--frobnicate", "-x", "--max-order", "extra"])))
+    if spec is not None and where == "last":
+        argv.append(spec)
+    elif spec is not None and where == "after --" and not bare:
+        argv += ["--", spec]
+    return argv
+
+
+def _outcome(parse, argv):
+    """The attributes `parse` gives argv, or the exit code it raised."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+def test_parser_agrees_with_argparse():
+    reference = build_parser()
+
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(argv_forms())
+    def run(argv):
+        assert _outcome(cli.parse_args, argv) == _outcome(reference.parse_args, argv), argv
+
+    run()
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "cyclic:6"],
+    ["check", "cyclic:6", "--conn", "1", "--code", "0"],
+    ["enumerate", "cyclic:6", "--conn", "1"],
+    ["construct", "cyclic:6", "--subgroup", "1"],
+    ["verify", "--suite", "cor3"],
+    ["automorphisms", "cyclic:6"],
+], ids=lambda argv: argv[0])
+def test_every_default_matches_argparse(argv):
+    assert _outcome(cli.parse_args, argv) == _outcome(build_parser().parse_args, argv)
+
+
+def _parse(argv, capsys):
+    """(exit code or attributes, stdout, stderr) of parse_args."""
+    try:
+        result = vars(cli.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    out, err = capsys.readouterr()
+    return result, out, err
+
+
+CHECK = {"command": "check", "spec": "cyclic:6", "conn": "1,5", "code": "0,3",
+         "total": False, "format": "text"}
+
+
+class TestParserContract:
+    def test_option_values_follow_a_space_or_an_equals_sign(self, capsys):
+        for argv in (["check", "cyclic:6", "--conn", "1,5", "--code", "0,3"],
+                     ["check", "cyclic:6", "--conn=1,5", "--code=0,3"]):
+            assert _parse(argv, capsys) == (CHECK, "", "")
+
+    def test_a_unique_prefix_stands_for_its_option(self, capsys):
+        argv = ["check", "cyclic:6", "--con", "1,5", "--cod=0,3", "--t", "--form", "json"]
+        assert _parse(argv, capsys)[0] == {**CHECK, "total": True, "format": "json"}
+        argv = ["verify", "--su", "cor3", "--se", "4"]
+        assert _parse(argv, capsys)[0] == {
+            "command": "verify", "suite": "cor3", "seed": 4, "format": "text"}
+
+    @pytest.mark.parametrize("argv, phrase", [
+        (["verify", "--s", "cor3"], "ambiguous option: --s could match --suite, --seed"),
+        (["check", "cyclic:6", "--co", "1"], "ambiguous option: --co"),
+        (["check", "cyclic:6", "--conn", "1", "--code", "0", "--frob"],
+         "unrecognized arguments: --frob"),
+        (["--frob", "classify", "cyclic:6"], "unrecognized arguments: --frob"),
+    ])
+    def test_an_ambiguous_or_unknown_option_exits_2(self, capsys, argv, phrase):
+        code, out, err = _parse(argv, capsys)
+        assert code == 2 and out == "" and phrase in err
+
+    def test_the_last_of_a_repeated_option_wins(self, capsys):
+        argv = ["check", "cyclic:6", "--conn", "1", "--conn", "1,5", "--code", "0",
+                "--code=0,3", "--format", "json", "--format", "text"]
+        assert _parse(argv, capsys)[0] == CHECK
+
+    def test_values_may_be_empty_or_negative_numbers(self, capsys):
+        argv = ["check", "cyclic:6", "--conn", "", "--code", "-1.5"]
+        assert _parse(argv, capsys)[0] == {**CHECK, "conn": "", "code": "-1.5"}
+        argv = ["automorphisms", "cyclic:6", "--seed", "-3"]
+        assert _parse(argv, capsys)[0]["seed"] == -3
+        # a token with a space is a value too, as in argparse
+        argv = ["check", "-1 2", "--conn", "1,5", "--code", "0,3"]
+        assert _parse(argv, capsys)[0] == {**CHECK, "spec": "-1 2"}
+
+    @pytest.mark.parametrize("value", ["-x", "--code", "--", None])
+    def test_an_option_value_that_looks_like_an_option_is_missing(self, capsys, value):
+        argv = ["check", "cyclic:6", "--code", "0", "--conn"] + [value] * (value is not None)
+        code, out, err = _parse(argv, capsys)
+        assert code == 2 and "--conn: expected one argument" in err
+
+    def test_positionals_may_follow_the_options_and_double_dash(self, capsys):
+        argv = ["check", "--conn", "1,5", "--code", "0,3", "cyclic:6"]
+        assert _parse(argv, capsys)[0] == CHECK
+        argv = ["check", "--conn", "1,5", "--code", "0,3", "--", "-h"]
+        assert _parse(argv, capsys)[0] == {**CHECK, "spec": "-h"}
+        argv = ["check", "--", "cyclic:6", "--conn", "1,5", "--code", "0,3"]
+        code, _, err = _parse(argv, capsys)
+        assert code == 2 and "required: --conn, --code" in err
+
+    @pytest.mark.parametrize("flag", ["--total=1", "--total=", "--t=yes"])
+    def test_a_flag_given_a_value_exits_2(self, capsys, flag):
+        argv = ["check", "cyclic:6", "--conn", "1", "--code", "0", flag]
+        code, out, err = _parse(argv, capsys)
+        assert code == 2 and out == "" and err.startswith("error: --total:")
+
+    @pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+    @pytest.mark.parametrize("option", ["-h", "--help", "--he"])
+    def test_help_prints_a_usage_and_exits_0(self, capsys, command, option):
+        # help wins over a missing positional and an unknown option before it
+        argv = [option] if command is None else [command, "--frob", option]
+        code, out, err = _parse(argv, capsys)
+        assert code == 0 and err == ""
+        assert out.startswith("usage: cayleycodes " if command is None
+                              else f"usage: cayleycodes {command} [-h]")
+        names = cli.COMMANDS if command is None else [*cli.COMMANDS[command][2], "format"]
+        assert all(name in out for name in names)
+
+    def test_version_prints_the_version_and_exits_0(self, capsys):
+        for option in ("--version", "--vers"):
+            assert _parse([option, "check"], capsys) == (0, f"{__version__}\n", "")
+
+    @pytest.mark.parametrize("argv, phrase", [
+        ([], "the following arguments are required: command"),
+        (["check"], "the following arguments are required: spec, --conn, --code"),
+        (["check", "cyclic:6", "--conn", "1", "--code", "0", "extra"],
+         "unrecognized arguments: extra"),
+        (["frobnicate", "cyclic:6"], "invalid choice: 'frobnicate'"),
+        (["verify", "--suite", "nonsense"], "invalid choice: 'nonsense'"),
+        (["check", "cyclic:6", "--code", "0", "--conn"], "expected one argument"),
+        (["automorphisms", "cyclic:6", "--budget", "0"], "invalid positive int: '0'"),
+        (["automorphisms", "cyclic:6", "--seed", "x"], "invalid int: 'x'"),
+        (["classify", "cyclic:6", "--format", "yaml"], "invalid choice: 'yaml'"),
+    ])
+    def test_a_usage_error_prints_one_error_line_and_exits_2(self, capsys, argv, phrase):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and phrase in err
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_the_cli_does_not_import_argparse():
+    code = ("import sys; started = set(sys.modules); import cayleycodes.cli; "
+            "print(sorted({'argparse', 'gettext'} & (set(sys.modules) - started)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.stdout == "[]\n", run.stderr

@@ -533,7 +533,7 @@ class TestVerdicts:
         code, out, _ = _run(argv)
         assert code == 0
         rows = json.loads(out)["results"]
-        args = cli.build_parser().parse_args(argv)
+        args = cli.parse_args(argv)
         g = _resolve(args.spec)
         sigmas = all_automorphisms(g)
         scope, perfect = preservation_sweep(g, sigmas, False, args.budget, args.seed)
