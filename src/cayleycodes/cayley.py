@@ -15,7 +15,7 @@ takes it or a plain set of elements alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from operator import or_
 
@@ -28,22 +28,31 @@ from .groups import FiniteGroup
 ENUMERATION_NODE_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
 class ConnectionSet:
-    """An inverse-closed, identity-free subset of a group."""
+    """An inverse-closed, identity-free subset of a group.  Two are equal
+    when their groups and elements are."""
 
     group: FiniteGroup
     elements: frozenset[int]
 
-    def __post_init__(self):
-        g = self.group
-        if g.identity in self.elements:
+    def __init__(self, group, elements):
+        if group.identity in elements:
             raise CayleyCodesError("identity in connection set")
-        for s in self.elements:
-            if g.inv[s] not in self.elements:
+        for s in elements:
+            if group.inv[s] not in elements:
                 raise CayleyCodesError(
-                    f"connection set not inverse-closed: {s} without {g.inv[s]}"
+                    f"connection set not inverse-closed: {s} without {group.inv[s]}"
                 )
+        self.group = group
+        self.elements = elements
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group, self.elements) == (other.group, other.elements)
+
+    def __hash__(self):
+        return hash((self.group, self.elements))
 
     def __iter__(self):
         return iter(self.elements)
@@ -52,10 +61,7 @@ class ConnectionSet:
         return tuple(sorted(self.elements))
 
 
-@dataclass(frozen=True)
-class CayleyGraph:
-    group: FiniteGroup
-    conn: ConnectionSet
+CayleyGraph = namedtuple("CayleyGraph", "group conn")
 
 
 def connection_set(g: FiniteGroup, elements) -> ConnectionSet:

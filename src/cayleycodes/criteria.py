@@ -11,24 +11,19 @@ or proves there is none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cayley import ConnectionSet, connection_set
 from .errors import CayleyCodesError
 from .groups import FiniteGroup, coset_labels, is_normal
 
-@dataclass(frozen=True)
-class CriterionVerdict:
-    """Outcome of a subgroup-code decision.
 
-    ``witness`` is None, or {"type": "failing_g", "value": g}, or
-    {"type": "connection_set", "value": [indices]}.
-    """
-
-    perfect: bool
-    total: bool
-    method: str
-    witness: dict | None = None
+# Outcome of a subgroup-code decision.  ``witness`` is None, or
+# {"type": "failing_g", "value": g}, or
+# {"type": "connection_set", "value": [indices]}.
+CriterionVerdict = namedtuple(
+    "CriterionVerdict", "perfect total method witness", defaults=(None,)
+)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ direct products, and arbitrary validated tables.  Everything downstream
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress
 from operator import gt, itemgetter, or_
@@ -21,7 +20,6 @@ from .errors import CayleyCodesError, GroupTableError, node_counter
 AUTOMORPHISM_NODE_BUDGET = 100_000
 
 
-@dataclass(frozen=True)
 class FiniteGroup:
     """A finite group given by its complete multiplication table.
 
@@ -30,15 +28,35 @@ class FiniteGroup:
     "abelian-product", "product", "table".  ``decomposition`` records the
     canonical cyclic factor orders of a cyclic or abelian-product group
     (used by the character machinery and the generator-expression grammar)
-    and is None for every other kind.
+    and is None for every other kind.  Two groups are equal when all six
+    fields are, and hash alike then.
     """
 
     order: int
     mult: tuple[tuple[int, ...], ...]
     identity: int
     inv: tuple[int, ...]
-    kind: str = "table"
-    decomposition: tuple[int, ...] | None = None
+    kind: str
+    decomposition: tuple[int, ...] | None
+
+    def __init__(self, order, mult, identity, inv, kind="table", decomposition=None):
+        self.order = order
+        self.mult = mult
+        self.identity = identity
+        self.inv = inv
+        self.kind = kind
+        self.decomposition = decomposition
+
+    def _key(self):
+        return (self.order, self.mult, self.identity, self.inv, self.kind, self.decomposition)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def power(self, i: int, k: int) -> int:
         """i^k for any integer k.  Since i^|G| = e, k is taken mod |G|

@@ -163,15 +163,23 @@ def preservation_sweep(
     Every sigma must be an automorphism of g.  A connection set S is
     skipped when |T| does not divide |G| (no code exists), and when every
     sigma not yet refuted fixes S (each maps the codes of Cay(G, S) onto
-    themselves).  Otherwise the codes of S are enumerated once and checked
-    against the unrefuted sigma that move S, so each counterexample is
-    the first (S, C), in set order and then code order, that a sweep of
-    that automorphism alone finds.  Exhaustive at small order, else the
-    distinct sets among `budget` seeded draws (DEFAULT_SAMPLE_BUDGET if
-    None)."""
+    themselves).  A sigma with sigma(x) in {x, x^-1} for every x, the
+    identity among them, fixes every S, so the sweep lists no set when
+    every sigma is one and ends once the others are refuted.  Otherwise
+    the codes of S are enumerated once and checked against the unrefuted
+    sigma that move S, so each counterexample is the first (S, C), in set
+    order and then code order, that a sweep of that automorphism alone
+    finds.  Exhaustive at small order, else the distinct sets among
+    `budget` seeded draws (DEFAULT_SAMPLE_BUDGET if None)."""
     scope = _sweep_scope(g, budget)
     counterexample = [None] * len(sigmas)
-    if not sigmas:
+    fixing = set(enumerate(range(g.order))) | set(enumerate(g.inv))
+
+    def fixes_every_s(i):  # sigma(x) in {x, x^-1} for every x
+        return fixing.issuperset(enumerate(sigmas[i]))
+
+    pending = range(len(sigmas))
+    if all(map(fixes_every_s, pending)):
         return scope, counterexample
     extra = 0 if total else 1  # |T| - |S|
     if scope == "exhaustive":
@@ -179,7 +187,6 @@ def preservation_sweep(
         candidates = sized_connection_sets(g, sizes)
     else:
         candidates = _sampled_connection_sets(g, budget or DEFAULT_SAMPLE_BUDGET, seed)
-    pending = range(len(sigmas))
     images = [sigma.__getitem__ for sigma in sigmas]
     for s in candidates:
         size = len(s) + extra
@@ -197,7 +204,7 @@ def preservation_sweep(
             lost = (c for c in codes if frozenset(map(image, c)) not in known)
             counterexample[i] = next(((s, c) for c in lost), None)
         pending = [i for i in pending if counterexample[i] is None]
-        if not pending:
+        if all(map(fixes_every_s, pending)):
             break  # pull no further set, nor size class
     return scope, counterexample
 

@@ -39,11 +39,10 @@ The kernel classes are built once per decomposition and cached
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .basis import prime_factorization
 from .cayley import group_ring_check_total as group_ring_tiling_check
@@ -51,16 +50,17 @@ from .errors import CayleyCodesError
 from .groups import FiniteGroup
 
 
-@dataclass(frozen=True)
 class CyclotomicSum:
     """An integer combination sum_j c_j zeta_m^j, stored mod x^m - 1."""
 
     m: int
     coeffs: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.m:
+    def __init__(self, m, coeffs):
+        if len(coeffs) != m:
             raise CayleyCodesError("coefficient vector must have length m")
+        self.m = m
+        self.coeffs = coeffs
 
     def is_zero(self) -> bool:
         """Exact vanishing test: c(zeta_m) = 0 iff c times the product of
@@ -75,6 +75,8 @@ class CyclotomicSum:
 
     def as_complex(self) -> complex:
         """Floating-point value, for sanity cross-checks only."""
+        import cmath  # only the tests' float oracle needs it
+
         return sum(
             c * cmath.exp(2j * cmath.pi * j / self.m)
             for j, c in enumerate(self.coeffs)
@@ -82,19 +84,11 @@ class CyclotomicSum:
         )
 
 
-@dataclass(frozen=True)
-class Character:
-    """An irreducible character of an abelian group.
-
-    ``value_exponents`` precomputes, for every group element, the
-    exponent k with value zeta_m^k (m = group order).  ``order`` is the
-    character's order d, which divides m: every value is a d-th root of
-    unity, zeta_m^k = zeta_d^(k*d/m).
-    """
-
-    m: int
-    value_exponents: tuple[int, ...]
-    order: int
+# An irreducible character of an abelian group.  ``value_exponents``
+# precomputes, for every group element, the exponent k with value zeta_m^k
+# (m = group order).  ``order`` is the character's order d, which divides
+# m: every value is a d-th root of unity, zeta_m^k = zeta_d^(k*d/m).
+Character = namedtuple("Character", "m value_exponents order")
 
 
 def characters(g: FiniteGroup):

@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 from .basis import abelian_basis
 from .cayley import (
@@ -57,12 +56,17 @@ from .spectral import (
 )
 
 
-@dataclass
 class SuiteResult:
     name: str
-    checks: int = 0
-    failures: list[str] = field(default_factory=list)
-    elapsed: float = 0.0
+    checks: int
+    failures: list[str]
+    elapsed: float
+
+    def __init__(self, name, checks=0, failures=None, elapsed=0.0):
+        self.name = name
+        self.checks = checks
+        self.failures = [] if failures is None else failures
+        self.elapsed = elapsed
 
     @property
     def passed(self) -> bool:

@@ -16,8 +16,6 @@ from __future__ import annotations
 import contextlib
 import io
 import os
-import subprocess
-import sys
 from unittest import mock
 
 import pytest
@@ -397,11 +395,3 @@ class TestParserContract:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and phrase in err
         assert err.count("\n") == 1 and err.endswith("\n")
-
-
-def test_the_cli_does_not_import_argparse():
-    code = ("import sys; started = set(sys.modules); import cayleycodes.cli; "
-            "print(sorted({'argparse', 'gettext'} & (set(sys.modules) - started)))")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert run.stdout == "[]\n", run.stderr

@@ -8,8 +8,6 @@ that still passes would pass whatever that function returns.
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from cayleycodes import cayley, criteria, groups, pcp, spectral, verify
@@ -21,7 +19,7 @@ def _total_is_perfect(g, h):
     """The generic verdict with the total verdict copied from the perfect
     one, ignoring the parity of |H|."""
     verdict = criteria.generic_subgroup_code_decision(g, h)
-    return dataclasses.replace(verdict, total=verdict.perfect)
+    return verdict._replace(total=verdict.perfect)
 
 
 def _any_element(g, h):
@@ -70,7 +68,7 @@ def _fills_unmatched_coset(g, h):
 def _swapped_abelian(g, h):
     """The abelian projection criterion with perfect and total swapped."""
     verdict = criteria.abelian_criterion(g, h)
-    return dataclasses.replace(verdict, perfect=verdict.total, total=verdict.perfect)
+    return verdict._replace(perfect=verdict.total, total=verdict.perfect)
 
 
 def _declines_any_involution(g, h):
@@ -206,9 +204,9 @@ def test_check_formats_its_message_only_on_failure():
     # a verdict pair: the same (perfect, total) passes whatever the methods,
     # and a criterion that declined (None) fails
     yes = criteria.CriterionVerdict(perfect=True, total=False, method="property1")
-    res.same_verdict(refuse, yes, dataclasses.replace(yes, method="generic-search"))
+    res.same_verdict(refuse, yes, yes._replace(method="generic-search"))
     res.same_verdict(lambda: "Z4 H=(0, 2)", None, yes)
-    both = dataclasses.replace(yes, total=True, method="parity")
+    both = yes._replace(total=True, method="parity")
     res.same_verdict(lambda: "Z4 H=(0, 2)", yes, both)
     assert res.checks == 5 and res.failures[1:] == [
         "Z4 H=(0, 2): None != property1 True/False",

@@ -324,6 +324,52 @@ class TestSkippingSweep:
         assert pulled[-1] < max(_code_sizes(g, False))
 
     @MODES
+    def test_a_sigma_that_fixes_every_s_enumerates_no_code(self, total, monkeypatch):
+        # the identity, and on Q8 the 4 inner automorphisms, which send
+        # each x to x or x^-1: each fixes every S, so no set is listed and
+        # no code enumerated
+        calls, listed, lister = [], [], pcp.sized_connection_sets
+
+        def counting(graph, total=False):
+            calls.append(graph.conn.sorted())
+            return enumerate_perfect_codes(graph, total)
+
+        def refuse(g, sizes):
+            raise AssertionError("connection sets listed for fixing automorphisms")
+
+        monkeypatch.setattr(pcp, "enumerate_perfect_codes", counting)
+        monkeypatch.setattr(pcp, "sized_connection_sets", refuse)
+        g = parse_group_spec("dihedral:6")
+        assert preservation_sweep(g, [tuple(range(g.order))], total) == (
+            "exhaustive", [None]
+        )
+        q8 = quaternion_group()
+        fixers = [
+            sigma for sigma in all_automorphisms(q8)
+            if all(y in (x, q8.inv[x]) for x, y in enumerate(sigma))
+        ]
+        assert len(fixers) == 4
+        assert preservation_sweep(q8, fixers, total) == ("exhaustive", [None] * 4)
+        assert calls == []
+
+        # beside the others, the identity costs nothing: the sweep lists
+        # and enumerates the same sets with it as without it
+        def recording(g, sizes):
+            for s in lister(g, sizes):
+                listed.append(s)
+                yield s
+
+        monkeypatch.setattr(pcp, "sized_connection_sets", recording)
+        sigmas = all_automorphisms(g)
+        runs = []
+        for rows in (sigmas, sigmas[1:]):
+            preservation_sweep(g, rows, total)
+            runs.append((listed[:], calls[:]))
+            listed.clear()
+            calls.clear()
+        assert runs[0] == runs[1] and runs[0][1]
+
+    @MODES
     @pytest.mark.parametrize(
         "spec, g", corpus_groups(12), ids=[s for s, _ in corpus_groups(12)]
     )
