@@ -9,8 +9,9 @@ T = S -- under three names: the ball check, the group-ring check and (for
 subgroups) the transversal check.  It also provides criteria and explicit
 connection-set constructions for normal, cyclic, abelian and dihedral
 subgroups, exact cyclotomic Fourier tests for tilings of abelian groups,
-and a brute-force analysis of (total-)perfect-code-preserving
-automorphisms.
+and an analysis of (total-)perfect-code-preserving automorphisms that
+settles rows by theorem or checked witness where it can and sweeps
+connection sets for the rest.
 """
 
 from .errors import BoundExceededError, CayleyCodesError, GroupTableError

@@ -29,8 +29,8 @@ ENUMERATION_NODE_BUDGET = 1_000_000
 
 
 class ConnectionSet:
-    """An inverse-closed, identity-free subset of a group.  Two are equal
-    when their groups and elements are."""
+    """An inverse-closed, identity-free subset of a group.  Sets compare
+    and hash by identity, as groups do."""
 
     group: FiniteGroup
     elements: frozenset[int]
@@ -45,14 +45,6 @@ class ConnectionSet:
                 )
         self.group = group
         self.elements = elements
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.group, self.elements) == (other.group, other.elements)
-
-    def __hash__(self):
-        return hash((self.group, self.elements))
 
     def __iter__(self):
         return iter(self.elements)
@@ -71,7 +63,7 @@ def connection_set(g: FiniteGroup, elements) -> ConnectionSet:
 def build_cayley(g: FiniteGroup, s) -> CayleyGraph:
     if not isinstance(s, ConnectionSet):
         s = connection_set(g, s)
-    elif s.group is not g and s.group != g:
+    elif s.group is not g:
         raise CayleyCodesError("connection set belongs to a different group")
     return CayleyGraph(g, s)
 

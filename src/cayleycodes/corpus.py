@@ -5,7 +5,14 @@ from __future__ import annotations
 import itertools
 
 from .basis import prime_factorization
-from .groups import FiniteGroup, from_table, make_abelian, make_cyclic, make_dihedral
+from .groups import (
+    FiniteGroup,
+    from_table,
+    make_abelian,
+    make_cyclic,
+    make_dihedral,
+    metacyclic_table,
+)
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -23,28 +30,15 @@ def symmetric_group(n: int) -> FiniteGroup:
 
 
 def quaternion_group() -> FiniteGroup:
-    """Q8 with elements 1, -1, i, -i, j, -j, k, -k at indices 0..7."""
-    units = ["1", "i", "j", "k"]
+    """Q8 with elements 1, -1, i, -i, j, -j, k, -k at indices 0..7.
 
-    def mul(a, b):
-        # returns (sign, unit) for unit quaternion product
-        (sa, ua), (sb, ub) = a, b
-        if ua == "1":
-            return sa * sb, ub
-        if ub == "1":
-            return sa * sb, ua
-        if ua == ub:
-            return -sa * sb, "1"
-        order = "ijk"
-        ia, ib = order.index(ua), order.index(ub)
-        uc = order[3 - ia - ib]
-        sign = 1 if (ib - ia) % 3 == 1 else -1
-        return sa * sb * sign, uc
-
-    elems = [(s, u) for u in units for s in (1, -1)]
-    pos = {e: i for i, e in enumerate(elems)}
-    table = [[pos[mul(a, b)] for b in elems] for a in elems]
-    return from_table(table)
+    This is the metacyclic (4, 2, 2, 3) with a = i and b = j, whose
+    indices 0..7 hold 1, i, -1, -i, j, k, -j, -k; the involution p
+    relabels them.
+    """
+    p = (0, 2, 1, 3, 4, 6, 5, 7)
+    table = metacyclic_table(4, 2, 2, 3)
+    return from_table([[p[table[x][y]] for y in p] for x in p])
 
 
 def abelian_types(order: int):

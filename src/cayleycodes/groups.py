@@ -2,8 +2,10 @@
 
 Elements are indices 0..n-1 into an n x n table; there are no symbolic
 words.  Constructors exist for cyclic, dihedral and abelian-product groups,
-direct products, and arbitrary validated tables.  Everything downstream
-(Cayley graphs, criteria, characters) consumes these types.
+direct products, and arbitrary validated tables.  The cyclic, dihedral and
+Q8 (`corpus.quaternion_group`) tables come from one presentation,
+`metacyclic_table`.  Everything downstream (Cayley graphs, criteria,
+characters) consumes these types.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ class FiniteGroup:
     "abelian-product", "product", "table".  ``decomposition`` records the
     canonical cyclic factor orders of a cyclic or abelian-product group
     (used by the character machinery and the generator-expression grammar)
-    and is None for every other kind.  Two groups are equal when all six
-    fields are, and hash alike then.
+    and is None for every other kind.  Groups compare and hash by identity:
+    two groups built separately are distinct, whatever their tables.
     """
 
     order: int
@@ -46,17 +48,6 @@ class FiniteGroup:
         self.inv = inv
         self.kind = kind
         self.decomposition = decomposition
-
-    def _key(self):
-        return (self.order, self.mult, self.identity, self.inv, self.kind, self.decomposition)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def power(self, i: int, k: int) -> int:
         """i^k for any integer k.  Since i^|G| = e, k is taken mod |G|
@@ -200,36 +191,54 @@ def constructed_order(kind: str, param) -> int:
     return math.prod(param)
 
 
-def make_cyclic(n: int) -> FiniteGroup:
-    """Cyclic group of order n with mult(i, j) = (i + j) mod n.
+def metacyclic_table(m: int, n: int, s: int, r: int):
+    """The table of <a, b | a^m = e, b^n = a^s, bab^-1 = a^r> with a^i b^j
+    at index i + m*j: (a^i b^j)(a^k b^l) = a^(i + r^j*k) b^(j+l), times a^s
+    when j + l >= n.  A group of order m*n when r^n = 1 and s*(r - 1) = 0
+    (mod m), which is not checked.
 
-    Row i is the rotation of row 0 by i places.
+    Block l of row a^i b^j holds a^k b^q, q = j + l mod n, for all k:
+    rotated where r^j = 1 (mod m) and rotated and reversed where r^j = -1,
+    each one slice of those indices written out three times, and entry by
+    entry otherwise.
     """
+    ups = [tuple(range(q * m, q * m + m)) * 3 for q in range(n)]
+    s %= m
+    rows = []
+    for j in range(n):
+        c = pow(r, j, m)
+        blocks = []
+        for l in range(n):
+            # the products a^(i + c*k + t) b^q, k = 0..m-1, for i = 0..m-1
+            q, t = (j + l, 0) if j + l < n else (j + l - n, s)
+            if c == 1 % m:
+                up = ups[q]
+                blocks.append([up[v:v + m] for v in range(t, t + m)])
+            elif c == m - 1:
+                down = ups[q][::-1]
+                starts = range(2 * m - 1 - t, m - 1 - t, -1)
+                blocks.append([down[v:v + m] for v in starts])
+            else:
+                blocks.append([tuple([(i + t + c * k) % m + q * m for k in range(m)])
+                               for i in range(m)])
+        rows += blocks[0] if n == 1 else [sum(parts, ()) for parts in zip(*blocks)]
+    return tuple(rows)
+
+
+def make_cyclic(n: int) -> FiniteGroup:
+    """Cyclic group of order n, the metacyclic (n, 1, 0, 1), so that
+    mult(i, j) = (i + j) mod n."""
     constructed_order("cyclic", n)
-    base = tuple(range(n))
-    mult = tuple(base[i:] + base[:i] for i in range(n))
     inv = tuple((-i) % n for i in range(n))
-    return FiniteGroup(n, mult, 0, inv, "cyclic", (n,))
+    return FiniteGroup(n, metacyclic_table(n, 1, 0, 1), 0, inv, "cyclic", (n,))
 
 
 def make_dihedral(n: int) -> FiniteGroup:
-    """Dihedral group of order 2n, presented <a, b | a^n = b^2 = (ab)^2 = e>.
-
-    Indexing: rotations a^i at 0..n-1, then reflections a^i b at n..2n-1.
-    """
+    """Dihedral group of order 2n, the metacyclic (n, 2, 0, n - 1): rotations
+    a^i at 0..n-1, then reflections a^i b at n..2n-1."""
     size = constructed_order("dihedral", n)
-    rows = []
-    for i in range(n):
-        # a^i . a^j = a^(i+j) ; a^i . a^j b = a^(i+j) b
-        r = [(i + j) % n for j in range(n)]
-        rows.append(tuple(r + [k + n for k in r]))
-    for i in range(n):
-        # a^i b . a^j = a^(i-j) b ; a^i b . a^j b = a^(i-j)
-        r = [(i - j) % n for j in range(n)]
-        rows.append(tuple([k + n for k in r] + r))
-    mult = tuple(rows)
-    inv = _inverses_from_table(mult, 0)
-    return FiniteGroup(size, mult, 0, inv, "dihedral")
+    mult = metacyclic_table(n, 2, 0, n - 1)
+    return FiniteGroup(size, mult, 0, _inverses_from_table(mult, 0), "dihedral")
 
 
 def make_abelian(orders) -> FiniteGroup:

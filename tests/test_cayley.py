@@ -52,6 +52,15 @@ class TestGraphs:
         with pytest.raises(CayleyCodesError):
             connection_set(g, {1})  # inverse 5 missing
 
+    def test_set_of_another_group_object_is_rejected(self):
+        # groups compare by identity, so an equal table built again is
+        # another group
+        g, h = make_cyclic(6), make_cyclic(6)
+        s = connection_set(h, {1, 5})
+        assert build_cayley(h, s).conn is s
+        with pytest.raises(CayleyCodesError, match="different group"):
+            build_cayley(g, s)
+
 
 class TestDefinitionalChecks:
     def test_perfect_six_cycle(self):

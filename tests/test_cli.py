@@ -406,6 +406,19 @@ class TestCheck:
         assert result["total_perfect"] is True
         assert result["checks"]["definition"] is True
 
+    @pytest.mark.parametrize("total", [False, True])
+    def test_rotations_of_d2048_at_the_check_bound(self, capsys, total):
+        # <a> is a perfect code of Cay(D2048, {b}) and not a total one, and
+        # as a subgroup it fills all three checks
+        flag = ["--total"] if total else []
+        code, out = run_cli(
+            capsys, "check", "dihedral:1024", "--conn", "1024",
+            "--code", ",".join(map(str, range(1024))), *flag, "--format", "json",
+        )
+        assert code == 0
+        checks = json.loads(out)["results"]["checks"]
+        assert checks == dict.fromkeys(["definition", "group_ring", "transversal"], not total)
+
     def test_identity_in_connection_set(self, capsys):
         assert main(["check", "cyclic:6", "--conn", "0,1,5", "--code", "0,3"]) == 2
 

@@ -35,6 +35,7 @@ from cayleycodes.groups import (
     generating_set,
     is_automorphism,
     is_subgroup,
+    metacyclic_table,
 )
 from cayleycodes.corpus import (
     abelian_types,
@@ -772,6 +773,80 @@ def _block_edges(n, per_line):
     return sorted(edges)
 
 
+# (m, n, s, r) of <a, b | a^m, b^n = a^s, bab^-1 = a^r>: Dic3, Q16, SD16,
+# M16, Z4:Z4, Dic5, Z5:Z4, Z7:Z3 and Q8, then small cyclic and dihedral
+# groups, Z1 among them (m = 1, where every power of r is 0 mod m)
+METACYCLIC = [
+    (6, 2, 3, 5), (8, 2, 4, 7), (8, 2, 0, 3), (8, 2, 0, 5), (4, 4, 0, 3),
+    (10, 2, 5, 9), (5, 4, 0, 2), (7, 3, 0, 2), (4, 2, 2, 3),
+    *[(k, 1, 0, 1) for k in range(1, 13)],
+    *[(k, 2, 0, k - 1) for k in range(3, 13)],
+]
+
+
+def _word_table(m, n, s, r):
+    """The table of <a, b | a^m, b^n = a^s, bab^-1 = a^r> on a^i b^j at
+    i + m*j, by multiplying words: the letters of a^k b^l are appended to
+    a^i b^j one at a time and the result rewritten into a normal form
+    a^x b^y with x < m and y < n.  An a moves left past the b's one at a
+    time (ba = a^r b), and b^n folds into a^s."""
+
+    def times(x, y, letter):
+        if letter == "b":
+            return (x, y + 1) if y + 1 < n else ((x + s) % m, 0)
+        k = 1
+        for _ in range(y):
+            k = k * r % m
+        return (x + k) % m, y
+
+    table = []
+    for i, j in ((i, j) for j in range(n) for i in range(m)):
+        row = []
+        for k, l in ((k, l) for l in range(n) for k in range(m)):
+            x, y = i, j
+            for letter in "a" * k + "b" * l:
+                x, y = times(x, y, letter)
+            row.append(x + m * y)
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def _dihedral_rows(n):
+    """D_2n with rotations a^i at 0..n-1 and reflections a^i b at n..2n-1."""
+    rows = []
+    for i in range(n):
+        # a^i . a^j = a^(i+j) ; a^i . a^j b = a^(i+j) b
+        r = [(i + j) % n for j in range(n)]
+        rows.append(tuple(r + [k + n for k in r]))
+    for i in range(n):
+        # a^i b . a^j = a^(i-j) b ; a^i b . a^j b = a^(i-j)
+        r = [(i - j) % n for j in range(n)]
+        rows.append(tuple([k + n for k in r] + r))
+    return tuple(rows)
+
+
+def _hamilton_table():
+    """Q8 on 1, -1, i, -i, j, -j, k, -k by the Hamilton product of signed
+    units."""
+    units = ["1", "i", "j", "k"]
+
+    def mul(a, b):
+        (sa, ua), (sb, ub) = a, b
+        if ua == "1":
+            return sa * sb, ub
+        if ub == "1":
+            return sa * sb, ua
+        if ua == ub:
+            return -sa * sb, "1"
+        ia, ib = "ijk".index(ua), "ijk".index(ub)
+        sign = 1 if (ib - ia) % 3 == 1 else -1
+        return sa * sb * sign, "ijk"[3 - ia - ib]
+
+    elems = [(s, u) for u in units for s in (1, -1)]
+    pos = {e: i for i, e in enumerate(elems)}
+    return tuple(tuple(pos[mul(a, b)] for b in elems) for a in elems)
+
+
 class TestTableConstruction:
     @pytest.mark.parametrize(
         "orders",
@@ -784,22 +859,35 @@ class TestTableConstruction:
         assert (g.mult, g.inv) == _reference_abelian(orders)
         assert (g.identity, g.kind, g.decomposition) == (0, "abelian-product", orders)
 
-    def test_make_cyclic_and_dihedral_match_formulas(self):
-        for n in (1, 2, 7, 12):
-            g = make_cyclic(n)
-            assert g.mult == tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-        for n in (3, 4, 9):
-            # a^i b . a^j = a^(i-j) b, so a reflection subtracts exponents
-            def prod(x, y):
-                k = (x - y) % n if x >= n else (x + y) % n
-                return k + (n if (x >= n) != (y >= n) else 0)
+    @pytest.mark.parametrize(
+        "m, n, s, r", METACYCLIC, ids=[",".join(map(str, p)) for p in METACYCLIC]
+    )
+    def test_metacyclic_table_matches_word_products(self, m, n, s, r):
+        # a group, by `from_table` and by the brute-force reference alike
+        table = metacyclic_table(m, n, s, r)
+        assert table == _word_table(m, n, s, r)
+        outcome = _assert_same_outcome(table)
+        assert outcome[0] == "accepted" and outcome[3] == 0
 
-            d = make_dihedral(n)
-            size = 2 * n
-            assert d.mult == tuple(
-                tuple(prod(x, y) for y in range(size)) for x in range(size)
-            )
-            assert _assert_same_outcome([list(row) for row in d.mult])[0] == "accepted"
+    @pytest.mark.parametrize("n", [*range(1, 65), 2048])
+    def test_make_cyclic_matches_formula(self, n):
+        g = make_cyclic(n)
+        assert g.mult == tuple(tuple([(i + j) % n for j in range(n)]) for i in range(n))
+        assert g.inv == tuple((-i) % n for i in range(n))
+        assert (g.order, g.identity, g.kind, g.decomposition) == (n, 0, "cyclic", (n,))
+
+    @pytest.mark.parametrize("n", [*range(3, 65), 1024])
+    def test_make_dihedral_matches_formula(self, n):
+        g = make_dihedral(n)
+        assert g.mult == _dihedral_rows(n)
+        assert g.inv == tuple((-i) % n for i in range(n)) + tuple(range(n, 2 * n))
+        assert (g.order, g.identity, g.kind, g.decomposition) == (2 * n, 0, "dihedral", None)
+
+    def test_quaternion_group_matches_hamilton_product(self):
+        g = quaternion_group()
+        assert g.mult == _hamilton_table()
+        assert g.inv == (0, 1, 3, 2, 5, 4, 7, 6)
+        assert (g.order, g.identity, g.kind, g.decomposition) == (8, 0, "table", None)
 
     def test_load_table_file_round_trips(self, tmp_path):
         for k, (spec, g) in enumerate(ORACLE_GROUPS):
