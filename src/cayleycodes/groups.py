@@ -235,10 +235,11 @@ def make_cyclic(n: int) -> FiniteGroup:
 
 def make_dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n, the metacyclic (n, 2, 0, n - 1): rotations
-    a^i at 0..n-1, then reflections a^i b at n..2n-1."""
+    a^i at 0..n-1, then reflections a^i b at n..2n-1.  The inverse of a^i
+    is a^(-i), and every reflection is its own."""
     size = constructed_order("dihedral", n)
-    mult = metacyclic_table(n, 2, 0, n - 1)
-    return FiniteGroup(size, mult, 0, _inverses_from_table(mult, 0), "dihedral")
+    inv = (0, *range(n - 1, 0, -1), *range(n, size))
+    return FiniteGroup(size, metacyclic_table(n, 2, 0, n - 1), 0, inv, "dihedral")
 
 
 def make_abelian(orders) -> FiniteGroup:

@@ -31,6 +31,7 @@ from cayleycodes import (
     subgroup_generated,
 )
 from cayleycodes.groups import (
+    _inverses_from_table,
     closure,
     generating_set,
     is_automorphism,
@@ -881,6 +882,8 @@ class TestTableConstruction:
         g = make_dihedral(n)
         assert g.mult == _dihedral_rows(n)
         assert g.inv == tuple((-i) % n for i in range(n)) + tuple(range(n, 2 * n))
+        # the closed-form inverses against the row scan `from_table` uses
+        assert g.inv == _inverses_from_table(g.mult, 0)
         assert (g.order, g.identity, g.kind, g.decomposition) == (2 * n, 0, "dihedral", None)
 
     def test_quaternion_group_matches_hamilton_product(self):

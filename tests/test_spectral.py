@@ -18,7 +18,7 @@ from cayleycodes import (
     make_cyclic,
     spectral_tiling_check,
 )
-from cayleycodes import spectral
+from cayleycodes import spectral, verify
 from cayleycodes.corpus import abelian_types
 from cayleycodes.corpus import symmetric_group
 from cayleycodes.groups import closure
@@ -308,3 +308,65 @@ class TestTiling:
                 a = set(s) | {0}
                 assert spectral_tiling_check(g, a, code)
                 assert group_ring_tiling_check(g, a, code)
+
+
+def _elementwise_subset(rng, n):
+    return [x for x in range(n) if rng.random() < 0.5]
+
+
+class TestLemmaSuiteDraws:
+    # block sizes (in subsets) drawn one after another: single draws, the
+    # suite's 25-pair block, and odd sizes that end mid-pair
+    BLOCKS = [1, 2, 7, 2 * verify._PAIR_BLOCK, 3, 2 * verify._PAIR_BLOCK + 1]
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_block_draw_equals_elementwise_draw(self, n):
+        for seed in range(4):
+            blocks, reference = random.Random(seed), random.Random(seed)
+            got = [
+                sorted(sub)
+                for k in self.BLOCKS
+                for sub in verify._draw_subsets(blocks, n, k)
+            ]
+            want = [_elementwise_subset(reference, n) for _ in range(sum(self.BLOCKS))]
+            assert got == want, (n, seed)
+            # the block read exactly the words the draws read
+            assert blocks.getstate() == reference.getstate(), (n, seed)
+            assert blocks.random() == reference.random()
+
+    def test_suite_checks_the_elementwise_pairs_with_shared_sets(self, monkeypatch):
+        spectral_pairs, ring_pairs = [], []
+        spectral_check = verify.spectral_tiling_check
+        ring_check = verify.group_ring_tiling_check
+
+        def counting_spectral(g, a, b):
+            spectral_pairs.append((g, a, b))
+            return spectral_check(g, a, b)
+
+        def counting_ring(g, a, b):
+            ring_pairs.append((a, b))
+            return ring_check(g, a, b)
+
+        monkeypatch.setattr(verify, "spectral_tiling_check", counting_spectral)
+        monkeypatch.setattr(verify, "group_ring_tiling_check", counting_ring)
+        result = suite_lemma_equivalence(seed=0)
+        assert result.passed and result.checks == 26093
+        assert (len(spectral_pairs), len(ring_pairs)) == (13550, 26093)
+        # every random pair is checked both ways on the same two objects
+        ring_ids = {(id(a), id(b)) for a, b in ring_pairs}
+        assert all((id(a), id(b)) in ring_ids for _, a, b in spectral_pairs)
+        # and the pairs are the element-wise draws: 50 per group of order
+        # <= 8 from one generator, then 500 per larger group from another
+        small, larger = random.Random(0), random.Random(0)
+        for g, a, b in spectral_pairs:
+            rng = small if g.order <= 8 else larger
+            want_a = _elementwise_subset(rng, g.order)
+            want_b = _elementwise_subset(rng, g.order)
+            assert (sorted(a), sorted(b)) == (want_a, want_b)
+        orders = collections.Counter(g.order <= 8 for g, _, _ in spectral_pairs)
+        assert orders == {True: 50 * 11, False: 500 * 26}
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    def test_suite_passes_at_every_seed(self, seed):
+        result = suite_lemma_equivalence(seed=seed)
+        assert (result.checks, result.failures) == (26093, [])
