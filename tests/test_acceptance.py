@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import time
 
+import pytest
+
 from cayleycodes import (
     generic_subgroup_code_decision,
     make_abelian,
@@ -26,11 +28,17 @@ def _gate(num: int, label: str, ok: bool, detail: str = ""):
     assert ok, f"criterion {num}: {label}{suffix}"
 
 
-def test_criterion_1_normal_criterion_matches_search():
-    assert len(corpus_groups(24)) >= 20
+@pytest.fixture(scope="module")
+def theorem3():
+    # one timed run of the theorem3 suite, read by criteria 1 and 10
     start = time.perf_counter()
     result = run_suite("theorem3")
-    elapsed = time.perf_counter() - start
+    return result, time.perf_counter() - start
+
+
+def test_criterion_1_normal_criterion_matches_search(theorem3):
+    assert len(corpus_groups(24)) >= 20
+    result, elapsed = theorem3
     _gate(
         1,
         "normal-subgroup criterion == generic search over the corpus",
@@ -133,10 +141,10 @@ def test_criterion_9_trivial_centre():
     )
 
 
-def test_criterion_10_constructions_verify():
+def test_criterion_10_constructions_verify(theorem3):
     # folded into the theorem3 suite, which verifies every constructed S
     # and R definitionally and checks R always carries an involution of H
-    result = run_suite("theorem3")
+    result, _ = theorem3
     construction_checks = [f for f in result.failures if "constructed" in f or "involution" in f]
     _gate(
         10,

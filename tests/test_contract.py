@@ -62,3 +62,15 @@ def test_automorphisms_decided_by_theorem_and_witness(capsys, spec, count):
     identity = list(range(len(rows[0]["sigma"])))
     want = [row["sigma"] for row in rows] if spec == "cyclic:24" else [identity]
     assert pcp == tpcp == want
+
+
+@pytest.mark.parametrize("total", [False, True])
+def test_rotations_of_d2048_at_the_check_bound(capsys, total):
+    # <a> is a perfect code of Cay(D2048, {b}) and not a total one, and
+    # as a subgroup it fills all three checks
+    flag = ["--total"] if total else []
+    checks = _report(
+        capsys, "check", "dihedral:1024", "--conn", "1024",
+        "--code", ",".join(map(str, range(1024))), *flag,
+    )["results"]["checks"]
+    assert checks == dict.fromkeys(["definition", "group_ring", "transversal"], not total)
