@@ -16,15 +16,13 @@ takes it or a plain set of elements alike.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import reduce
-from operator import or_
 
 from .errors import CayleyCodesError, node_counter
 from .groups import FiniteGroup
 
-# search nodes one enumeration may visit: over 180 times the most (5 461,
-# a sampled set of cyclic:24) that any golden-corpus command, verify suite
-# or benchmark workload needs
+# search nodes one enumeration may visit: over 600 times the most that any
+# golden-corpus command, verify suite or benchmark workload (seeds 0-5)
+# needs, 1 555 for an `enumerate abelian:2,2,6` request
 ENUMERATION_NODE_BUDGET = 1_000_000
 
 
@@ -124,15 +122,16 @@ def enumerate_perfect_codes(graph: CayleyGraph, total: bool = False):
     Algorithm X (Knuth, "Dancing Links") on int bitmasks.  With T = S u {e}
     (perfect) or T = S (total), ball[c] is the mask of T c; T is
     inverse-closed, so ball[v] is also the mask of the centres whose balls
-    hold v.  clash[c] masks the centres whose balls meet c's.  A node is
-    (covered, usable, chosen), and nodes wait on an explicit stack, so a
-    code of |G| centres needs no recursion.  A node branches on the
-    uncovered vertex with the fewest usable centres (the least such vertex
-    on a tie), and choosing c covers ball[c] and drops clash[c] from
-    usable.  More than ENUMERATION_NODE_BUDGET nodes raise
-    BoundExceededError.  Output is sorted lexicographically as tuples.  A
-    code's |C| balls of |T| elements each partition G, so when |T| does
-    not divide |G| the answer is [] without a search.
+    hold v.  A node is (covered, chosen), and nodes wait on an explicit
+    stack, so a code of |G| centres needs no recursion.  A node branches
+    on the least uncovered vertex v, with one child for each centre c in
+    ball[v] whose ball[c] & covered is empty: covered is the union of the
+    chosen balls, so that test says exactly that c's ball meets no chosen
+    ball, and no node carries a mask of usable centres.  More than
+    ENUMERATION_NODE_BUDGET nodes raise BoundExceededError.  Output is
+    sorted lexicographically as tuples.  A code's |C| balls of |T|
+    elements each partition G, so when |T| does not divide |G| the answer
+    is [] without a search.
     """
     g = graph.group
     n = g.order
@@ -141,37 +140,25 @@ def enumerate_perfect_codes(graph: CayleyGraph, total: bool = False):
         return []  # the code's balls, |T| elements each, cannot tile G
     rows = g.bit_rows
     ball = list(map(sum, zip(*(rows[s] for s in t))))
-    # T c' meets T c iff c' is in T^-1 T c = T T c; and T T is the union
-    # of the balls T u for u in T
-    tt = reduce(or_, map(ball.__getitem__, t))
-    clash = list(map(sum, zip(*(rows[x] for x in range(n) if tt >> x & 1))))
     full = (1 << n) - 1
     solutions = []
     count = node_counter("enumerate_perfect_codes", ENUMERATION_NODE_BUDGET)
 
-    stack = [(0, full, ())]
+    stack = [(0, ())]
     while stack:
-        covered, usable, chosen = stack.pop()
+        covered, chosen = stack.pop()
         count()
         if covered == full:
             solutions.append(tuple(sorted(chosen)))
             continue
-        best, fewest = 0, n + 1
-        rest = full ^ covered
-        while rest:
-            low = rest & -rest
-            cands = ball[low.bit_length() - 1] & usable
-            k = cands.bit_count()
-            if k < fewest:
-                best, fewest = cands, k
-                if not k:
-                    break
-            rest ^= low
-        while best:
-            low = best & -best
+        # the least uncovered vertex: the lowest clear bit of covered
+        cands = ball[(~covered & (covered + 1)).bit_length() - 1]
+        while cands:
+            low = cands & -cands
             c = low.bit_length() - 1
-            stack.append((covered | ball[c], usable & ~clash[c], chosen + (c,)))
-            best ^= low
+            if not ball[c] & covered:
+                stack.append((covered | ball[c], chosen + (c,)))
+            cands ^= low
 
     solutions.sort()
     return solutions

@@ -227,7 +227,8 @@ def suite_abelian(seed: int = 0) -> SuiteResult:
 
 def suite_lemma_equivalence(seed: int = 0) -> SuiteResult:
     """Spectral tiling check == group-ring check: exhaustive for |G| <= 8,
-    500 seeded random pairs per abelian group of order 9..24.
+    with 50 random pairs per such group, and 500 random pairs per abelian
+    group of order 9..24, all drawn in turn from one random.Random(seed).
 
     A random subset of range(n) is [x for x in range(n) if rng.random() <
     0.5]; `_draw_subsets` draws the same subsets in blocks.  A random()
@@ -257,7 +258,7 @@ def suite_lemma_equivalence(seed: int = 0) -> SuiteResult:
 
     small = [make_cyclic(n) for n in range(1, 9)]
     small += [make_abelian(t) for n in range(4, 9) for t in abelian_types(n)]
-    rng0 = random.Random(seed)
+    rng = random.Random(seed)
     for g in small:
         n = g.order
         by_size = [[] for _ in range(n + 1)]
@@ -282,8 +283,7 @@ def suite_lemma_equivalence(seed: int = 0) -> SuiteResult:
                     if spectral != ring:
                         failures.append(_discrepancy(spectral, ring, a, b))
             res.checks += len(by_size[ka]) * len(by_size[kb])
-        random_pairs(g, rng0, 50)
-    rng = random.Random(seed)
+        random_pairs(g, rng, 50)
     larger = [make_cyclic(n) for n in range(9, 25)]
     larger += [make_abelian(t) for n in range(9, 25) for t in abelian_types(n)]
     for g in larger:

@@ -13,6 +13,7 @@ from cayleycodes import cayley, cli
 from cayleycodes import (
     BoundExceededError,
     CayleyCodesError,
+    all_automorphisms,
     build_cayley,
     enumerate_perfect_codes,
     group_ring_check_perfect,
@@ -28,6 +29,7 @@ from cayleycodes.cayley import connection_set
 from cayleycodes.corpus import corpus_groups, quaternion_group, symmetric_group
 from cayleycodes.pcp import _sampled_connection_sets, all_connection_sets
 from cayleycodes.specparse import parse_group_spec
+from relabeling import relabeled, seeded_relabeling
 
 
 SMALL_GROUPS = corpus_groups(12)
@@ -269,6 +271,47 @@ class TestEnumeration:
         # recursion limit of 1000
         graph = build_cayley(make_cyclic(1100), ())
         assert enumerate_perfect_codes(graph) == [tuple(range(1100))]
+
+
+def _mapped(codes, sigma):
+    """The codes under the element map sigma, each sorted, in order."""
+    return sorted(tuple(sorted(sigma[c] for c in code)) for code in codes)
+
+
+class TestEquivariance:
+    """The exact cover branches on the least uncovered vertex, an
+    index-dependent choice; its answer must not depend on the numbering."""
+
+    @pytest.mark.parametrize("spec, g", SMALL_GROUPS, ids=[s for s, _ in SMALL_GROUPS])
+    def test_relabeling_and_right_translation(self, spec, g):
+        perm = seeded_relabeling(g, g.order)
+        h = relabeled(g, g.order)
+        assert h.identity == perm[g.identity]
+        # x -> x t for each t: C t is a code of the same graph
+        rights = [[row[t] for row in g.mult] for t in range(g.order)]
+        for s in all_connection_sets(g):
+            graph = build_cayley(g, s)
+            image = build_cayley(h, [perm[x] for x in s])
+            for total in (False, True):
+                codes = enumerate_perfect_codes(graph, total)
+                assert enumerate_perfect_codes(image, total) == _mapped(codes, perm)
+                for right in rights:
+                    assert _mapped(codes, right) == codes, (s, total, right)
+
+    @pytest.mark.parametrize("spec", ["dihedral:6", "abelian:2,2,2"])
+    def test_automorphisms(self, spec):
+        g = parse_group_spec(spec)
+        codes = {
+            (frozenset(s), total): enumerate_perfect_codes(build_cayley(g, s), total)
+            for s in all_connection_sets(g)
+            for total in (False, True)
+        }
+        sigmas = all_automorphisms(g)
+        assert len(sigmas) == {"dihedral:6": 12, "abelian:2,2,2": 168}[spec]
+        for sigma in sigmas:
+            for (s, total), found in codes.items():
+                image = frozenset(sigma[x] for x in s)
+                assert codes[image, total] == _mapped(found, sigma), (sigma, s)
 
 
 def _frozenset_search(graph, total=False):

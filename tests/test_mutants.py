@@ -232,7 +232,7 @@ FAILURE_TEXTS = [
         "group_ring_tiling_check",
         _covers_only,
         26093,
-        11838,
+        11822,
         "tiling-check discrepancy: spectral=False ring=True A=[0, 1] B=[0, 1]",
     ),
 ]

@@ -355,11 +355,10 @@ class TestLemmaSuiteDraws:
         # every random pair is checked both ways on the same two objects
         ring_ids = {(id(a), id(b)) for a, b in ring_pairs}
         assert all((id(a), id(b)) in ring_ids for _, a, b in spectral_pairs)
-        # and the pairs are the element-wise draws: 50 per group of order
-        # <= 8 from one generator, then 500 per larger group from another
-        small, larger = random.Random(0), random.Random(0)
+        # and the pairs are the element-wise draws of one generator: 50
+        # per group of order <= 8, then 500 per larger group
+        rng = random.Random(0)
         for g, a, b in spectral_pairs:
-            rng = small if g.order <= 8 else larger
             want_a = _elementwise_subset(rng, g.order)
             want_b = _elementwise_subset(rng, g.order)
             assert (sorted(a), sorted(b)) == (want_a, want_b)
