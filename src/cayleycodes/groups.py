@@ -4,8 +4,9 @@ Elements are indices 0..n-1 into an n x n table; there are no symbolic
 words.  Constructors exist for cyclic, dihedral and abelian-product groups,
 direct products, and arbitrary validated tables.  The cyclic, dihedral and
 Q8 (`corpus.quaternion_group`) tables come from one presentation,
-`metacyclic_table`.  Everything downstream (Cayley graphs, criteria,
-characters) consumes these types.
+`metacyclic_table`, which cuts every block of the table as a slice of
+one doubled tuple by the same rule.  Everything downstream (Cayley
+graphs, criteria, characters) consumes these types.
 """
 
 from __future__ import annotations
@@ -197,30 +198,25 @@ def metacyclic_table(m: int, n: int, s: int, r: int):
     when j + l >= n.  A group of order m*n when r^n = 1 and s*(r - 1) = 0
     (mod m), which is not checked.
 
-    Block l of row a^i b^j holds a^k b^q, q = j + l mod n, for all k:
-    rotated where r^j = 1 (mod m) and rotated and reversed where r^j = -1,
-    each one slice of those indices written out three times, and entry by
-    entry otherwise.
+    Every block is cut by one rule.  Under the columns a^k b^l, row
+    a^i b^j holds a^(i + t + c*k) b^q for k = 0..m-1, where c = r^j,
+    q = j + l mod n, and t = s when j + l >= n, else 0.  As r^n = 1
+    (mod m), r and so c are units mod m.  So with u the m-tuple
+    (c*k mod m + q*m) written twice and p = (i + t)*c^-1 mod m,
+    u[p + k] = (i + t + c*k mod m) + q*m: that part of the row is the
+    slice u[p:p + m].
     """
-    ups = [tuple(range(q * m, q * m + m)) * 3 for q in range(n)]
     s %= m
     rows = []
     for j in range(n):
         c = pow(r, j, m)
+        c_inv = pow(c, -1, m)
+        starts = [i * c_inv % m for i in range(m)] * 2
         blocks = []
         for l in range(n):
-            # the products a^(i + c*k + t) b^q, k = 0..m-1, for i = 0..m-1
             q, t = (j + l, 0) if j + l < n else (j + l - n, s)
-            if c == 1 % m:
-                up = ups[q]
-                blocks.append([up[v:v + m] for v in range(t, t + m)])
-            elif c == m - 1:
-                down = ups[q][::-1]
-                starts = range(2 * m - 1 - t, m - 1 - t, -1)
-                blocks.append([down[v:v + m] for v in starts])
-            else:
-                blocks.append([tuple([(i + t + c * k) % m + q * m for k in range(m)])
-                               for i in range(m)])
+            u = tuple([c * k % m + q * m for k in range(m)]) * 2
+            blocks.append([u[p:p + m] for p in starts[t:t + m]])
         rows += blocks[0] if n == 1 else [sum(parts, ()) for parts in zip(*blocks)]
     return tuple(rows)
 

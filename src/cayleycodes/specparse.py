@@ -209,7 +209,7 @@ def canonical_generators(g: FiniteGroup) -> dict[str, int]:
         return {f"a{i + 1}": s for i, s in enumerate(g.strides)}
     return {}
 
-_TERM = re.compile(r"^([a-z][a-z0-9]*?|[a-z])(?:\^(-?\d+))?$", re.IGNORECASE)
+_TERM = re.compile(r"^([a-z][a-z0-9]*?)(?:\^(-?\d+))?$", re.IGNORECASE)
 
 
 def parse_element_expr(g: FiniteGroup, expr: str) -> int:

@@ -30,7 +30,7 @@ from cayleycodes.basis import abelian_basis
 from cayleycodes.corpus import corpus_groups, quaternion_group, symmetric_group
 from cayleycodes import criteria
 from cayleycodes.criteria import _transversal_search
-from cayleycodes.groups import all_subgroups, coset_labels, is_normal
+from cayleycodes.groups import all_automorphisms, all_subgroups, coset_labels, is_normal
 from cayleycodes.specparse import parse_element_expr, parse_group_spec
 from relabeling import relabeled
 
@@ -603,3 +603,33 @@ class TestDispatcher:
             if is_normal(g, h):
                 n = normal_subgroup_code(g, h)
                 assert (v.perfect, v.total) == (n.perfect, n.total)
+
+
+def _constructed(g, h, total):
+    try:
+        return construct_connection_set(g, h, total)
+    except CayleyCodesError:
+        return None
+
+
+SMALL_GROUPS = corpus_groups(12)
+
+
+@pytest.mark.parametrize("spec, g", SMALL_GROUPS, ids=[s for s, _ in SMALL_GROUPS])
+def test_automorphisms_map_verdicts_and_constructions(spec, g):
+    # an automorphism sigma maps Cay(G, S) onto Cay(G, sigma S), so H and
+    # sigma(H) get the same verdict, and sigma carries a connection set
+    # that makes H a code to one that makes sigma(H) a code
+    check = {False: is_perfect_code, True: is_total_perfect_code}
+    for h in all_subgroups(g):
+        verdict = decide_subgroup_code(g, h, is_normal(g, h))
+        sets = {total: _constructed(g, h, total) for total in check}
+        for sigma in all_automorphisms(g):
+            image = tuple(sorted(sigma[x] for x in h))
+            found = decide_subgroup_code(g, image, is_normal(g, image))
+            assert (found.perfect, found.total) == (verdict.perfect, verdict.total)
+            for total, s in sets.items():
+                assert (_constructed(g, image, total) is None) == (s is None)
+                if s is not None:
+                    graph = build_cayley(g, [sigma[x] for x in s])
+                    assert check[total](graph, image), (h, sigma, total)

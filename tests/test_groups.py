@@ -870,6 +870,18 @@ class TestTableConstruction:
         outcome = _assert_same_outcome(table)
         assert outcome[0] == "accepted" and outcome[3] == 0
 
+    def test_metacyclic_table_matches_word_products_on_every_small_presentation(self):
+        # every (m, n, s, r) with r^n = 1 and s(r - 1) = 0 (mod m), m*n <= 20
+        valid = [
+            (m, n, s, r)
+            for m in range(1, 21) for n in range(1, 20 // m + 1)
+            for s in range(m) for r in range(m)
+            if pow(r, n, m) == 1 % m and s * (r - 1) % m == 0
+        ]
+        assert len(valid) == 364
+        wrong = [p for p in valid if metacyclic_table(*p) != _word_table(*p)]
+        assert wrong == []
+
     @pytest.mark.parametrize("n", [*range(1, 65), 2048])
     def test_make_cyclic_matches_formula(self, n):
         g = make_cyclic(n)
